@@ -15,7 +15,7 @@ from repro.core.convergence import check_convergence
 from repro.core.errors import PreconditionViolation
 from repro.proofs.registry import entry_by_name
 from repro.runtime import OpBasedSystem
-from repro.runtime.causal_broadcast import UnreliableCausalBroadcast
+from repro.runtime.faults import UnreliableCausalBroadcast
 
 RATES = [0.0, 0.2, 0.4]
 STATS = {}

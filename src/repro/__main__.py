@@ -504,15 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
              "configurations instead of orbits; see docs/exploration.md)",
     )
     exhaustive.add_argument(
-        "--steal", action="store_true", dest="steal", default=None,
-        help="with --jobs N, re-balance skewed subtrees via the "
-             "work-stealing scheduler (the default; see "
-             "docs/performance.md)",
-    )
-    exhaustive.add_argument(
         "--no-steal", action="store_false", dest="steal",
         help="with --jobs N, use the static root-branch frontier split "
-             "instead of work stealing",
+             "instead of the work-stealing scheduler (see "
+             "docs/performance.md)",
     )
     exhaustive.add_argument(
         "--por", choices=("sleep", "source", "optimal"), default="optimal",

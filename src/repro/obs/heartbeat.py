@@ -42,17 +42,17 @@ def _ratio(part: float, whole: float) -> Optional[float]:
 class HeartbeatEmitter:
     """Periodically summarizes one worker's live engine counters.
 
-    The emitter observes an :class:`ExploreStats` (and optionally a
-    :class:`FingerprintStore`) *by reference*: the engine mutates them,
-    the emitter reads them when a beat is due.  ``queue_size`` is an
-    optional zero-argument callable reporting the worker's local task
-    backlog (steal queue); it may return None or raise
-    ``NotImplementedError`` (``Queue.qsize`` on macOS) — both render as
-    an unknown queue length.
+    The emitter observes an :class:`ExploreStats` (and, under
+    ``--spill``, a :class:`FingerprintStore`) *by reference*: the engine
+    mutates them, the emitter reads them when a beat is due.
+    ``queue_size`` is an optional zero-argument callable reporting the
+    worker's local task backlog (steal queue); it may return None or
+    raise ``NotImplementedError`` (``Queue.qsize`` on macOS) — both
+    render as an unknown queue length.
     """
 
     __slots__ = ("worker", "sink", "interval", "queue_size", "_check",
-                 "_stats", "_fp_store", "_task", "_ticks", "_last_beat",
+                 "_stats", "_store", "_task", "_ticks", "_last_beat",
                  "_last_configs")
 
     def __init__(self, worker: Optional[str] = None,
@@ -68,7 +68,7 @@ class HeartbeatEmitter:
         self.queue_size = queue_size
         self._check = max(int(check_every), 1)
         self._stats: Any = None
-        self._fp_store: Any = None
+        self._store: Any = None
         self._task: Optional[str] = None
         self._ticks = 0
         self._last_beat = time.perf_counter()
@@ -76,18 +76,18 @@ class HeartbeatEmitter:
 
     # -- wiring ---------------------------------------------------------
 
-    def watch(self, stats: Any, fp_store: Any = None) -> None:
+    def watch(self, stats: Any, store: Any = None) -> None:
         """Bind the live counters the next beats should read."""
         self._stats = stats
-        self._fp_store = fp_store
+        self._store = store
         self._last_configs = getattr(stats, "configurations", 0) or 0
 
     def begin_task(self, task: str, stats: Any = None,
-                   fp_store: Any = None) -> None:
+                   store: Any = None) -> None:
         """Note the task the worker is now on (shown on stall)."""
         self._task = task
         if stats is not None:
-            self.watch(stats, fp_store)
+            self.watch(stats, store)
 
     # -- the hot path ---------------------------------------------------
 
@@ -157,7 +157,7 @@ class HeartbeatEmitter:
         return _ratio(shared, copied + shared)
 
     def _spill_size(self) -> Optional[int]:
-        store = self._fp_store
+        store = self._store
         if store is None:
             return None
         stats = getattr(store, "stats", None)

@@ -152,8 +152,7 @@ class Instrumentation:
 
     # -- pipeline recording hooks --------------------------------------
 
-    def record_explore(self, stats: Any, kind: str,
-                       entry: Optional[str] = None) -> None:
+    def record_explore(self, stats: Any, kind: str) -> None:
         """Fold one exploration run's :class:`ExploreStats` into metrics.
 
         All ``explore.*`` instruments are *work* metrics: frontier-split
@@ -164,8 +163,6 @@ class Instrumentation:
             return
         m = self.metrics
         labels = {"kind": kind}
-        if entry is not None:
-            labels["entry"] = entry
         m.counter("explore.runs", **labels).inc()
         m.counter("explore.configurations", **labels).inc(
             stats.configurations
@@ -284,9 +281,6 @@ class Instrumentation:
             stats.evictions
         )
         m.counter("explore.fp_store.spilled", **labels).inc(stats.spilled)
-        m.counter("explore.fp_store.unchecked_hits", **labels).inc(
-            stats.unchecked_hits
-        )
 
     def record_check(self, stats: Any, entry: Optional[str] = None) -> None:
         """Fold one :class:`RACheckContext`'s :class:`CheckStats` in."""

@@ -453,7 +453,7 @@ def verify_store(
     reduction: Optional[bool] = None,
     symmetry: Optional[bool] = None,
     cache: bool = True,
-    steal: Optional[bool] = None,
+    steal: bool = True,
     spill: Optional[str] = None,
     por: str = "sleep",
     side_condition_limit: int = SIDE_CONDITION_LIMIT,

@@ -52,8 +52,8 @@ class ExhaustiveResult:
     #: Verification-cache counters (verdict memo, frontier trie); None
     #: when caching was disabled (``cache=False``).
     check_stats: Optional[CheckStats] = None
-    #: Fingerprint-store counters when digest interning was active
-    #: (``--spill`` or the work-stealing path); None otherwise.
+    #: Fingerprint-store counters when the run spilled (``spill`` set);
+    #: None otherwise.
     fp_store: Optional[FPStoreStats] = None
 
     def record(self, message: str) -> None:
@@ -158,6 +158,22 @@ def _make_visit(
     return visit
 
 
+def _harvest_store(store: FingerprintStore, result: ExhaustiveResult,
+                   ins: Instrumentation) -> None:
+    """Attach a finished run's store counters to ``result``, record them,
+    and close the store."""
+    result.fp_store = store.stats
+    if ins.enabled:
+        ins.record_fp_store(store.stats, entry=result.entry_name)
+        if store.stats.spilled:
+            ins.journal_event(
+                "spill.promote", entry=result.entry_name,
+                spilled=store.stats.spilled,
+                evictions=store.stats.evictions,
+            )
+    store.close()
+
+
 def exhaustive_verify(
     entry: CRDTEntry,
     programs: Dict[str, Program],
@@ -170,9 +186,8 @@ def exhaustive_verify(
     root_branch: Optional[int] = None,
     fingerprints: Optional[set] = None,
     instrumentation: Optional[Instrumentation] = None,
-    steal: Optional[bool] = None,
+    steal: bool = True,
     spill: Optional[str] = None,
-    fp_store: bool = False,
     oversubscribe: bool = False,
     por: str = "sleep",
     heartbeat: Optional[object] = None,
@@ -202,13 +217,12 @@ def exhaustive_verify(
     ``root_branch``/``fingerprints`` are the worker-side hooks of the
     static fan-out and are rarely useful directly.
 
-    ``spill DIR`` interns fingerprints as fixed-width digests behind a
-    collision-checked :class:`FingerprintStore` and spills the
-    visited/expanded records to a scratch sqlite file under ``DIR`` with
-    an LRU in-memory tier — the 4-replica-scope memory valve (see
-    ``docs/performance.md``).  ``fp_store=True`` turns on digest
-    interning without the disk tier (compact in-memory fingerprints,
-    unbounded growth).
+    Without ``spill`` the visited/expanded records hold raw canonical
+    fingerprints in memory.  ``spill DIR`` interns them as fixed-width
+    digests behind a collision-checked :class:`FingerprintStore` and
+    spills the records to a scratch sqlite file under ``DIR`` past a
+    bounded in-memory tier — the 4-replica-scope memory valve (see
+    ``docs/performance.md``).
 
     ``instrumentation`` threads the observability handle through the
     whole run (scope span, exploration/cache metrics, the deterministic
@@ -251,12 +265,8 @@ def exhaustive_verify(
     result = ExhaustiveResult(entry.name)
     visit = _make_visit(entry, result, cache and engine == "fast", ins)
     store: Optional[FingerprintStore] = None
-    expanded = None
-    if (spill is not None or fp_store) and engine == "fast":
+    if spill is not None and engine == "fast":
         store = FingerprintStore(spill_dir=spill)
-        if fingerprints is None:
-            fingerprints = store.visited_set()
-        expanded = store.expanded_map()
     if root_branch is None:
         ins.journal_event("scope.start", entry=entry.name, family="OB")
     if heartbeat is not None:
@@ -289,24 +299,14 @@ def exhaustive_verify(
                 root_branch=root_branch,
                 fingerprints=fingerprints,
                 instrumentation=ins,
-                fp_store=store,
-                expanded=expanded,
+                store=store,
                 por=por,
                 heartbeat=heartbeat,
             )
     if heartbeat is not None:
         heartbeat.emit()  # final beat: short scopes get at least one
     if store is not None:
-        result.fp_store = store.stats
-        if ins.enabled:
-            ins.record_fp_store(store.stats, entry=entry.name)
-            if store.stats.spilled:
-                ins.journal_event(
-                    "spill.promote", entry=entry.name,
-                    spilled=store.stats.spilled,
-                    evictions=store.stats.evictions,
-                )
-        store.close()
+        _harvest_store(store, result, ins)
     if ins.enabled:
         if result.check_stats is not None:
             ins.record_check(result.check_stats, entry=entry.name)
@@ -332,9 +332,8 @@ def exhaustive_verify_state(
     root_branch: Optional[int] = None,
     fingerprints: Optional[set] = None,
     instrumentation: Optional[Instrumentation] = None,
-    steal: Optional[bool] = None,
+    steal: bool = True,
     spill: Optional[str] = None,
-    fp_store: bool = False,
     oversubscribe: bool = False,
     por: str = "sleep",
     heartbeat: Optional[object] = None,
@@ -372,12 +371,8 @@ def exhaustive_verify_state(
     result = ExhaustiveResult(entry.name)
     visit = _make_visit(entry, result, cache and engine == "fast", ins)
     store: Optional[FingerprintStore] = None
-    expanded = None
-    if (spill is not None or fp_store) and engine == "fast":
+    if spill is not None and engine == "fast":
         store = FingerprintStore(spill_dir=spill)
-        if fingerprints is None:
-            fingerprints = store.visited_set()
-        expanded = store.expanded_map()
     if root_branch is None:
         ins.journal_event("scope.start", entry=entry.name, family="SB")
     if heartbeat is not None:
@@ -409,24 +404,14 @@ def exhaustive_verify_state(
                 root_branch=root_branch,
                 fingerprints=fingerprints,
                 instrumentation=ins,
-                fp_store=store,
-                expanded=expanded,
+                store=store,
                 por=por,
                 heartbeat=heartbeat,
             )
     if heartbeat is not None:
         heartbeat.emit()  # final beat: short scopes get at least one
     if store is not None:
-        result.fp_store = store.stats
-        if ins.enabled:
-            ins.record_fp_store(store.stats, entry=entry.name)
-            if store.stats.spilled:
-                ins.journal_event(
-                    "spill.promote", entry=entry.name,
-                    spilled=store.stats.spilled,
-                    evictions=store.stats.evictions,
-                )
-        store.close()
+        _harvest_store(store, result, ins)
     if ins.enabled:
         if result.check_stats is not None:
             ins.record_check(result.check_stats, entry=entry.name)

@@ -1,8 +1,8 @@
 """Process-parallel verification fan-out.
 
 By default the within-scope paths here delegate to the work-stealing
-scheduler (:mod:`repro.proofs.steal`, ``STEAL_DEFAULT``); ``steal=False``
-selects the static strategies below.  Two static sharding axes, both
+scheduler (:mod:`repro.proofs.steal`); ``steal=False`` selects the
+static strategies below.  Two static sharding axes, both
 built on :class:`concurrent.futures.ProcessPoolExecutor`:
 
 * **Across registry entries** — :func:`verify_entries_parallel` runs the
@@ -51,11 +51,6 @@ from .exhaustive import (
 )
 from .registry import ALL_ENTRIES, CRDTEntry, entry_by_name
 from .report import VerificationResult, verify_entry
-
-#: Parallel exhaustive paths use the work-stealing scheduler
-#: (:mod:`repro.proofs.steal`) unless the caller opts out
-#: (``steal=False`` / ``--no-steal``).
-STEAL_DEFAULT = True
 
 #: One work item, picklable: ``(entry name, programs, max_gossips,
 #: reduction, symmetry, cache, branch, obs, por)``.  ``max_gossips`` is
@@ -368,7 +363,7 @@ def exhaustive_verify_parallel(
     symmetry: Optional[bool] = None,
     cache: bool = True,
     instrumentation: Optional[Instrumentation] = None,
-    steal: Optional[bool] = None,
+    steal: bool = True,
     spill: Optional[str] = None,
     max_configurations: Optional[int] = None,
     oversubscribe: bool = False,
@@ -400,7 +395,7 @@ def exhaustive_verify_parallel(
     """
     ins = instrumentation if instrumentation is not None \
         else NULL_INSTRUMENTATION
-    if steal or steal is None and STEAL_DEFAULT:
+    if steal:
         from .steal import exhaustive_verify_steal
 
         return exhaustive_verify_steal(
@@ -440,7 +435,7 @@ def verify_scopes_parallel(
     symmetry: Optional[bool] = None,
     cache: bool = True,
     instrumentation: Optional[Instrumentation] = None,
-    steal: Optional[bool] = None,
+    steal: bool = True,
     spill: Optional[str] = None,
     max_configurations: Optional[int] = None,
     oversubscribe: bool = False,
@@ -478,7 +473,7 @@ def verify_scopes_parallel(
     """
     ins = instrumentation if instrumentation is not None \
         else NULL_INSTRUMENTATION
-    if steal or steal is None and STEAL_DEFAULT:
+    if steal:
         from .steal import verify_scopes_steal
 
         return verify_scopes_steal(

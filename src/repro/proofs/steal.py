@@ -24,10 +24,11 @@ This module replaces the static carve with a **work-stealing pool**:
   DFS would have descended with.
 * Each worker keeps one engine *session* per scope (domain, visited and
   expanded records, verdict caches) across all its tasks, so dedup warms
-  up like a serial run's; sessions intern fingerprints as fixed-width
-  digests through a :class:`~repro.runtime.fp_store.FingerprintStore`
-  (optionally disk-spilled), and the deterministic merge unions the
-  digest sets exactly as the static path unions raw fingerprints.
+  up like a serial run's.  Sessions keep raw canonical fingerprints, as
+  serial runs do; with ``spill`` they intern them as collision-checked
+  digests through a disk-spilling
+  :class:`~repro.runtime.fp_store.FingerprintStore`.  Either way the
+  deterministic merge unions the per-worker fingerprint sets.
 
 Determinism: the merged verdicts, distinct-configuration counts, and
 additive metrics are identical to the serial engine's — stealing only
@@ -58,21 +59,17 @@ from ..obs.instrument import Instrumentation, NULL_INSTRUMENTATION
 from ..obs.progress import ProgressMonitor
 from ..runtime.explore_engine import ExploreStats, build_engine
 from ..runtime.fp_store import FingerprintStore
-from ..runtime.pstate import MapTier, SetTier
 from ..runtime.schedule import Program
 from ..runtime.state_system import StateBasedSystem
 from ..runtime.system import OpBasedSystem
 from .exhaustive import (
     ExhaustiveResult,
+    _harvest_store,
     _make_visit,
     exhaustive_verify,
     exhaustive_verify_state,
 )
 from .registry import CRDTEntry, entry_by_name
-
-#: Stealing on by default in the parallel paths (``--no-steal`` reverts
-#: to the static root-branch fan-out).
-STEAL_DEFAULT = True
 
 #: A worker considers splitting on every Nth eligible DFS node — the
 #: tick gate keeps the qsize/idle probes off the per-node hot path.
@@ -261,17 +258,17 @@ class _Session:
     """One worker's persistent engine session for one scope.
 
     Created lazily on the first task of the scope and reused for every
-    later one: the domain, visited/expanded records, fingerprint store
-    and verdict caches all persist, so a worker that ends up with many
-    tasks of one scope pays the serial run's cache economics.  Local
-    visited records mean a subtree already explored by *another* worker
-    may be re-explored here — wasted work, never missed work — which is
-    why the merge unions fingerprint sets instead of summing counts.
+    later one: the domain, visited/expanded records, the ``spill``
+    fingerprint store and verdict caches all persist, so a worker that
+    ends up with many tasks of one scope pays the serial run's cache
+    economics.  Local visited records mean a subtree already explored by
+    *another* worker may be re-explored here — wasted work, never missed
+    work — which is why the merge unions fingerprint sets instead of
+    summing counts.
     """
 
     def __init__(self, spec: _ScopeSpec, budget, scheduler,
-                 spill_dir: Optional[str], use_fp_store: bool,
-                 ins: Instrumentation,
+                 spill_dir: Optional[str], ins: Instrumentation,
                  heartbeat: Optional[HeartbeatEmitter] = None) -> None:
         name, programs, max_gossips, reduction, symmetry, cache, por = spec
         entry = entry_by_name(name)
@@ -280,24 +277,12 @@ class _Session:
         self.stats = ExploreStats()
         self.result.stats = self.stats
         visit = _make_visit(entry, self.result, cache, ins)
-        self.store: Optional[FingerprintStore] = (
-            FingerprintStore(spill_dir=spill_dir) if use_fp_store else None
-        )
+        self.store: Optional[FingerprintStore] = None
+        self.fps: Any = set()
+        if spill_dir is not None:
+            self.store = FingerprintStore(spill_dir=spill_dir)
+            self.fps = self.store.visited_set()
         persistent = por in ("source", "optimal")
-        # DPOR sessions back the visited/expanded tiers with persistent
-        # hash tries: a session survives every task of its scope, and
-        # each task extends a structurally-shared trie whose older roots
-        # stay valid — the same O(delta) economics replica state already
-        # gets from runtime.pstate.
-        if self.store is not None:
-            self.fps: Any = self.store.visited_set()
-            expanded: Any = self.store.expanded_map()
-        elif persistent:
-            self.fps = SetTier()
-            expanded = MapTier()
-        else:
-            self.fps = set()
-            expanded = None
         if entry.kind == "OB":
             kind = "op"
 
@@ -320,8 +305,7 @@ class _Session:
             symmetry=entry.symmetry if symmetry is None else symmetry,
             stats=self.stats,
             fingerprints=self.fps,
-            expanded=expanded,
-            fp_store=self.store,
+            store=self.store,
             scheduler=scheduler,
             budget=budget,
             por=por,
@@ -341,19 +325,9 @@ class _Session:
         """Close out the session: ``(scope_index, result, fingerprints)``."""
         fps = set(self.fps)
         if self.store is not None:
-            self.result.fp_store = self.store.stats
-            if ins.enabled:
-                ins.record_fp_store(self.store.stats, entry=self.entry.name)
-                if self.store.stats.spilled:
-                    ins.journal_event(
-                        "spill.promote", entry=self.entry.name,
-                        spilled=self.store.stats.spilled,
-                        evictions=self.store.stats.evictions,
-                    )
-            self.store.close()
+            _harvest_store(self.store, self.result, ins)
         if ins.enabled:
-            ins.record_explore(self.stats, kind=self.kind,
-                              entry=self.entry.name)
+            ins.record_explore(self.stats, kind=self.kind)
             if self.result.check_stats is not None:
                 ins.record_check(self.result.check_stats,
                                  entry=self.entry.name)
@@ -363,7 +337,7 @@ class _Session:
 def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
                        task_q, ack_q, idle, stop, budget,
                        obs: Optional[Dict[str, Any]],
-                       spill_dir: Optional[str], use_fp_store: bool,
+                       spill_dir: Optional[str],
                        pending_target: int, split_interval: int,
                        hb_q=None, hb_interval: Optional[float] = None) -> None:
     """One worker process: pull, explore (splitting when hungry), ack.
@@ -398,7 +372,7 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
             session = sessions.get(scope_index)
             if session is None:
                 session = _Session(scope_table[scope_index], budget,
-                                   scheduler, spill_dir, use_fp_store, ins,
+                                   scheduler, spill_dir, ins,
                                    heartbeat=emitter)
                 sessions[scope_index] = session
             scheduler.begin_task(task_id, scope_index)
@@ -533,7 +507,6 @@ def verify_scopes_steal(
     cache: bool = True,
     max_configurations: Optional[int] = None,
     spill: Optional[str] = None,
-    fp_store: bool = True,
     instrumentation: Optional[Instrumentation] = None,
     oversubscribe: bool = False,
     pending_target: Optional[int] = None,
@@ -553,9 +526,8 @@ def verify_scopes_steal(
 
     * ``max_configurations`` is honored exactly via the shared budget.
     * ``spill`` puts every worker's visited/expanded records behind a
-      disk-spilling fingerprint store; ``fp_store=False`` turns digest
-      interning off entirely (raw-fingerprint sets, the static path's
-      representation).
+      disk-spilling fingerprint store; without it sessions keep raw
+      fingerprints in memory, as serial runs do.
     * ``oversubscribe`` lifts the physical-core cap on the pool size.
     * ``stats_sink``, when a dict, receives the pool's
       :class:`StealStats` under ``"steal"`` (the bench harness reads the
@@ -612,7 +584,6 @@ def verify_scopes_steal(
             )
         return merged
 
-    use_fp_store = fp_store or spill is not None
     manager = mp.Manager() if max_configurations is not None else None
     budget = (
         _SharedBudget(max_configurations, manager)
@@ -643,7 +614,7 @@ def verify_scopes_steal(
         mp.Process(
             target=_steal_worker_main,
             args=(worker_id, scope_table, task_q, ack_q, idle, stop,
-                  budget, obs, spill, use_fp_store, target, split_interval,
+                  budget, obs, spill, target, split_interval,
                   hb_q, progress),
             daemon=True,
         )
@@ -753,7 +724,6 @@ def exhaustive_verify_steal(
     cache: bool = True,
     max_configurations: Optional[int] = None,
     spill: Optional[str] = None,
-    fp_store: bool = True,
     instrumentation: Optional[Instrumentation] = None,
     oversubscribe: bool = False,
     pending_target: Optional[int] = None,
@@ -771,7 +741,7 @@ def exhaustive_verify_steal(
         [(entry, programs, gossips)], jobs=jobs, reduction=reduction,
         symmetry=symmetry, cache=cache,
         max_configurations=max_configurations, spill=spill,
-        fp_store=fp_store, instrumentation=instrumentation,
+        instrumentation=instrumentation,
         oversubscribe=oversubscribe, pending_target=pending_target,
         split_interval=split_interval, stats_sink=stats_sink,
         force_pool=force_pool, por=por, progress=progress,

@@ -1,6 +1,5 @@
 """Replicated-system runtime: the paper's operational semantics, executable."""
 
-from .causal_broadcast import NetworkStats, UnreliableCausalBroadcast
 from .cluster import Cluster, ReplicaHandle
 from .faults import (
     AdversaryTrace,
@@ -8,8 +7,10 @@ from .faults import (
     FaultPlan,
     GossipStats,
     LossyGossipDriver,
+    NetworkStats,
     PartitionWindow,
     RELIABLE_PLAN,
+    UnreliableCausalBroadcast,
 )
 from .composition import (
     check_composed_ra_linearizable,

@@ -1311,8 +1311,7 @@ class _Engine:
         dedup: bool,
         stats: ExploreStats,
         fingerprints: Optional[set] = None,
-        expanded: Optional[Dict] = None,
-        fp_store: Optional[Any] = None,
+        store: Optional[Any] = None,
         scheduler: Optional[Any] = None,
         budget: Optional[Any] = None,
         por: str = "sleep",
@@ -1332,10 +1331,11 @@ class _Engine:
         self.max_configurations = max_configurations
         self.dedup = dedup
         self.stats = stats
-        #: Optional :class:`~repro.runtime.fp_store.FingerprintStore`:
-        #: when set, the visited/expanded records are keyed by fixed-width
-        #: digests instead of raw fingerprint tuples.
-        self.fp_store = fp_store
+        #: The ``--spill`` :class:`~repro.runtime.fp_store.FingerprintStore`,
+        #: or None: when set, the visited/expanded records are keyed by its
+        #: collision-checked digests and spill to its sqlite tier; without
+        #: it they hold raw fingerprints in a plain set and dict.
+        self.store = store
         #: Optional work-stealing hook (``should_split(depth)`` /
         #: ``offload(path, sleep)``); when set, the engine tracks the
         #: transition path from the root so unexplored siblings can be
@@ -1350,14 +1350,16 @@ class _Engine:
         #: A caller-provided set is used in place (and thus observable
         #: afterwards) — the parallel frontier-split merge unions the
         #: per-branch sets to count distinct configurations globally.
-        self._visited_fps: Any = (
-            fingerprints if fingerprints is not None else set()
-        )
+        if fingerprints is None:
+            fingerprints = store.visited_set() if store is not None else set()
+        self._visited_fps: Any = fingerprints
         #: fingerprint -> sleep sets the subtree was explored under.  A new
         #: arrival is subsumed if some recorded sleep set is contained in
         #: the current one (then every schedule allowed now was allowed —
         #: and explored — before).
-        self._expanded: Any = expanded if expanded is not None else {}
+        self._expanded: Any = (
+            store.expanded_map() if store is not None else {}
+        )
         if por not in ("sleep", "source", "optimal"):
             raise ValueError(f"unknown por mode {por!r}")
         if por != "sleep" and not getattr(domain, "reduction", True):
@@ -1392,12 +1394,12 @@ class _Engine:
         if self.por != "sleep":
             domain.hb_reset()
         if heartbeat is not None:
-            heartbeat.watch(stats, fp_store)
+            heartbeat.watch(stats, store)
 
     def _fingerprint(self) -> Any:
         fp = self.domain.fingerprint()
-        if self.fp_store is not None:
-            return self.fp_store.intern(fp)
+        if self.store is not None:
+            return self.store.intern(fp)
         return fp
 
     def run(
@@ -1498,6 +1500,7 @@ class _Engine:
         token = domain.push()
         try:
             if self.por != "sleep":
+                last = len(path) - 1
                 for index, transition in enumerate(path):
                     frame_sleep = (
                         frames[index]
@@ -1508,20 +1511,27 @@ class _Engine:
                         "defer", domain.transitions(), frame_sleep,
                     ))
                     if not domain.apply(transition):
-                        if race_task and index == len(path) - 1:
+                        if race_task and index == last:
                             self._full_expand_defer(index)
                             return
                         raise RuntimeError(
                             "stolen subtree failed to replay at "
                             f"{transition!r}"
                         )
-                    # Record happens-before only: races *among* prefix
-                    # events were processed by the victim when it first
-                    # executed them.
-                    _, hb_mask = self._analyze_event(transition)
-                    domain.hb_note(transition, len(self._path))
-                    self._path.append(transition)
-                    self._hb.append(hb_mask)
+                    if index == last:
+                        # The victim offloaded or deferred this transition
+                        # without executing it, so its races with the
+                        # prefix are still unprocessed; on the defer
+                        # frames their reversals become local tasks.
+                        self._record_event(transition)
+                    else:
+                        # Record happens-before only: races *among*
+                        # prefix events were processed by the victim when
+                        # it first executed them.
+                        _, hb_mask = self._analyze_event(transition)
+                        domain.hb_note(transition, len(self._path))
+                        self._path.append(transition)
+                        self._hb.append(hb_mask)
                 self._dfs_source(frozenset(sleep), len(path) + 1, guide)
             else:
                 for transition in path:
@@ -2319,8 +2329,7 @@ def build_engine(
     dedup: bool = True,
     stats: Optional[ExploreStats] = None,
     fingerprints: Optional[set] = None,
-    expanded: Optional[Dict] = None,
-    fp_store: Optional[Any] = None,
+    store: Optional[Any] = None,
     scheduler: Optional[Any] = None,
     budget: Optional[Any] = None,
     symmetry: bool = False,
@@ -2353,7 +2362,7 @@ def build_engine(
         raise ValueError(f"unknown exploration kind {kind!r}")
     return _Engine(
         domain, visit, max_configurations, dedup, stats,
-        fingerprints=fingerprints, expanded=expanded, fp_store=fp_store,
+        fingerprints=fingerprints, store=store,
         scheduler=scheduler, budget=budget, por=por,
         profile=profile, journal=journal, heartbeat=heartbeat,
     )
@@ -2377,8 +2386,7 @@ def explore_op_programs(
     fingerprints: Optional[set] = None,
     instrumentation: Optional[Instrumentation] = None,
     symmetry: bool = False,
-    fp_store: Optional[Any] = None,
-    expanded: Optional[Dict] = None,
+    store: Optional[Any] = None,
     por: str = "sleep",
     heartbeat: Optional[Any] = None,
 ) -> int:
@@ -2419,8 +2427,7 @@ def explore_op_programs(
                   por=por) as span:
         _Engine(
             domain, visit, max_configurations, dedup, stats,
-            fingerprints=fingerprints, expanded=expanded,
-            fp_store=fp_store, por=por,
+            fingerprints=fingerprints, store=store, por=por,
             profile=ins.profile, journal=ins.journal, heartbeat=heartbeat,
         ).run(root_branch)
         span.set(configurations=stats.configurations,
@@ -2443,8 +2450,7 @@ def explore_state_programs(
     fingerprints: Optional[set] = None,
     instrumentation: Optional[Instrumentation] = None,
     symmetry: bool = False,
-    fp_store: Optional[Any] = None,
-    expanded: Optional[Dict] = None,
+    store: Optional[Any] = None,
     por: str = "sleep",
     heartbeat: Optional[Any] = None,
 ) -> int:
@@ -2467,8 +2473,7 @@ def explore_state_programs(
                   symmetry=symmetry, por=por) as span:
         _Engine(
             domain, visit, max_configurations, dedup, stats,
-            fingerprints=fingerprints, expanded=expanded,
-            fp_store=fp_store, por=por,
+            fingerprints=fingerprints, store=store, por=por,
             profile=ins.profile, journal=ins.journal, heartbeat=heartbeat,
         ).run(root_branch)
         span.set(configurations=stats.configurations,

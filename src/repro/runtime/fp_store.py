@@ -1,11 +1,13 @@
-"""Compact fingerprint interning with collision checks and disk spill.
+"""Collision-checked fingerprint digests behind a disk spill tier.
 
 The exploration engine dedups configurations on canonical fingerprints —
 large nested tuples (per-replica parts, label data, visibility) or
-:class:`~repro.runtime.symmetry.CanonFP` orbit keys.  Holding millions of
-them in the visited/expanded sets is what makes 4-replica scopes blow
-past RAM before they blow past time.  A :class:`FingerprintStore` interns
-each fingerprint as a fixed-width digest:
+:class:`~repro.runtime.symmetry.CanonFP` orbit keys.  In memory they live
+raw in plain sets and dicts.  Holding millions of them is what makes
+4-replica scopes blow past RAM before they blow past time, so
+``--spill DIR`` builds a :class:`FingerprintStore`, which interns each
+fingerprint as a fixed-width digest and keeps the visited/expanded
+records on disk past a bounded hot tier:
 
 * **Stable encoding.**  :func:`stable_encode` maps a fingerprint to a
   canonical byte string that depends only on the *value* — never on hash
@@ -15,7 +17,7 @@ each fingerprint as a fixed-width digest:
   reducer).  Unordered containers are sorted by their elements'
   encodings, which totally orders even heterogeneous elements.  Numeric
   leaves are encoded by value (``True == 1 == 1.0`` share an encoding),
-  mirroring the equality semantics the plain-``set`` dedup path uses.
+  mirroring the equality semantics the raw-fingerprint sets use.
 
 * **Fixed-width digests.**  The encoding is hashed with ``blake2b``
   (keyless, deterministic across processes) to ``digest_size`` bytes.
@@ -26,30 +28,26 @@ each fingerprint as a fixed-width digest:
   store has compared *check digests*: a ledger maps each primary digest
   to an independent 32-byte blake2b digest of the same encoding (keyed
   with a distinct personalization string), in an LRU in-memory tier
-  backed by the optional sqlite spill.  A mismatch raises
+  backed by the sqlite spill.  A mismatch raises
   :class:`FingerprintCollisionError` instead of silently merging two
   distinct configurations — a silent merge now requires a simultaneous
   collision in two independently-keyed hashes (≥ 2^128+2^256 work; the
   check turns "astronomically unlikely" into "detected").  The ledger
   entry is a fixed 32 bytes instead of the full variable-length
   encoding, so the collision ledger costs O(1) per configuration no
-  matter how large the fingerprints grow.  Without a spill directory,
-  entries evicted from the LRU become best-effort (``unchecked_hits``
-  counts lookups that could not be re-verified).
+  matter how large the fingerprints grow.
 
-* **Disk spill.**  With ``spill_dir`` set, :meth:`visited_set` and
-  :meth:`expanded_map` return :class:`SpillSet`/:class:`SpillMap`
-  drop-ins for the engine's visited-fingerprint set and expanded
-  (fingerprint → sleep sets) table: an in-memory hot tier in front of a
-  private sqlite file, so the working set stays bounded while the full
-  record remains exact.  The visited hot tier is a structurally-shared
-  persistent trie (:class:`~.pstate.PSet`) promoted to the spill in
-  FIFO batches; the expanded hot tier stays an LRU dict because its
-  values are mutable record lists.
+* **Disk spill.**  :meth:`visited_set` and :meth:`expanded_map` return
+  :class:`SpillSet`/:class:`SpillMap` drop-ins for the engine's
+  visited-fingerprint set and expanded (fingerprint → sleep sets) table:
+  an in-memory hot tier in front of a private sqlite file, so the
+  working set stays bounded while the full record remains exact.  The
+  visited hot tier is promoted to the spill in FIFO batches; the
+  expanded hot tier stays an LRU dict because its values are mutable
+  record lists.
 
-The store is *optional* everywhere: the serial engine defaults to raw
-fingerprints, and the differential equality suites run both ways, which
-is what guards the encoding against losing or double-counting
+The differential equality suites run scopes with and without a store,
+which is what guards the encoding against losing or double-counting
 configurations.
 """
 
@@ -65,10 +63,9 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..core.freeze import FrozenDict
 from ..core.timestamp import BOTTOM
-from .pstate import PSet
 from .symmetry import CanonFP
 
-#: Default entry cap for each in-memory LRU tier (ledger, spill-set hot
+#: Default entry cap for each in-memory tier (ledger, spill-set hot
 #: tier, spill-map hot tier).
 DEFAULT_MEMORY_LIMIT = 1 << 16
 
@@ -181,9 +178,6 @@ class FPStoreStats:
     evictions: int = 0
     #: Rows written to the sqlite spill (ledger + visited + expanded).
     spilled: int = 0
-    #: Repeat lookups whose encoding could no longer be compared because
-    #: the ledger entry was evicted with no spill tier configured.
-    unchecked_hits: int = 0
 
     @property
     def hit_ratio(self) -> float:
@@ -196,7 +190,6 @@ class FPStoreStats:
         self.unique += other.unique
         self.evictions += other.evictions
         self.spilled += other.spilled
-        self.unchecked_hits += other.unchecked_hits
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -205,7 +198,6 @@ class FPStoreStats:
             "unique": self.unique,
             "evictions": self.evictions,
             "spilled": self.spilled,
-            "unchecked_hits": self.unchecked_hits,
             "hit_ratio": self.hit_ratio,
         }
 
@@ -286,14 +278,12 @@ class SpillSet:
     per-worker sets).  Exact — eviction moves entries to sqlite, never
     drops them.
 
-    The hot tier is a persistent hash trie (:class:`~.pstate.PSet`):
-    inserts path-copy O(log n) nodes and share the rest, so the tier's
-    history is a chain of structurally-shared roots rather than a
-    mutated dict, and promotion to the spill tier is a batch of
-    ``discard`` operations over the oldest digests (insertion-order
-    FIFO — digest working sets have no useful recency signal once they
-    outgrow memory, and FIFO needs no per-hit bookkeeping on the lookup
-    fast path the way the previous LRU's ``move_to_end`` did).
+    The hot tier is a plain set; ``_order`` keeps its insertion order,
+    and promotion to the spill tier moves the oldest batch (FIFO —
+    digest working sets have no useful recency signal once they outgrow
+    memory, and FIFO needs no per-hit bookkeeping on the lookup fast
+    path).  The two tiers are disjoint: a digest enters the hot tier
+    only when it is on neither.
     """
 
     def __init__(self, disk: _DiskTier, stats: FPStoreStats,
@@ -301,22 +291,19 @@ class SpillSet:
         self._disk = disk
         self._stats = stats
         self._limit = memory_limit
-        self._hot = PSet()
+        self._hot: set = set()
         self._order: "deque[bytes]" = deque()
-        self._pending: Dict[bytes, None] = {}
         self._len = 0
 
     def __contains__(self, digest: bytes) -> bool:
         if digest in self._hot:
-            return True
-        if digest in self._pending:
             return True
         return self._disk.contains("visited", digest)
 
     def add(self, digest: bytes) -> None:
         if digest in self:
             return
-        self._hot = self._hot.add(digest)
+        self._hot.add(digest)
         self._order.append(digest)
         self._len += 1
         if len(self._order) > self._limit:
@@ -324,33 +311,20 @@ class SpillSet:
 
     def _promote(self) -> None:
         """Move the oldest batch of hot digests to the spill tier."""
-        hot, order, pending = self._hot, self._order, self._pending
-        for _ in range(min(_FLUSH_BATCH, len(order))):
-            digest = order.popleft()
-            hot = hot.discard(digest)
-            pending[digest] = None
-        self._stats.evictions += len(pending)
-        self._hot = hot
-        self._flush()
-
-    def _flush(self) -> None:
-        if self._pending:
-            self._stats.spilled += len(self._pending)
-            self._disk.put_many(
-                "visited", [(d,) for d in self._pending]
-            )
-            self._pending.clear()
+        order = self._order
+        batch = [order.popleft()
+                 for _ in range(min(_FLUSH_BATCH, len(order)))]
+        self._hot.difference_update(batch)
+        self._stats.evictions += len(batch)
+        self._stats.spilled += len(batch)
+        self._disk.put_many("visited", [(d,) for d in batch])
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self) -> Iterator[bytes]:
-        self._flush()
-        seen_hot = set(self._hot)
-        yield from seen_hot
-        for digest in self._disk.iter_keys("visited"):
-            if digest not in seen_hot:
-                yield digest
+        yield from self._hot
+        yield from self._disk.iter_keys("visited")
 
 
 class SpillMap:
@@ -400,17 +374,18 @@ class SpillMap:
 
 
 class FingerprintStore:
-    """Interns canonical fingerprints as collision-checked digests.
+    """Interns canonical fingerprints as collision-checked digests over a
+    sqlite spill tier in ``spill_dir``.
 
     One store per process: digests are process-stable by construction,
     so per-worker stores agree without sharing state, and the existing
-    merge path unions their digest sets exactly as it unioned raw
+    merge path unions their digest sets exactly as it unions raw
     fingerprint sets.
     """
 
     def __init__(
         self,
-        spill_dir: Optional[str] = None,
+        spill_dir: str,
         memory_limit: int = DEFAULT_MEMORY_LIMIT,
         digest_size: int = 16,
     ) -> None:
@@ -418,10 +393,7 @@ class FingerprintStore:
         self.digest_size = digest_size
         self._memory_limit = memory_limit
         self._ledger: "OrderedDict[bytes, bytes]" = OrderedDict()
-        self._disk: Optional[_DiskTier] = None
-        self._spill_dir = spill_dir
-        if spill_dir is not None:
-            self._disk = _DiskTier(spill_dir)
+        self._disk = _DiskTier(spill_dir)
         self._ledger_pending: Dict[bytes, bytes] = {}
         self._enc_memo: Dict[int, Tuple[Any, bytes]] = {}
 
@@ -446,7 +418,7 @@ class FingerprintStore:
             self._ledger.move_to_end(digest)
         else:
             known = self._ledger_pending.get(digest)
-        if known is None and self._disk is not None:
+        if known is None:
             known = self._disk.get("ledger", digest)
         if known is not None:
             if known != check:
@@ -457,49 +429,33 @@ class FingerprintStore:
                 )
             stats.hits += 1
             return digest
-        if self._disk is None and stats.evictions > 0:
-            # The digest may have been seen and evicted; without a disk
-            # tier the encoding comparison is impossible.  Count it so
-            # the best-effort window is visible in the stats.
-            stats.unchecked_hits += 1
         stats.unique += 1
         self._ledger[digest] = check
         if len(self._ledger) > self._memory_limit:
             evicted, enc = self._ledger.popitem(last=False)
             stats.evictions += 1
-            if self._disk is not None:
-                self._ledger_pending[evicted] = enc
-                if len(self._ledger_pending) >= _FLUSH_BATCH:
-                    self._flush_ledger()
+            self._ledger_pending[evicted] = enc
+            if len(self._ledger_pending) >= _FLUSH_BATCH:
+                self._flush_ledger()
         return digest
 
     def _flush_ledger(self) -> None:
-        if self._ledger_pending and self._disk is not None:
-            self.stats.spilled += len(self._ledger_pending)
-            self._disk.put_many(
-                "ledger", list(self._ledger_pending.items())
-            )
-            self._ledger_pending.clear()
+        self.stats.spilled += len(self._ledger_pending)
+        self._disk.put_many("ledger", list(self._ledger_pending.items()))
+        self._ledger_pending.clear()
 
     # -- engine-facing tiers --------------------------------------------
 
-    def visited_set(self):
-        """A visited-fingerprint set: spill-backed when configured."""
-        if self._disk is not None:
-            return SpillSet(self._disk, self.stats, self._memory_limit)
-        return set()
+    def visited_set(self) -> SpillSet:
+        """The spill-backed visited-fingerprint set."""
+        return SpillSet(self._disk, self.stats, self._memory_limit)
 
-    def expanded_map(self):
-        """An expanded table (digest → sleep sets): spill-backed when
-        configured."""
-        if self._disk is not None:
-            return SpillMap(self._disk, self.stats, self._memory_limit)
-        return {}
+    def expanded_map(self) -> SpillMap:
+        """The spill-backed expanded table (digest → sleep sets)."""
+        return SpillMap(self._disk, self.stats, self._memory_limit)
 
     def close(self) -> None:
-        if self._disk is not None:
-            self._disk.close()
-            self._disk = None
+        self._disk.close()
 
     def __enter__(self) -> "FingerprintStore":
         return self

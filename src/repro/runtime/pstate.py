@@ -12,17 +12,11 @@ hot path once visibility relations and seen-sets grow.  This module provides
 * tokens never go stale: the old root is immutable, so it can be restored
   any number of times, from any depth.
 
-The *system*-facing containers (seen-sets, visibility, effector tables)
-only ever grow along an execution — "removal" there is exactly a restore,
-i.e. a root swap to an older trie.  The *engine*-facing tiers do shrink:
-spill-tier promotion evicts cold digests, and sleep/wakeup bookkeeping
-wakes (removes) entries — so ``dissoc``/``discard`` are supported with
-canonical collapsing (a chain left holding a single leaf lifts the leaf,
-keeping tries built by different op orders structurally identical).  For
-bulk construction, :meth:`PMap.transient`/:meth:`PSet.transient` return a
-single-owner builder that mutates freshly-copied nodes in place and
-freezes back to an immutable trie in O(nodes touched) — batch-building n
-entries allocates each trie node at most once instead of once per entry.
+Deletion is deliberately unsupported: the systems' label-indexed containers
+(seen-sets, visibility, effector tables) only ever *grow* along an
+execution — "removal" is exactly a restore, i.e. a root swap to an older
+trie.  Keeping the tries grow-only halves the node logic and removes the
+canonical-form subtleties of HAMT deletion.
 
 Structural-sharing accounting: every mutation records how many trie nodes
 it copied (allocated) and how many child pointers it *shared* (reused in a
@@ -171,177 +165,6 @@ def _assoc(node: Any, shift: int, h: int, key: Any,
 _MISSING = object()
 
 
-def _dissoc(node: Any, shift: int, h: int, key: Any) -> Tuple[Any, bool]:
-    """Remove ``key`` below ``node``; returns ``(new node, removed)``.
-
-    Returns ``node`` itself (identity) when the key is absent, ``None``
-    when the removal empties the subtree.  A node left holding a single
-    leaf or bucket collapses into that child — leaves carry their full
-    hash, so they are position-free — which keeps the trie canonical:
-    equal contents produce identical structure regardless of the
-    insert/remove order that built them.
-    """
-    stats = STATS
-    kind = type(node)
-    if kind is _Node:
-        bit = 1 << ((h >> shift) & _MASK)
-        if not (node.bitmap & bit):
-            return node, False
-        index = _popcount(node.bitmap & (bit - 1))
-        array = node.array
-        child = array[index]
-        replacement, removed = _dissoc(child, shift + _BITS, h, key)
-        if replacement is child:
-            return node, removed
-        if replacement is None:
-            bitmap = node.bitmap & ~bit
-            array = array[:index] + array[index + 1:]
-        else:
-            bitmap = node.bitmap
-            array = array[:index] + (replacement,) + array[index + 1:]
-        if not array:
-            return None, removed
-        if len(array) == 1 and type(array[0]) is not _Node:
-            stats.nodes_shared += 1
-            return array[0], removed
-        stats.nodes_copied += 1
-        stats.nodes_shared += len(array) - (0 if replacement is None else 1)
-        new = _Node()
-        new.bitmap = bitmap
-        new.array = array
-        return new, removed
-    if kind is _Leaf:
-        if node.hash == h and node.key == key:
-            return None, True
-        return node, False
-    # _Bucket
-    if node.hash != h:
-        return node, False
-    for index, (k, v) in enumerate(node.items):
-        if k == key:
-            stats.nodes_copied += 1
-            items = node.items[:index] + node.items[index + 1:]
-            if len(items) == 1:
-                return _leaf(h, items[0][0], items[0][1]), True
-            return _bucket(h, items), True
-    return node, False
-
-
-class _TNode:
-    """A transient interior node: same shape as :class:`_Node` but with a
-    mutable ``array`` list, owned exclusively by one in-flight transient.
-    Never escapes: :func:`_freeze` converts every reachable ``_TNode``
-    back to an immutable :class:`_Node` before a root is published."""
-
-    __slots__ = ("bitmap", "array")
-
-
-def _thaw(node: Any) -> _TNode:
-    """Copy an immutable node into a mutable one the transient owns."""
-    STATS.nodes_copied += 1
-    STATS.nodes_shared += len(node.array)
-    new = _TNode()
-    new.bitmap = node.bitmap
-    new.array = list(node.array)
-    return new
-
-
-def _tassoc(node: Any, shift: int, h: int, key: Any,
-            value: Any) -> Tuple[Any, bool]:
-    """Transient insert: mutate owned nodes in place, thaw shared ones.
-
-    A shared (immutable) interior node is copied exactly once per
-    transient — every later insert through it mutates the copy — so a
-    batch of n inserts allocates each touched node at most once instead
-    of once per insert as the path-copying :func:`_assoc` does.
-    """
-    kind = type(node)
-    if kind is _Node or kind is _TNode:
-        if kind is _Node:
-            node = _thaw(node)
-        bit = 1 << ((h >> shift) & _MASK)
-        index = _popcount(node.bitmap & (bit - 1))
-        if not (node.bitmap & bit):
-            node.bitmap |= bit
-            node.array.insert(index, _leaf(h, key, value))
-            return node, True
-        child = node.array[index]
-        replacement, added = _tassoc(child, shift + _BITS, h, key, value)
-        if replacement is not child:
-            node.array[index] = replacement
-        return node, added
-    # Leaves and buckets are small immutable terminals; the path-copying
-    # logic already allocates the minimum for them.  (_merge may create
-    # fresh _Node spine — fresh nodes are unshared, so mutating-through
-    # on a later insert is unnecessary for correctness, merely forgone.)
-    return _assoc(node, shift, h, key, value)
-
-
-def _freeze(node: Any) -> Any:
-    if type(node) is _TNode:
-        frozen = _Node()
-        frozen.bitmap = node.bitmap
-        frozen.array = tuple(_freeze(child) for child in node.array)
-        return frozen
-    return node
-
-
-class TMap:
-    """A single-owner transient builder for :class:`PMap`.
-
-    ``assoc`` mutates in place and returns ``self``; :meth:`persistent`
-    freezes the trie and invalidates the transient.  Structural sharing
-    with the source map is preserved for untouched subtrees.
-    """
-
-    __slots__ = ("_root", "_size", "_live")
-
-    def __init__(self, root: Any, size: int) -> None:
-        self._root = root
-        self._size = size
-        self._live = True
-
-    def assoc(self, key: Any, value: Any) -> "TMap":
-        if not self._live:
-            raise ValueError("transient used after persistent()")
-        h = hash(key) & _HASH_MASK
-        if self._root is None:
-            STATS.nodes_copied += 1
-            self._root = _leaf(h, key, value)
-            self._size = 1
-            return self
-        self._root, added = _tassoc(self._root, 0, h, key, value)
-        if added:
-            self._size += 1
-        return self
-
-    def __len__(self) -> int:
-        return self._size
-
-    def persistent(self) -> "PMap":
-        self._live = False
-        return PMap(_freeze(self._root), self._size)
-
-
-class TSet:
-    """The :class:`PSet` analogue of :class:`TMap`."""
-
-    __slots__ = ("_tmap",)
-
-    def __init__(self, tmap: TMap) -> None:
-        self._tmap = tmap
-
-    def add(self, item: Any) -> "TSet":
-        self._tmap.assoc(item, True)
-        return self
-
-    def __len__(self) -> int:
-        return len(self._tmap)
-
-    def persistent(self) -> "PSet":
-        return PSet(self._tmap.persistent())
-
-
 def _lookup(node: Any, h: int, key: Any) -> Any:
     shift = 0
     while type(node) is _Node:
@@ -402,18 +225,6 @@ class PMap:
             return self
         return PMap(root, self._size + (1 if added else 0))
 
-    def dissoc(self, key: Any) -> "PMap":
-        if self._root is None:
-            return self
-        root, removed = _dissoc(self._root, 0, hash(key) & _HASH_MASK, key)
-        if not removed:
-            return self
-        return PMap(root, self._size - 1)
-
-    def transient(self) -> "TMap":
-        """A single-owner mutable builder seeded with this map's contents."""
-        return TMap(self._root, self._size)
-
     def get(self, key: Any, default: Any = None) -> Any:
         if self._root is None:
             return default
@@ -456,10 +267,10 @@ class PMap:
 
     @staticmethod
     def of(mapping: Mapping[Any, Any]) -> "PMap":
-        builder = PMap().transient()
+        pmap = PMap()
         for key, value in mapping.items():
-            builder.assoc(key, value)
-        return builder.persistent()
+            pmap = pmap.assoc(key, value)
+        return pmap
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k!r}: {v!r}" for k, v in self.items())
@@ -488,16 +299,6 @@ class PSet:
             return self
         return PSet(backing)
 
-    def discard(self, item: Any) -> "PSet":
-        backing = self._map.dissoc(item)
-        if backing is self._map:
-            return self
-        return PSet(backing)
-
-    def transient(self) -> "TSet":
-        """A single-owner mutable builder seeded with this set's contents."""
-        return TSet(self._map.transient())
-
     def __contains__(self, item: Any) -> bool:
         # Inlined PMap.__contains__: membership is the single hottest
         # persistent operation (causal-delivery checks per DFS step).
@@ -517,86 +318,11 @@ class PSet:
 
     @staticmethod
     def of(items) -> "PSet":
-        builder = PSet().transient()
-        for item in items:
-            builder.add(item)
-        return builder.persistent()
+        return PSet().update(items)
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(item) for item in self)
         return f"pset({{{inner}}})"
-
-
-class SetTier:
-    """A mutable façade over a :class:`PSet` root.
-
-    Duck-type compatible with the exploration engine's visited tier
-    (``in`` / ``add`` / ``len`` / iteration, the same surface
-    ``fp_store.SpillSet`` provides) while keeping every historical root
-    immutable: :meth:`snapshot` is an O(1) pointer read whose result
-    shares all structure with later versions.  Work-stealing sessions
-    keep one tier across all tasks a worker runs, so successive tasks
-    extend a structurally-shared trie instead of rebuilding or copying a
-    plain ``set``.
-    """
-
-    __slots__ = ("pset",)
-
-    def __init__(self, base: Optional[PSet] = None) -> None:
-        self.pset = base if base is not None else PSet()
-
-    def add(self, item: Any) -> None:
-        self.pset = self.pset.add(item)
-
-    def discard(self, item: Any) -> None:
-        self.pset = self.pset.discard(item)
-
-    def __contains__(self, item: Any) -> bool:
-        return item in self.pset
-
-    def __len__(self) -> int:
-        return len(self.pset)
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self.pset)
-
-    def snapshot(self) -> PSet:
-        return self.pset
-
-
-class MapTier:
-    """The expanded-table analogue of :class:`SetTier`.
-
-    Matches the engine's access pattern (``setdefault(key, [])``
-    returning the stored value).  The *spine* is persistent and
-    snapshots share it; the stored record lists themselves are mutable
-    leaves the engine appends to in place — a snapshot freezes the key
-    set, not the record contents.
-    """
-
-    __slots__ = ("pmap",)
-
-    def __init__(self, base: Optional[PMap] = None) -> None:
-        self.pmap = base if base is not None else PMap()
-
-    def setdefault(self, key: Any, default: Any) -> Any:
-        value = self.pmap.get(key, _MISSING)
-        if value is _MISSING:
-            self.pmap = self.pmap.assoc(key, default)
-            return default
-        return value
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self.pmap
-
-    def __len__(self) -> int:
-        return len(self.pmap)
-
-    def items(self) -> Iterator[Tuple[Any, Any]]:
-        return self.pmap.items()
-
-    def snapshot(self) -> PMap:
-        return self.pmap
 
 
 EMPTY_MAP = PMap()

@@ -18,6 +18,12 @@ sets, state dedup, copy-on-write snapshots — see ``docs/exploration.md``)
 and is re-exported here under its historical name; the unoptimized
 baseline survives as
 :func:`repro.runtime.explore_naive.explore_state_programs_naive`.
+
+The module stays because
+:func:`repro.proofs.exhaustive.exhaustive_verify_state` looks
+``explore_state_programs`` up here, and the benchmark's layer tracer
+(``perfbench/layertrace.py``) imports this module so that it can rebind
+that name when it wraps the engine.
 """
 
 from .explore_engine import (  # noqa: F401  (re-exported API)

@@ -21,6 +21,7 @@ from repro.proofs.parallel import standard_scopes, verify_scopes_parallel
 from repro.proofs.report import verify_entry
 from repro.proofs.parallel import verify_entries_parallel
 from repro.proofs.registry import ALL_ENTRIES
+from repro.proofs.steal import exhaustive_verify_steal
 
 SCOPES = standard_scopes()
 JOBS = 4
@@ -75,6 +76,33 @@ def test_work_counters_at_least_serial():
                 "check.checks{entry=OR-Set}"):
         assert parallel_instruments[key]["value"] \
             >= serial_instruments[key]["value"]
+
+
+def test_pool_worker_labels_match_serial():
+    """A real pool worker (forked whatever the core count) labels every
+    ``explore.*`` instrument exactly as a serial run does."""
+    entry, programs, _ = next(
+        scope for scope in SCOPES if scope[0].name == "OR-Set"
+    )
+    serial = Instrumentation.on()
+    expected = exhaustive_verify(entry, programs, instrumentation=serial)
+    pool = Instrumentation.on()
+    result = exhaustive_verify_steal(
+        entry, programs, jobs=1, force_pool=True, split_interval=1,
+        pending_target=1, por="optimal", instrumentation=pool,
+    )
+    assert result.configurations == expected.configurations
+
+    def explore_keys(ins):
+        return {key for key in ins.metrics.snapshot()["instruments"]
+                if key.startswith("explore.")}
+
+    serial_keys = explore_keys(serial)
+    serial_names = {key.split("{", 1)[0] for key in serial_keys}
+    shared = {key for key in explore_keys(pool)
+              if key.split("{", 1)[0] in serial_names}
+    assert "explore.states_visited{kind=op}" in shared
+    assert shared <= serial_keys
 
 
 def test_table_deterministic_totals_match():

@@ -10,11 +10,14 @@ machines, so these tests force real worker processes with
 """
 
 import os
+from collections import deque
 
 import pytest
 
 from repro.obs import Instrumentation, deterministic_totals
 from repro.proofs.exhaustive import (
+    ExhaustiveResult,
+    _make_visit,
     exhaustive_verify,
     exhaustive_verify_state,
     standard_programs,
@@ -24,17 +27,23 @@ from repro.proofs.parallel import (
     standard_scopes,
     verify_scopes_parallel,
 )
-from repro.proofs.registry import entry_by_name
+from repro.proofs.registry import ALL_ENTRIES, entry_by_name
 from repro.proofs.steal import (
     StealStats,
+    _seed_tasks,
     exhaustive_verify_steal,
     steal_workers,
     verify_scopes_steal,
 )
+from repro.runtime.explore_engine import build_engine
+from repro.runtime.state_system import StateBasedSystem
+from repro.runtime.system import OpBasedSystem
 
 #: Force real worker processes and aggressive splitting: a pending
 #: target no real queue reaches makes every eligible DFS node split.
 FORCE = dict(oversubscribe=True, pending_target=10**6, split_interval=1)
+
+MAX_GOSSIPS = 2
 
 SYM_PROGRAMS = {
     "r1": [("inc", ()), ("read", ())],
@@ -113,13 +122,13 @@ class TestStealMatchesSerial:
         assert stolen_off.configurations == off.configurations
 
     def test_raw_fingerprints_without_store(self):
-        # fp_store=False falls back to raw-fingerprint sets (the static
-        # path's representation); the merge must still be exact.
+        # Without spill, sessions keep raw-fingerprint sets (the serial
+        # and static paths' representation); the merge must be exact.
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs)
         stolen = exhaustive_verify_steal(
-            entry, programs, jobs=2, fp_store=False, **FORCE
+            entry, programs, jobs=2, **FORCE
         )
         assert stolen.configurations == serial.configurations
         assert stolen.fp_store is None
@@ -135,6 +144,68 @@ class TestStealMatchesSerial:
         assert stolen.fp_store is not None
         assert stolen.fp_store.lookups > 0
         assert not list(tmp_path.iterdir())  # scratch files cleaned up
+
+
+class _FifoScheduler:
+    """A split schedule with no pool and no timing: one FIFO task queue,
+    seeded with the root branches, and a split at every eligible node
+    (``always``) or whenever the queue is empty."""
+
+    def __init__(self, seeds, always):
+        self.queue = deque({"root_branch": branch} for branch in seeds)
+        self.always = always
+
+    def should_split(self, depth):
+        return self.always or not self.queue
+
+    def offload(self, path, sleep, frames=None, guide=None):
+        self.queue.append({"path": tuple(path), "sleep": frozenset(sleep),
+                           "frames": frames, "guide": guide})
+
+
+def _split_schedule_run(entry, por, always):
+    """Run every seed and every offloaded task on one engine session:
+    ``(ok, configurations, subtrees offloaded)``."""
+    programs = standard_programs(entry)
+    result = ExhaustiveResult(entry.name)
+    visit = _make_visit(entry, result, cache=True)
+    persistent = por != "sleep"
+    system = OpBasedSystem if entry.kind == "OB" else StateBasedSystem
+    _, seeds = _seed_tasks([(entry, programs, MAX_GOSSIPS)], None, None,
+                           True, por)
+    scheduler = _FifoScheduler((seed[3] for seed in seeds), always)
+    fingerprints = set()
+    engine = build_engine(
+        "op" if entry.kind == "OB" else "state",
+        lambda: system(entry.make_crdt(), replicas=sorted(programs),
+                       persistent=persistent),
+        programs, visit, max_gossips=MAX_GOSSIPS,
+        reduction=entry.reduction, symmetry=entry.symmetry,
+        fingerprints=fingerprints, scheduler=scheduler, por=por,
+    )
+    while scheduler.queue:
+        engine.run(**scheduler.queue.popleft())
+    return result.ok, len(fingerprints), engine.stats.steal_spawned
+
+
+class TestSplitSchedule:
+    """Offloaded and deferred subtrees lose no configuration.
+
+    The victim never executes the last transition of a path it offloads
+    or defers, so the engine that runs the task must still reverse that
+    transition's races with the replayed prefix.
+    """
+
+    @pytest.mark.parametrize("always", [False, True],
+                             ids=["when-empty", "always"])
+    @pytest.mark.parametrize("por", ["sleep", "source", "optimal"])
+    @pytest.mark.parametrize("entry", ALL_ENTRIES, ids=lambda e: e.name)
+    def test_matches_serial(self, entry, por, always):
+        serial = _serial(entry, standard_programs(entry), MAX_GOSSIPS)
+        ok, configurations, spawned = _split_schedule_run(entry, por, always)
+        assert (ok, configurations) == (serial.ok, serial.configurations)
+        if always:
+            assert spawned > 0  # the schedule really split
 
 
 class TestSharedBudget:
@@ -306,12 +377,13 @@ class TestDispatch:
 
 
 class TestInstrumentation:
-    def test_scheduler_and_store_instruments_emitted(self):
+    def test_scheduler_and_store_instruments_emitted(self, tmp_path):
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         ins = Instrumentation.on()
         exhaustive_verify_steal(
-            entry, programs, jobs=2, instrumentation=ins, **FORCE
+            entry, programs, jobs=2, spill=str(tmp_path),
+            instrumentation=ins, **FORCE
         )
         instruments = ins.metrics.snapshot()["instruments"]
         bare = {key.split("{", 1)[0] for key in instruments}

@@ -7,7 +7,7 @@ from repro.core.errors import PreconditionViolation
 from repro.core.ralin import execution_order_check, timestamp_order_check
 from repro.proofs.registry import entry_by_name
 from repro.runtime import OpBasedSystem
-from repro.runtime.causal_broadcast import UnreliableCausalBroadcast
+from repro.runtime.faults import UnreliableCausalBroadcast
 
 import random
 

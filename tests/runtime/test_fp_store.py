@@ -99,35 +99,28 @@ class TestStableEncode:
 
 
 class TestFingerprintStore:
-    def test_intern_is_deterministic_and_counted(self):
-        store = FingerprintStore()
-        d1 = store.intern(SAMPLE)
-        d2 = store.intern(SAMPLE)
-        assert d1 == d2 and len(d1) == 16
-        assert store.stats.lookups == 2
-        assert store.stats.hits == 1
-        assert store.stats.unique == 1
+    def test_intern_is_deterministic_and_counted(self, tmp_path):
+        with FingerprintStore(spill_dir=str(tmp_path)) as store:
+            d1 = store.intern(SAMPLE)
+            d2 = store.intern(SAMPLE)
+            assert d1 == d2 and len(d1) == 16
+            assert store.stats.lookups == 2
+            assert store.stats.hits == 1
+            assert store.stats.unique == 1
 
-    def test_distinct_fingerprints_distinct_digests(self):
-        store = FingerprintStore()
-        digests = {store.intern(("config", i)) for i in range(200)}
+    def test_distinct_fingerprints_distinct_digests(self, tmp_path):
+        with FingerprintStore(spill_dir=str(tmp_path)) as store:
+            digests = {store.intern(("config", i)) for i in range(200)}
         assert len(digests) == 200
 
-    def test_collision_raises(self):
+    def test_collision_raises(self, tmp_path):
         # A 1-byte digest collides within ~16·sqrt(256) fingerprints;
         # the ledger must detect it rather than silently merge.
-        store = FingerprintStore(digest_size=1)
-        with pytest.raises(FingerprintCollisionError):
-            for i in range(10_000):
-                store.intern(("config", i))
-
-    def test_eviction_without_spill_counts_unchecked(self):
-        store = FingerprintStore(memory_limit=4)
-        for i in range(10):
-            store.intern(("config", i))
-        assert store.stats.evictions > 0
-        store.intern(("config", 0))  # evicted: cannot re-verify
-        assert store.stats.unchecked_hits >= 1
+        with FingerprintStore(spill_dir=str(tmp_path), digest_size=1) \
+                as store:
+            with pytest.raises(FingerprintCollisionError):
+                for i in range(10_000):
+                    store.intern(("config", i))
 
     def test_eviction_with_spill_stays_exact(self, tmp_path):
         with FingerprintStore(spill_dir=str(tmp_path), memory_limit=4) \
@@ -136,14 +129,14 @@ class TestFingerprintStore:
             again = [store.intern(("config", i)) for i in range(200)]
             assert first == again
             assert store.stats.evictions > 0
-            assert store.stats.unchecked_hits == 0
 
-    def test_cross_store_agreement(self):
+    def test_cross_store_agreement(self, tmp_path):
         # Two stores (two worker processes in spirit) must produce equal
         # digests for equal fingerprints — the merge unions their sets.
-        a, b = FingerprintStore(), FingerprintStore()
-        assert [a.intern(("c", i)) for i in range(50)] == \
-               [b.intern(("c", i)) for i in range(50)]
+        with FingerprintStore(spill_dir=str(tmp_path)) as a, \
+                FingerprintStore(spill_dir=str(tmp_path)) as b:
+            assert [a.intern(("c", i)) for i in range(50)] == \
+                   [b.intern(("c", i)) for i in range(50)]
 
 
 class TestSpillTiers:
@@ -213,7 +206,7 @@ class TestSpillTiers:
 class TestStats:
     def test_merge_sums_counters(self):
         a = FPStoreStats(lookups=10, hits=4, unique=6, evictions=1,
-                         spilled=2, unchecked_hits=3)
+                         spilled=2)
         b = FPStoreStats(lookups=5, hits=1, unique=4)
         a.merge(b)
         assert a.lookups == 15 and a.hits == 5 and a.unique == 10

@@ -204,7 +204,7 @@ class TestChaos:
 
 
 class TestStealCLI:
-    """The --steal/--no-steal/--spill flags and the stats digest."""
+    """The --no-steal/--spill flags and the stats digest."""
 
     def _configs(self, out):
         row = next(l for l in out.splitlines() if "Counter" in l)
@@ -213,8 +213,8 @@ class TestStealCLI:
     def test_steal_flags_match_serial(self, capsys):
         assert main(["exhaustive", "--scope", "counter"]) == 0
         serial = self._configs(capsys.readouterr().out)
-        assert main(["exhaustive", "--scope", "counter", "--jobs", "2",
-                     "--steal"]) == 0
+        assert main(["exhaustive", "--scope", "counter", "--jobs",
+                     "2"]) == 0
         assert self._configs(capsys.readouterr().out) == serial
         assert main(["exhaustive", "--scope", "counter", "--jobs", "2",
                      "--no-steal"]) == 0
