@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-explore bench-dpor bench-optimal bench-steal bench-compose bench-verify bench-diff figures table mutants exhaustive chaos examples all
+.PHONY: install test bench bench-explore bench-dpor bench-steal bench-compose bench-verify bench-diff figures table mutants exhaustive chaos examples all
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -23,13 +23,6 @@ bench-explore:
 # 3-replica scopes; merges the dpor_3r section into BENCH_explore.json.
 bench-dpor:
 	$(PYTHON) -m pytest benchmarks/test_bench_dpor.py --benchmark-only -s
-
-# Optimal DPOR (wakeup trees) vs. plain source-DPOR on the same
-# 3-replica scopes; merges the optimal_3r section into
-# BENCH_explore.json and enforces the structural gates (no full
-# expansions, walk never grows, three-way verdict parity).
-bench-optimal:
-	$(PYTHON) -m pytest benchmarks/test_bench_optimal.py --benchmark-only -s
 
 # Work-stealing scheduler vs. static fan-out + fingerprint-store
 # memory tiers; merges steal_3r / fp_store sections into

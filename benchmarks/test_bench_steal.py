@@ -47,6 +47,15 @@ MODEL_WORKERS = 4
 #: Hot-tier entries for the bounded-memory spill row.
 SPILL_LIMIT = 8192
 
+#: The reduction every run here uses.  The committed ``steal_3r`` and
+#: ``fp_store`` numbers were measured on the sleep-set engine.  Under
+#: source-DPOR the forced-split serialization below models 0.11x (about
+#: 17k replayed tasks against one 1.5 s serial task): each stolen task
+#: replays its prefix and re-runs the prefix's race reversals as
+#: deferred tasks, so forced splitting at every other node is a cost
+#: this comparison does not set out to measure.
+POR = "sleep"
+
 SYM_3R = {r: [("inc", ()), ("read", ())] for r in ("r1", "r2", "r3")}
 
 SKEWED_4R = {
@@ -119,7 +128,7 @@ def _pool_run(entry, programs, **kwargs):
     sink = {}
     result = exhaustive_verify_steal(
         entry, programs, jobs=1, symmetry=True, oversubscribe=True,
-        force_pool=True, stats_sink=sink, **kwargs
+        force_pool=True, stats_sink=sink, por=POR, **kwargs
     )
     return result, sink["steal"]
 
@@ -172,6 +181,7 @@ def test_steal_vs_static_3r(benchmark):
         start = time.perf_counter()
         real_result = exhaustive_verify_steal(
             entry, SYM_3R, jobs=jobs, symmetry=True, split_interval=2,
+            por=POR,
         )
         wall = time.perf_counter() - start
         assert real_result.configurations == static_result.configurations
@@ -201,7 +211,8 @@ def test_fp_store_memory(benchmark):
     def measure(label, **kwargs):
         tracemalloc.start()
         start = time.perf_counter()
-        result = exhaustive_verify(entry, SYM_3R, symmetry=True, **kwargs)
+        result = exhaustive_verify(entry, SYM_3R, symmetry=True, por=POR,
+                                   **kwargs)
         wall = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
@@ -270,7 +281,7 @@ def test_four_replica_spill(benchmark):
     def run(tmp):
         start = time.perf_counter()
         result = exhaustive_verify(
-            entry, SKEWED_4R, symmetry=True, spill=str(tmp)
+            entry, SKEWED_4R, symmetry=True, spill=str(tmp), por=POR
         )
         wall = time.perf_counter() - start
         assert result.ok, result.failures

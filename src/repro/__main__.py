@@ -510,13 +510,11 @@ def build_parser() -> argparse.ArgumentParser:
              "docs/performance.md)",
     )
     exhaustive.add_argument(
-        "--por", choices=("sleep", "source", "optimal"), default="optimal",
-        help="partial-order-reduction flavor: 'optimal' (source-DPOR with "
-             "wakeup-tree continuations and patch cuts, the default), "
-             "'source' (plain source-DPOR) or 'sleep' (classic sleep "
-             "sets); all three give identical verdicts and "
-             "distinct-configuration counts and the slower flavors stay "
-             "as differential oracles",
+        "--por", choices=("source", "sleep"), default="source",
+        help="partial-order-reduction flavor: 'source' (source-DPOR with "
+             "wakeup-tree continuations and patch cuts, the default) or "
+             "'sleep' (classic sleep sets, the differential oracle); both "
+             "give identical verdicts and distinct-configuration counts",
     )
     exhaustive.add_argument(
         "--spill", metavar="DIR", default=None,
@@ -626,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument(
         "--sections", default=None, metavar="NAMES",
         help="comma-separated top-level sections to gate on (e.g. "
-             "dpor_3r,optimal_3r); other sections are ignored entirely",
+             "dpor_3r,compose_3r); other sections are ignored entirely",
     )
     diff.set_defaults(fn=cmd_bench_diff)
 

@@ -222,17 +222,9 @@ class Instrumentation:
             m.counter("explore.dpor.wakeup_branches", **labels).inc(
                 stats.dpor_wakeup_branches
             )
-        if stats.dpor_wakeup_fallbacks:
-            m.counter("explore.dpor.wakeup_fallbacks", **labels).inc(
-                stats.dpor_wakeup_fallbacks
-            )
         if stats.dpor_patch_cuts:
             m.counter("explore.dpor.patch_cuts", **labels).inc(
                 stats.dpor_patch_cuts
-            )
-        if stats.dpor_vacuity_drops:
-            m.counter("explore.dpor.vacuity_drops", **labels).inc(
-                stats.dpor_vacuity_drops
             )
         if stats.dpor_deferred_seen:
             # Peak LRU occupancy, not an event count: take the max across

@@ -238,7 +238,7 @@ def product_verify_store(
     programs: Optional[StoreProgram] = None,
     max_configurations: Optional[int] = None,
     reduction: bool = True,
-    por: str = "sleep",
+    por: str = "source",
     instrumentation: Optional[Instrumentation] = None,
 ) -> ExhaustiveResult:
     """Explore the whole product store and check every configuration.
@@ -412,9 +412,11 @@ def check_side_condition(
 
     with ins.span("compose.side_condition", store=store.spec_string(),
                   limit=limit):
+        # Sleep sets: the sample is the first ``limit`` configurations
+        # in the full sleep-set DFS order.
         explore_op_programs(
             make_system, programs, visit, max_configurations=limit,
-            instrumentation=ins,
+            instrumentation=ins, por="sleep",
         )
     return (not messages, checks, combine_failures, counterexample,
             messages)
@@ -455,7 +457,7 @@ def verify_store(
     cache: bool = True,
     steal: bool = True,
     spill: Optional[str] = None,
-    por: str = "sleep",
+    por: str = "source",
     side_condition_limit: int = SIDE_CONDITION_LIMIT,
     product_fallback: bool = True,
     max_configurations: Optional[int] = None,

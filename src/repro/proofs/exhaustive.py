@@ -189,7 +189,7 @@ def exhaustive_verify(
     steal: bool = True,
     spill: Optional[str] = None,
     oversubscribe: bool = False,
-    por: str = "sleep",
+    por: str = "source",
     heartbeat: Optional[object] = None,
 ) -> ExhaustiveResult:
     """Check every interleaving of ``programs`` against the entry's class.
@@ -198,8 +198,8 @@ def exhaustive_verify(
     unbounded message alphabet; its coverage story is the property checks
     of Appendix D instead).
 
-    ``engine`` selects ``"fast"`` (the default: sleep sets + dedup +
-    copy-on-write snapshots) or ``"naive"`` (the raw-interleaving
+    ``engine`` selects ``"fast"`` (the default: partial-order reduction
+    + dedup + copy-on-write snapshots) or ``"naive"`` (the raw-interleaving
     baseline, for differential testing and benchmarking).  ``reduction``
     overrides the entry's escape hatch (``CRDTEntry.reduction``);
     ``symmetry`` likewise overrides ``CRDTEntry.symmetry`` (replica-orbit
@@ -229,12 +229,13 @@ def exhaustive_verify(
     ``verify.*`` counters — recorded here only for whole-tree runs; the
     parallel merge records them for frontier-split shards).
 
-    ``por`` selects the partial-order-reduction flavor: ``"sleep"``
-    (classic sleep sets, the differential oracle) or ``"source"``
-    (source-DPOR — race-driven source sets over the sleep sets, plus
-    persistent structural-sharing snapshots in the runtime systems).
-    Both visit the same configuration set; source explores fewer
-    interleavings to get there.
+    ``por`` selects the partial-order-reduction flavor: ``"source"``
+    (the default: source-DPOR — race-driven source sets over the sleep
+    sets with wakeup-tree continuations and patch cuts, plus persistent
+    structural-sharing snapshots in the runtime systems) or ``"sleep"``
+    (classic sleep sets, the differential oracle).  Both visit the same
+    configuration set; source explores fewer interleavings to get
+    there.
 
     ``heartbeat`` threads a
     :class:`~repro.obs.heartbeat.HeartbeatEmitter` into the engine for
@@ -275,10 +276,11 @@ def exhaustive_verify(
     def make_system() -> OpBasedSystem:
         # Source-DPOR branches orders of magnitude more often than it
         # mutates; the persistent (hash-trie) containers make each branch
-        # point O(delta) instead of O(configuration).
+        # point O(delta) instead of O(configuration).  The naive oracle
+        # keeps the plain containers.
         return OpBasedSystem(
             entry.make_crdt(), replicas=sorted(programs),
-            persistent=(por in ("source", "optimal")),
+            persistent=(por == "source" and engine == "fast"),
         )
 
     with ins.span("exhaustive.scope", entry=entry.name, kind="OB",
@@ -335,7 +337,7 @@ def exhaustive_verify_state(
     steal: bool = True,
     spill: Optional[str] = None,
     oversubscribe: bool = False,
-    por: str = "sleep",
+    por: str = "source",
     heartbeat: Optional[object] = None,
 ) -> ExhaustiveResult:
     """Bounded exhaustive verification of a state-based entry.
@@ -381,7 +383,7 @@ def exhaustive_verify_state(
     def make_system() -> StateBasedSystem:
         return StateBasedSystem(
             entry.make_crdt(), replicas=sorted(programs),
-            persistent=(por in ("source", "optimal")),
+            persistent=(por == "source" and engine == "fast"),
         )
 
     with ins.span("exhaustive.scope", entry=entry.name, kind="SB",

@@ -58,7 +58,7 @@ from .report import VerificationResult, verify_entry
 #: frontier-split shard, or ``None`` for the whole tree.  ``obs`` is
 #: ``None`` (instrumentation off) or the observability envelope built by
 #: :func:`_obs_envelope`.  ``por`` picks the reduction flavor the worker
-#: engine runs (``"sleep"`` or ``"source"``).
+#: engine runs (``"source"`` or ``"sleep"``).
 _BranchTask = Tuple[str, Dict[str, Program], Optional[int], Optional[bool],
                     Optional[bool], bool, Optional[int],
                     Optional[Dict[str, Any]], str]
@@ -257,11 +257,7 @@ def _merge_branches(
             merged.stats.dpor_deferred += stats.dpor_deferred
             merged.stats.dpor_full_expansions += stats.dpor_full_expansions
             merged.stats.dpor_wakeup_branches += stats.dpor_wakeup_branches
-            merged.stats.dpor_wakeup_fallbacks += (
-                stats.dpor_wakeup_fallbacks
-            )
             merged.stats.dpor_patch_cuts += stats.dpor_patch_cuts
-            merged.stats.dpor_vacuity_drops += stats.dpor_vacuity_drops
             merged.stats.dpor_deferred_seen = max(
                 merged.stats.dpor_deferred_seen, stats.dpor_deferred_seen
             )
@@ -339,7 +335,7 @@ def _branch_tasks(
     symmetry: Optional[bool],
     cache: bool,
     obs: Optional[Dict[str, Any]] = None,
-    por: str = "sleep",
+    por: str = "source",
 ) -> List[_BranchTask]:
     _require_registered(entry)
     gossips = max_gossips if entry.kind == "SB" else None
@@ -367,7 +363,7 @@ def exhaustive_verify_parallel(
     spill: Optional[str] = None,
     max_configurations: Optional[int] = None,
     oversubscribe: bool = False,
-    por: str = "sleep",
+    por: str = "source",
 ) -> ExhaustiveResult:
     """Parallel exhaustive verification of one registry entry.
 
@@ -439,7 +435,7 @@ def verify_scopes_parallel(
     spill: Optional[str] = None,
     max_configurations: Optional[int] = None,
     oversubscribe: bool = False,
-    por: str = "sleep",
+    por: str = "source",
     progress: Optional[float] = None,
     progress_stream: Optional[Any] = None,
     heartbeat_log: Optional[str] = None,

@@ -443,10 +443,7 @@ def format_metrics(artifact: Mapping[str, Any]) -> str:
             ("dpor reversals deferred", total("explore.dpor.deferred")),
             ("dpor full expansions", total("explore.dpor.full_expansions")),
             ("dpor wakeup branches", total("explore.dpor.wakeup_branches")),
-            ("dpor wakeup fallbacks",
-             total("explore.dpor.wakeup_fallbacks")),
             ("dpor patch cuts", total("explore.dpor.patch_cuts")),
-            ("dpor vacuity drops", total("explore.dpor.vacuity_drops")),
             ("dpor deferred-seen LRU peak",
              total("explore.dpor.deferred_seen")),
             ("pstate nodes copied", total("explore.pstate.nodes_copied")),

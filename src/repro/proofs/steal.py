@@ -203,10 +203,10 @@ class _WorkerScheduler:
     def offload(self, path: Sequence[Tuple], sleep: Any,
                 frames: Optional[Tuple] = None,
                 guide: Optional[Dict] = None) -> None:
-        # ``frames`` (source/optimal DPOR only) carries the victim's
+        # ``frames`` (source-DPOR only) carries the victim's
         # per-prefix-node sleep sets so the thief can process race
         # reversals that land on the replayed prefix; sleep-mode offloads
-        # stay 2-argument.  ``guide`` (optimal only) is the stolen
+        # stay 2-argument.  ``guide`` (source-DPOR only) is the stolen
         # candidate's pending wakeup subtree — nested transition dicts,
         # plain picklable data — so the thief replays the identical
         # demanded schedule below the replayed prefix.
@@ -282,7 +282,7 @@ class _Session:
         if spill_dir is not None:
             self.store = FingerprintStore(spill_dir=spill_dir)
             self.fps = self.store.visited_set()
-        persistent = por in ("source", "optimal")
+        persistent = por == "source"
         if entry.kind == "OB":
             kind = "op"
 
@@ -431,7 +431,7 @@ def _seed_tasks(
     reduction: Optional[bool],
     symmetry: Optional[bool],
     cache: bool,
-    por: str = "sleep",
+    por: str = "source",
 ) -> Tuple[List[_ScopeSpec], List[Tuple]]:
     """Static root-branch seeds (orbit-filtered) plus the scope table."""
     from .parallel import (
@@ -468,7 +468,7 @@ def _verify_scopes_inline(
     max_configurations: Optional[int],
     spill: Optional[str],
     ins: Instrumentation,
-    por: str = "sleep",
+    por: str = "source",
     heartbeat: Optional[HeartbeatEmitter] = None,
 ) -> Dict[str, ExhaustiveResult]:
     """Serial fallback when the effective pool is one worker.
@@ -513,7 +513,7 @@ def verify_scopes_steal(
     split_interval: int = SPLIT_INTERVAL,
     stats_sink: Optional[Dict[str, Any]] = None,
     force_pool: bool = False,
-    por: str = "sleep",
+    por: str = "source",
     progress: Optional[float] = None,
     progress_stream: Optional[Any] = None,
     heartbeat_log: Optional[str] = None,
@@ -730,7 +730,7 @@ def exhaustive_verify_steal(
     split_interval: int = SPLIT_INTERVAL,
     stats_sink: Optional[Dict[str, Any]] = None,
     force_pool: bool = False,
-    por: str = "sleep",
+    por: str = "source",
     progress: Optional[float] = None,
     progress_stream: Optional[Any] = None,
     heartbeat_log: Optional[str] = None,

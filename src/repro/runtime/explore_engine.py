@@ -120,12 +120,12 @@ _EMPTY_SLEEP: FrozenSet[Transition] = frozenset()
 _DEFERRED_SEEN_LIMIT = 1 << 14
 
 #: A wakeup (sub)tree: ordered transitions to child subtrees; ``None``
-#: is the empty tree.  A frame's backtrack dict maps each candidate to
-#: the pending subtree that should guide the child's schedule
-#: (``por="optimal"``) or to ``None`` (``por="source"``).
+#: is the empty tree.  A source-DPOR frame's backtrack dict maps each
+#: candidate to the pending subtree that should guide the child's
+#: schedule, or to ``None`` when no continuation is pending.
 WakeupTree = Optional[Dict[Transition, Any]]
 
-#: Optimal DPOR: maximum size of the recorded-sleep difference a
+#: Source-DPOR: maximum size of the recorded-sleep difference a
 #: re-converged state may patch-explore instead of re-walking its whole
 #: subtree.  Larger differences fall back to a full re-exploration — a
 #: patch of n branches costs n subtree entries, so past a few branches
@@ -180,23 +180,16 @@ class ExploreStats:
     #: locally as deferred subtree tasks.
     dpor_deferred: int = 0
     #: Source-DPOR only: frames conservatively re-expanded to the full
-    #: enabled set (missing footprint or disabled race candidate).
+    #: enabled set (a race candidate failing its precondition at apply
+    #: time, or a disabled initial demanded by residual replay).
     dpor_full_expansions: int = 0
-    #: Optimal DPOR only: race reversals grafted into a frame's wakeup
+    #: Source-DPOR only: race reversals grafted into a frame's wakeup
     #: tree with a non-empty pending continuation.
     dpor_wakeup_branches: int = 0
-    #: Optimal DPOR only: frames re-expanded because a race candidate
-    #: failed its precondition at apply time — the narrow residue of the
-    #: source engine's full expansions (never counted there).
-    dpor_wakeup_fallbacks: int = 0
-    #: Optimal DPOR only: disabled residual demands dropped because the
-    #: vacuity walk proved the demanded event ordered after the race
-    #: frame's transition in every execution.
-    dpor_vacuity_drops: int = 0
-    #: Source/optimal DPOR: peak entry count of the deferred-reversal
-    #: dedup LRU (bounded; evictions cost re-runs, never coverage).
+    #: Source-DPOR only: peak entry count of the deferred-reversal dedup
+    #: LRU (bounded; evictions cost re-runs, never coverage).
     dpor_deferred_seen: int = 0
-    #: Optimal DPOR only: re-converged states cut by exploring just the
+    #: Source-DPOR only: re-converged states cut by exploring just the
     #: recorded-sleep difference instead of the whole subtree.
     dpor_patch_cuts: int = 0
     #: Persistent-snapshot mode: hash-trie nodes allocated (path copies).
@@ -234,8 +227,6 @@ class ExploreStats:
             "dpor_deferred": self.dpor_deferred,
             "dpor_full_expansions": self.dpor_full_expansions,
             "dpor_wakeup_branches": self.dpor_wakeup_branches,
-            "dpor_wakeup_fallbacks": self.dpor_wakeup_fallbacks,
-            "dpor_vacuity_drops": self.dpor_vacuity_drops,
             "dpor_deferred_seen": self.dpor_deferred_seen,
             "dpor_patch_cuts": self.dpor_patch_cuts,
             "pstate_copied": self.pstate_copied,
@@ -574,38 +565,6 @@ class _OpDomain:
 
     # -- happens-before / races (the source-DPOR relations) -------------
 
-    def hb_dependent(self, a: Transition, b: Transition) -> bool:
-        """Structural dependence of a later event ``b`` on an earlier ``a``.
-
-        This is the *coarse* relation source-DPOR computes races over; it
-        may be coarser than :meth:`independent` (which additionally probes
-        dynamic effector commutation) — a coarser happens-before merges
-        fewer executions into one trace class, which only means more races
-        are considered, never fewer, so mixing the two stays sound.
-
-        Op-based events touch replica-local data (state, seen-set, clock),
-        so two events are dependent iff they share a replica — plus the
-        creation edge: a delivery depends on the invocation that generated
-        its label (the k-th invocation at replica ``r`` has logical id
-        ``(r, k)``, which is exactly ``("inv", r, k)``'s payload).
-
-        With ``require_quiescence=False`` the visit hook observes interior
-        configurations, where commuting adjacent events is not
-        prefix-preserving; the engine demotes ``por="source"`` to the
-        sleep path outright in that mode, and this relation answering
-        "everything is dependent" is defense-in-depth should a caller
-        reach the source machinery anyway.
-        """
-        if not self.require_quiescence:
-            return True
-        if a[1] == b[1]:
-            return True
-        if a[0] == "inv" and b[0] == "del" and b[2] == (a[1], a[2]):
-            return True
-        if b[0] == "inv" and a[0] == "del" and a[2] == (b[1], b[2]):
-            return True  # symmetric guard; cannot occur in program order
-        return False
-
     def race_reversible(self, a: Transition, b: Transition) -> bool:
         """Whether the race ``a`` before ``b`` has an executable reversal.
 
@@ -675,8 +634,7 @@ class _OpDomain:
     # Incremental happens-before masks: the engine notes each path event
     # once, and ``hb_dep_mask`` answers "which path indices is this event
     # hb-dependent on" as a bitmask in O(1) dict lookups instead of an
-    # O(path) relation loop per event.  Must stay equivalent to
-    # :meth:`hb_dependent`; the differential suite pins the pair.
+    # O(path) relation loop per event.
 
     def hb_reset(self) -> None:
         self._hb_replica_masks: Dict[str, int] = {}
@@ -695,6 +653,29 @@ class _OpDomain:
             self._hb_mk_bit.pop((transition[1], transition[2]), None)
 
     def hb_dep_mask(self, transition: Transition, length: int) -> int:
+        """Path indices (of the first ``length``) ``transition`` depends on.
+
+        This is the *coarse* structural dependence source-DPOR computes
+        races over; it may be coarser than :meth:`independent` (which
+        additionally probes dynamic effector commutation) — a coarser
+        happens-before merges fewer executions into one trace class,
+        which only means more races are considered, never fewer, so
+        mixing the two stays sound.
+
+        Op-based events touch replica-local data (state, seen-set,
+        clock), so two events are dependent iff they share a replica —
+        plus the creation edge: a delivery depends on the invocation that
+        generated its label (the k-th invocation at replica ``r`` has
+        logical id ``(r, k)``, which is exactly ``("inv", r, k)``'s
+        payload).
+
+        With ``require_quiescence=False`` the visit hook observes
+        interior configurations, where commuting adjacent events is not
+        prefix-preserving; the engine demotes source-DPOR to the sleep
+        path outright in that mode, and the mask answering "everything
+        is dependent" is defense-in-depth should a caller reach the
+        source machinery anyway.
+        """
         if not self.require_quiescence:
             return (1 << length) - 1
         mask = self._hb_replica_masks.get(transition[1], 0)
@@ -983,25 +964,6 @@ class _StateDomain:
 
     # -- happens-before / races (the source-DPOR relations) -------------
 
-    def hb_dependent(self, a: Transition, b: Transition) -> bool:
-        """Structural dependence for the state-based semantics.
-
-        Gossips are declared dependent on *everything* — deliberately
-        coarser than :meth:`independent`.  The state-based visit hook
-        fires on interior configurations too (program-complete nodes with
-        leftover gossip budget), and source-DPOR only preserves maximal
-        executions per trace class; making every gossip an ordering
-        barrier forces each explored linearization to pass through every
-        visitable interior configuration of its class (invocation-only
-        commutations never change a program-complete prefix's
-        configuration set), so the visited set stays exactly the sleep-set
-        engine's.  The reduction then prunes invocation interleavings
-        between gossips — and the persistent snapshots carry the rest.
-        """
-        if a[0] == "gos" or b[0] == "gos":
-            return True
-        return a[1] == b[1]
-
     def race_reversible(self, a: Transition, b: Transition) -> bool:
         """See :meth:`_OpDomain.race_reversible`.
 
@@ -1069,6 +1031,22 @@ class _StateDomain:
             self._hb_replica_masks[transition[1]] &= ~(1 << index)
 
     def hb_dep_mask(self, transition: Transition, length: int) -> int:
+        """Structural dependence for the state-based semantics.
+
+        Two invocations depend iff they share a replica; gossips are
+        declared dependent on *everything* — deliberately coarser than
+        :meth:`independent`.  The state-based visit hook fires on
+        interior configurations too (program-complete nodes with
+        leftover gossip budget), and source-DPOR only preserves maximal
+        executions per trace class; making every gossip an ordering
+        barrier forces each explored linearization to pass through
+        every visitable interior configuration of its class
+        (invocation-only commutations never change a program-complete
+        prefix's configuration set), so the visited set stays exactly
+        the sleep-set engine's.  The reduction then prunes invocation
+        interleavings between gossips — and the persistent snapshots
+        carry the rest.
+        """
         if transition[0] == "gos":
             return (1 << length) - 1  # the global ordering barrier
         return (
@@ -1314,7 +1292,7 @@ class _Engine:
         store: Optional[Any] = None,
         scheduler: Optional[Any] = None,
         budget: Optional[Any] = None,
-        por: str = "sleep",
+        por: str = "source",
         profile: Optional[Any] = None,
         journal: Optional[Any] = None,
         heartbeat: Optional[Any] = None,
@@ -1360,7 +1338,7 @@ class _Engine:
         self._expanded: Any = (
             store.expanded_map() if store is not None else {}
         )
-        if por not in ("sleep", "source", "optimal"):
+        if por not in ("sleep", "source"):
             raise ValueError(f"unknown por mode {por!r}")
         if por != "sleep" and not getattr(domain, "reduction", True):
             # reduction=False means "explore every interleaving" (the
@@ -1376,11 +1354,10 @@ class _Engine:
             # executions pass through different interiors).  Fall back
             # to sleep sets, which visit every non-pruned node.
             por = "sleep"
-        #: Partial-order reduction flavor: classic sleep sets,
-        #: source-DPOR (sleep sets + race-driven source sets), or
-        #: optimal DPOR (source sets + wakeup-tree continuations).
+        #: Partial-order reduction flavor: source-DPOR (sleep sets +
+        #: race-driven source sets with wakeup-tree continuations and
+        #: patch cuts) or classic sleep sets, the differential oracle.
         self.por = por
-        self._optimal = por == "optimal"
         #: Source-DPOR frame stack, aligned with ``_path`` (frame i is
         #: the node reached by ``_path[:i]``).
         self._frames: List[_Frame] = []
@@ -1416,10 +1393,10 @@ class _Engine:
         DFS below it under ``sleep`` — the work-stealing task unit.
         ``frames`` (source-DPOR tasks only) carries the per-prefix-node
         sleep sets, so race reversals landing on the replayed prefix can
-        be re-run with the right schedule filters.  ``guide`` (optimal
-        DPOR) is the pending wakeup subtree at the task's branch point:
-        the stolen prefix replays the identical schedule the victim
-        would have run.  Wall time *accumulates* so an engine reused
+        be re-run with the right schedule filters.  ``guide`` (source-DPOR
+        tasks only) is the pending wakeup subtree at the task's branch
+        point: the stolen prefix replays the identical schedule the
+        victim would have run.  Wall time *accumulates* so an engine reused
         across stolen tasks reports its total exploration time.
 
         Source-DPOR reversals that land on replayed prefix nodes are
@@ -1734,7 +1711,7 @@ class _Engine:
         depth: int,
         guide: WakeupTree = None,
     ) -> None:
-        """The source-DPOR / optimal-DPOR node loop.
+        """The source-DPOR node loop.
 
         Unlike :meth:`_dfs`, which schedules *every* enabled transition
         outside the sleep set, this loop schedules only the node's
@@ -1746,19 +1723,19 @@ class _Engine:
         Mazurkiewicz traces — and are counted in
         ``dpor_redundant_avoided`` instead of explored.
 
-        Under ``por="optimal"`` the backtrack dict carries a **wakeup
-        tree**: each candidate maps to the pending continuation (the
-        rest of the reversal sequence ``v·t`` grafted by
-        :meth:`_reverse_race`), and ``guide`` is this node's own pending
-        subtree handed down by the parent.  Guided nodes seed their
-        schedule from the guide's root transitions instead of the
-        default first-non-slept pick, so a demanded reversal is replayed
-        verbatim rather than re-discovered through fresh races — the
-        sibling expansions the source engine's conservative fallbacks
-        force never start.  Guidance is advisory: a guide root that is
-        slept or disabled here is dropped (its trace class is covered by
-        the branch that slept it, or rediscovered through races), which
-        keeps the source-set coverage argument untouched.
+        The backtrack dict carries a **wakeup tree**: each candidate
+        maps to the pending continuation (the rest of the reversal
+        sequence ``v·t`` grafted by :meth:`_reverse_race`), and
+        ``guide`` is this node's own pending subtree handed down by the
+        parent.  Guided nodes seed their schedule from the guide's root
+        transitions instead of the default first-non-slept pick, so a
+        demanded reversal is replayed verbatim rather than re-discovered
+        through fresh races, and sibling expansions that unguided
+        rediscovery would force never start.  Guidance is advisory: a
+        guide root that is slept or disabled here is dropped (its trace
+        class is covered by the branch that slept it, or rediscovered
+        through races), which keeps the source-set coverage argument
+        untouched.
         """
         domain, stats = self.domain, self.stats
         stats.states_visited += 1
@@ -1789,11 +1766,10 @@ class _Engine:
                     # against the open frames.
                     self._replay_residual()
                     return
-                if self._optimal:
-                    missing = recorded - sleep_key
-                    if patch_missing is None or \
-                            len(missing) < len(patch_missing):
-                        patch_base, patch_missing = recorded, missing
+                missing = recorded - sleep_key
+                if patch_missing is None or \
+                        len(missing) < len(patch_missing):
+                    patch_base, patch_missing = recorded, missing
             if patch_missing is not None and \
                     len(patch_missing) <= _PATCH_LIMIT:
                 # Partial cut at a re-converged state: a prior visit with
@@ -1827,9 +1803,11 @@ class _Engine:
                 # dropped — its demanded class either starts in the
                 # patch (explored here) or not in the prior record's
                 # sleep (covered by the recorded visit, whose races the
-                # residual replay just re-demanded).
-                for candidate in patch:
-                    if frame.is_enabled(candidate):
+                # residual replay just re-demanded).  Scheduled in
+                # ``transitions`` order: iterating the frozenset would
+                # make the walk depend on string hashing.
+                for candidate in transitions:
+                    if candidate in patch:
                         frame.backtrack[candidate] = None
             else:
                 seeded = False
@@ -1902,7 +1880,7 @@ class _Engine:
                             tuple(f.sleep for f in self._frames),
                             # The candidate's pending wakeup subtree
                             # rides along so the thief replays the
-                            # identical schedule (None under "source").
+                            # identical schedule.
                             frame.backtrack.get(transition),
                         )
                         stats.steal_spawned += 1
@@ -2008,10 +1986,10 @@ class _Engine:
         """Walk the initials of ``v = notdep(path[j], E) · transition``.
 
         Returns ``None`` when some initial already covers the reversal,
-        else ``(first, continuation)``: the sequence's first event and —
-        under optimal DPOR — the wakeup subtree encoding the rest of
-        ``v·t`` in path order, so the branch replays the demanded
-        schedule instead of rediscovering it race by race.
+        else ``(first, continuation)``: the sequence's first event and
+        the wakeup subtree encoding the rest of ``v·t`` in path order, so
+        the branch replays the demanded schedule instead of
+        rediscovering it race by race.
         """
         profile = self.profile
         start = time.perf_counter() if profile is not None else 0.0
@@ -2026,16 +2004,14 @@ class _Engine:
         first: Optional[Transition] = None
         covered = False
         v_mask = 0
-        optimal = self._optimal
-        chain: Optional[List[Transition]] = [] if optimal else None
-        dep_tail: Optional[List[Transition]] = [] if optimal else None
+        chain: List[Transition] = []
+        dep_tail: List[Transition] = []
         for m in range(j + 1, k):
             hbm = hb[m]
             if (hbm >> j) & 1:
                 # Depends on path[j]: not part of v — but part of the
                 # wakeup spine's tail (see below).
-                if dep_tail is not None:
-                    dep_tail.append(path[m])
+                dep_tail.append(path[m])
                 continue
             w = path[m]
             if not (hbm & v_mask):
@@ -2047,8 +2023,7 @@ class _Engine:
                 if first is None:
                     first = w
             v_mask |= 1 << m
-            if chain is not None:
-                chain.append(w)
+            chain.append(w)
         if not covered and not (hb_mask & v_mask):
             if self._initial_covered(
                 transition, sleep, real, backtrack, tried, taken
@@ -2060,25 +2035,23 @@ class _Engine:
             covered = True
         plan: Optional[Tuple[Transition, WakeupTree]] = None
         if not covered:
+            # The wakeup spine is the *whole* trace permutation
+            # v·t·path[j]·(events dependent on path[j], in path order):
+            # after the reversed pair runs, the tail re-executes the
+            # remainder of the original fragment, so the branch converges
+            # onto recorded configurations and is dedup-cut within a step
+            # or two instead of wandering to a sleep-blocked dead end.
+            # The spine respects happens-before everywhere except the
+            # deliberately reversed (path[j], t) pair, and sleep
+            # inheritance cooperates: path[j] is slept (from ``done``)
+            # across v and woken exactly when the dependent t executes.
             cont: WakeupTree = None
-            if chain is not None:
-                # The wakeup spine is the *whole* trace permutation
-                # v·t·path[j]·(events dependent on path[j], in path
-                # order): after the reversed pair runs, the tail
-                # re-executes the remainder of the original fragment, so
-                # the branch converges onto recorded configurations and
-                # is dedup-cut within a step or two instead of wandering
-                # to a sleep-blocked dead end.  The spine respects
-                # happens-before everywhere except the deliberately
-                # reversed (path[j], t) pair, and sleep inheritance
-                # cooperates: path[j] is slept (from ``done``) across v
-                # and woken exactly when the dependent t executes.
-                chain.append(transition)
-                chain.append(path[j])
-                chain.extend(dep_tail)
-                if chain[0] == first:
-                    for w in reversed(chain[1:]):
-                        cont = {w: cont}
+            chain.append(transition)
+            chain.append(path[j])
+            chain.extend(dep_tail)
+            if chain[0] == first:
+                for w in reversed(chain[1:]):
+                    cont = {w: cont}
             plan = (first, cont)
         if profile is not None:
             profile.add("race", time.perf_counter() - start)
@@ -2097,13 +2070,9 @@ class _Engine:
         defer frame — through this single insertion point.  A demanded
         initial that is not enabled at frame ``j`` (only possible via
         :meth:`_replay_residual`'s positional over-approximation)
-        degrades the frame to the full sleep-set schedule; optimal DPOR
-        first drops the demand when :meth:`_demand_vacuous` proves the
-        event ordered after ``path[j]`` in every execution, and counts
-        the degradations it cannot avoid as wakeup fallbacks rather
-        than full expansions — races from real executions always have
-        enabled initials, so the classical optimality argument is
-        unaffected.
+        degrades the frame to the full sleep-set schedule, counted in
+        ``dpor_full_expansions``; races from real executions always
+        have enabled initials.
         """
         plan = self._race_plan(j, k, transition, hb_mask)
         if plan is None:
@@ -2116,10 +2085,6 @@ class _Engine:
                 "dpor.reversal", frame=j, depth=k, mode=frame.mode,
             )
         if not frame.is_enabled(first):
-            if self._optimal and self._demand_vacuous(j, first):
-                # Vacuous: ordered after path[j] in every run.
-                self.stats.dpor_vacuity_drops += 1
-                return
             if real:
                 self._full_expand(frame)
             else:
@@ -2133,107 +2098,13 @@ class _Engine:
         else:
             self._defer(j, first, cont)
 
-    def _counter_at(self, j: int, replica: str) -> int:
-        """Invocations ``replica`` had completed at frame ``j`` — i.e.
-        the program index of its next invocation there."""
-        count = 0
-        path = self._path
-        for m in range(j):
-            t = path[m]
-            if t[0] == "inv" and t[1] == replica:
-                count += 1
-        return count
-
-    def _demand_vacuous(self, j: int, first: Transition) -> bool:
-        """Is a demanded-but-disabled initial provably vacuous?
-
-        A race can demand a transition not enabled at frame ``j`` only
-        through :meth:`_replay_residual`'s positional over-approximation:
-        the demanded event sits behind unexecuted program steps or
-        undelivered causal predecessors.  When its enabling chain runs
-        through an invocation of ``path[j]``'s own replica while
-        ``path[j]`` is itself an invocation, program order pins the
-        demanded event after ``path[j]`` in every execution — the race
-        is an artifact of the missing creation edge and the demand is
-        dropped with no insertion at all.
-
-        Every other disabled demand degrades to a counted conservative
-        expansion in the caller.  Substituting the first *enabled* link
-        of the chain looks tempting — "every execution performing the
-        demanded event schedules it first" — but is unsound: the link
-        need not be an *initial* of the demanded class, so finding it
-        asleep (covered by a sibling) does not imply the class itself
-        was covered, and configurations are lost.  Stress-testing with
-        sleep independence coarsened to the happens-before relation
-        exposes exactly that loss; the vacuity walk below survives the
-        same stress bit-for-bit.
-        """
-        frame = self._frames[j]
-        blocker = self._path[j]
-        if blocker[0] != "inv":
-            # Deliveries and gossips reorder freely with the
-            # invocations of their replica: nothing is pinned behind
-            # path[j], so no demand is vacuous.
-            return False
-        pinned = blocker[1]
-        domain = self.domain
-        t = first
-        for _ in range(64):
-            if frame.is_enabled(t):
-                return False
-            kind = t[0]
-            if kind == "inv":
-                q = t[1]
-                if q == pinned:
-                    return True  # program order: after path[j] always
-                head = ("inv", q, self._counter_at(j, q))
-                if head == t:  # pragma: no cover - head is enabled
-                    return False
-                t = head
-                continue
-            if kind != "del":  # pragma: no cover - gossips never block
-                return False
-            target, lid = t[1], t[2]
-            q, i = lid
-            if i >= self._counter_at(j, q):
-                # The label does not exist at frame j: its creating
-                # invocation chain must run first.
-                if q == pinned:
-                    return True  # creation sits after path[j]: vacuous
-                t = ("inv", q, self._counter_at(j, q))
-                continue
-            # The label exists at frame j but is not deliverable there:
-            # a causal predecessor is missing from the target's seen
-            # set.  The *current* seen set is a sound proxy — seen sets
-            # only grow, so a lid missing now was missing at frame j.
-            # (min() keeps the walk deterministic across worker
-            # processes; frozenset order is not.)
-            seen = domain._seen_lids[target]
-            missing = min(
-                (p for p in domain._causal_lids[lid] if p not in seen),
-                default=None,
-            )
-            if missing is None:  # pragma: no cover - delivered inside
-                # (j, k): the walk covered the demand through v, or the
-                # race was never hb-adjacent.  Unreachable; degrade
-                # conservatively rather than drop the reversal.
-                return False
-            t = ("del", target, missing)
-        return False  # pragma: no cover - chains are acyclic
-
     def _full_expand(self, frame: _Frame) -> None:
         """Degrade a frame to the sleep-set schedule (every non-slept
         enabled transition), the conservative fallback when precise race
-        coverage is unavailable.  Under optimal DPOR the triggers are a
-        race candidate failing its *precondition* at apply time and a
-        non-vacuous disabled initial demanded by residual replay —
-        counted separately as wakeup fallbacks, since races detected on
-        real executions always insert precisely and the classical
-        full-expansion count stays zero."""
-        if self._optimal:
-            self.stats.dpor_wakeup_fallbacks += 1
-        else:
-            self.stats.dpor_full_expansions += 1
+        coverage is unavailable: a race candidate failing its
+        *precondition* at apply time, or a disabled initial demanded by
+        residual replay."""
+        self.stats.dpor_full_expansions += 1
         for transition in frame.enabled:
             if (
                 transition not in frame.sleep
@@ -2250,10 +2121,7 @@ class _Engine:
         """Defer-frame analogue of :meth:`_full_expand`: enqueue every
         non-slept enabled transition at prefix node ``j`` as a subtree
         task (minus ``taken``, whose subtree the victim explored)."""
-        if self._optimal:
-            self.stats.dpor_wakeup_fallbacks += 1
-        else:
-            self.stats.dpor_full_expansions += 1
+        self.stats.dpor_full_expansions += 1
         frame = self._frames[j]
         for transition in frame.enabled:
             if transition not in frame.sleep and transition != taken:
@@ -2333,7 +2201,7 @@ def build_engine(
     scheduler: Optional[Any] = None,
     budget: Optional[Any] = None,
     symmetry: bool = False,
-    por: str = "sleep",
+    por: str = "source",
     profile: Optional[Any] = None,
     journal: Optional[Any] = None,
     heartbeat: Optional[Any] = None,
@@ -2387,7 +2255,7 @@ def explore_op_programs(
     instrumentation: Optional[Instrumentation] = None,
     symmetry: bool = False,
     store: Optional[Any] = None,
-    por: str = "sleep",
+    por: str = "source",
     heartbeat: Optional[Any] = None,
 ) -> int:
     """Run per-replica ``programs`` under every op-based interleaving.
@@ -2451,7 +2319,7 @@ def explore_state_programs(
     instrumentation: Optional[Instrumentation] = None,
     symmetry: bool = False,
     store: Optional[Any] = None,
-    por: str = "sleep",
+    por: str = "source",
     heartbeat: Optional[Any] = None,
 ) -> int:
     """Run ``programs`` under every bounded state-based interleaving.

@@ -106,16 +106,16 @@ class TestDiff:
 class TestSections:
     OLD = {"dpor_3r": {"speedup": 2.0},
            "steal_3r": {"wall_seconds": 1.0},
-           "optimal_3r": {"configurations": 490}}
+           "compose_3r": {"configurations": 490}}
 
     def test_only_named_sections_are_compared(self):
         new = {"dpor_3r": {"speedup": 2.0},
                "steal_3r": {"wall_seconds": 99.0},  # would gate unfiltered
-               "optimal_3r": {"configurations": 490}}
+               "compose_3r": {"configurations": 490}}
         rows = diff_benches(self.OLD, new,
-                            sections=["dpor_3r", "optimal_3r"])
+                            sections=["dpor_3r", "compose_3r"])
         assert not any(row.gating for row in rows)
-        assert all(row.path.startswith(("dpor_3r", "optimal_3r"))
+        assert all(row.path.startswith(("dpor_3r", "compose_3r"))
                    for row in rows)
 
     def test_regression_inside_named_section_still_gates(self):
@@ -126,16 +126,16 @@ class TestSections:
     def test_section_dropped_from_new_gates(self):
         new = {"dpor_3r": {"speedup": 2.0}}
         rows = diff_benches(self.OLD, new,
-                            sections=["dpor_3r", "optimal_3r"])
-        row = _rows_by_path(rows)["optimal_3r"]
+                            sections=["dpor_3r", "compose_3r"])
+        row = _rows_by_path(rows)["compose_3r"]
         assert row.status == "regression" and row.gating
         assert "absent from NEW" in row.detail
 
     def test_section_new_in_new_is_added(self):
         old = {"dpor_3r": {"speedup": 2.0}}
         rows = diff_benches(old, self.OLD,
-                            sections=["dpor_3r", "optimal_3r"])
-        assert _rows_by_path(rows)["optimal_3r"].status == "added"
+                            sections=["dpor_3r", "compose_3r"])
+        assert _rows_by_path(rows)["compose_3r"].status == "added"
 
     def test_unknown_section_raises(self):
         with pytest.raises(ValueError, match="unknown bench section"):

@@ -1,18 +1,23 @@
-"""Sleep / source / optimal DPOR differential equality.
+"""Sleep-set vs source-DPOR differential equality.
 
 Source-DPOR prunes interleavings whose race reversals are already
-covered, and optimal DPOR layers wakeup-tree continuations, patch cuts
-and vacuity drops on top; the contract is that every layer of pruning is
-invisible in the results — distinct-configuration counts, verdicts, and
-failure lists stay bit-for-bit identical with the classic sleep-set
-explorer on every registry entry, serially and through both parallel
-front doors, with replica symmetry on and off.  A registry-level pin of
-the ``snapshot_safe=False`` deepcopy fallback rides along: a CRDT that
-mutates its state in place must bypass persistent snapshots and still
-verify identically under every POR flavor.
+covered, guides reversals with wakeup-tree continuations and cuts
+re-converged states to their owed branches; the contract is that the
+pruning is invisible in the results — distinct-configuration counts,
+verdicts, and failure lists stay bit-for-bit identical with the classic
+sleep-set explorer on every registry entry, serially and through both
+parallel front doors, with replica symmetry on and off.  A
+registry-level pin of the ``snapshot_safe=False`` deepcopy fallback
+rides along: a CRDT that mutates its state in place must bypass
+persistent snapshots and still verify identically under both flavors.
 """
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,8 +34,18 @@ from repro.proofs.steal import verify_scopes_steal
 
 MAX_GOSSIPS = 2
 
-#: The flavors under test, each compared against the sleep-set oracle.
-DPOR_FLAVORS = ("source", "optimal")
+#: Source-DPOR's walk on the 3-replica Counter scope before wakeup
+#: guides and patch cuts were merged into it (``dpor_3r`` in
+#: ``BENCH_explore.json`` up to that change).
+PLAIN_SOURCE_STATES = 16925
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def _counter_3r():
+    entry = next(e for e in ALL_ENTRIES if e.name == "Counter")
+    programs = {r: [("inc", ()), ("read", ())] for r in ("r1", "r2", "r3")}
+    return entry, programs
 
 
 def _serial(entry, por, symmetry=None):
@@ -50,71 +65,85 @@ def _assert_equal(source, sleep, label):
 
 
 class TestSerialDifferential:
-    """Every registry entry, three-way, symmetry on and off."""
+    """Every registry entry, symmetry on and off."""
 
-    @pytest.mark.parametrize("por", DPOR_FLAVORS)
     @pytest.mark.parametrize(
         "symmetry", [None, False], ids=["sym-default", "sym-off"]
     )
     @pytest.mark.parametrize("entry", ALL_ENTRIES, ids=lambda e: e.name)
-    def test_dpor_matches_sleep(self, entry, symmetry, por):
+    def test_source_matches_sleep(self, entry, symmetry):
         sleep = _serial(entry, "sleep", symmetry)
-        dpor = _serial(entry, por, symmetry)
-        _assert_equal(dpor, sleep, f"{entry.name}/{por}")
+        source = _serial(entry, "source", symmetry)
+        _assert_equal(source, sleep, entry.name)
         # Race-driven source sets may only shrink the walk, never grow
-        # it: every node the DPOR flavors expand, sleep sets expand too.
+        # it: every node source-DPOR expands, sleep sets expand too.
         assert (
-            dpor.stats.states_visited <= sleep.stats.states_visited
-        ), f"{entry.name}/{por}"
+            source.stats.states_visited <= sleep.stats.states_visited
+        ), entry.name
 
-    def test_source_prunes_on_three_replicas(self):
-        # On a 3-replica scope the reduction must be real, not vacuous:
-        # strictly fewer interleavings walked, same configurations, and
-        # the redundant-avoided counter accounts for skipped siblings.
-        entry = next(e for e in ALL_ENTRIES if e.name == "Counter")
-        programs = {
-            r: [("inc", ()), ("read", ())] for r in ("r1", "r2", "r3")
-        }
-        sleep = exhaustive_verify(entry, programs, por="sleep")
-        source = exhaustive_verify(entry, programs, por="source")
-        _assert_equal(source, sleep, "Counter-3r")
-        assert source.stats.states_visited < sleep.stats.states_visited
-        assert source.stats.dpor_races > 0
-        assert source.stats.dpor_redundant_avoided > 0
+    def test_unknown_flavor_rejected(self):
+        entry, programs = _counter_3r()
+        with pytest.raises(ValueError, match="unknown por mode"):
+            exhaustive_verify(entry, programs, por="optimal")
 
 
-class TestOptimalityPin:
-    """The optimal flavor's headline guarantees on the 3-replica scope."""
+class TestReductionPin:
+    """Source-DPOR's reduction on the 3-replica Counter scope is real:
+    strictly fewer states than plain source sets walked, with both the
+    patch cuts and the wakeup guides firing, and the sleep oracle's
+    verdict and count."""
 
     @pytest.fixture(scope="class")
     def three_replica(self):
-        entry = next(e for e in ALL_ENTRIES if e.name == "Counter")
-        programs = {
-            r: [("inc", ()), ("read", ())] for r in ("r1", "r2", "r3")
-        }
+        entry, programs = _counter_3r()
         return {
             por: exhaustive_verify(entry, programs, por=por)
-            for por in ("sleep", "source", "optimal")
+            for por in ("sleep", "source")
         }
 
-    def test_optimal_matches_sleep(self, three_replica):
+    def test_matches_sleep(self, three_replica):
         _assert_equal(
-            three_replica["optimal"], three_replica["sleep"], "Counter-3r"
+            three_replica["source"], three_replica["sleep"], "Counter-3r"
         )
 
-    def test_no_full_expansions(self, three_replica):
-        # Wakeup continuations and vacuity drops must absorb every
-        # conservative widening: non-vacuous disabled demands degrade to
-        # *counted* fallbacks, never to blanket full expansions.
-        stats = three_replica["optimal"].stats
-        assert stats.dpor_full_expansions == 0
+    def test_walks_fewer_states_than_plain_source(self, three_replica):
+        stats = three_replica["source"].stats
+        assert stats.states_visited < PLAIN_SOURCE_STATES
+        assert stats.dpor_races > 0
+        assert stats.dpor_redundant_avoided > 0
+
+    def test_patch_cuts_and_wakeup_guides_fire(self, three_replica):
+        stats = three_replica["source"].stats
+        assert stats.dpor_patch_cuts > 0
         assert stats.dpor_wakeup_branches > 0
 
-    def test_optimal_walks_no_more_than_source(self, three_replica):
-        assert (
-            three_replica["optimal"].stats.states_visited
-            <= three_replica["source"].stats.states_visited
-        )
+
+_HASH_SEED_PROBE = """
+import json
+from repro.__main__ import build_parser
+from repro.proofs.exhaustive import exhaustive_verify
+from repro.proofs.registry import entry_by_name
+
+por = build_parser().parse_args(["exhaustive"]).por
+programs = {r: [("inc", ()), ("read", ())] for r in ("r1", "r2", "r3")}
+stats = exhaustive_verify(entry_by_name("Counter"), programs, por=por).stats
+print(json.dumps([stats.states_visited, stats.dpor_races]))
+"""
+
+
+def test_default_walk_independent_of_hash_seed():
+    """The walk ``repro exhaustive`` runs by default schedules no branch
+    by set iteration order: two interpreters with different string
+    hashing walk the same states and detect the same races."""
+    walks = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE], env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout
+        walks.append(json.loads(out))
+    assert walks[0] == walks[1]
 
 
 class TestParallelDifferential:
@@ -127,32 +156,29 @@ class TestParallelDifferential:
             for entry, _, _ in standard_scopes(max_gossips=MAX_GOSSIPS)
         }
 
-    @pytest.mark.parametrize("por", DPOR_FLAVORS)
     @pytest.mark.parametrize("symmetry", [None, False],
                              ids=["sym-default", "sym-off"])
-    def test_steal_pool_matches_serial_sleep(self, oracle, symmetry, por):
+    def test_steal_pool_matches_serial_sleep(self, oracle, symmetry):
         scopes = standard_scopes(max_gossips=MAX_GOSSIPS)
         merged = verify_scopes_steal(
             scopes, jobs=2, symmetry=symmetry, oversubscribe=True,
-            por=por,
+            por="source",
         )
         for entry, _, _ in scopes:
             expected = (
                 oracle[entry.name] if symmetry is None
                 else _serial(entry, "sleep", symmetry)
             )
-            _assert_equal(merged[entry.name], expected,
-                          f"{entry.name}/{por}")
+            _assert_equal(merged[entry.name], expected, entry.name)
 
-    @pytest.mark.parametrize("por", DPOR_FLAVORS)
-    def test_static_pool_matches_serial_sleep(self, oracle, por):
+    def test_static_pool_matches_serial_sleep(self, oracle):
         scopes = standard_scopes(max_gossips=MAX_GOSSIPS)
         merged = verify_scopes_parallel(
-            scopes, jobs=2, steal=False, oversubscribe=True, por=por
+            scopes, jobs=2, steal=False, oversubscribe=True, por="source"
         )
         for entry, _, _ in scopes:
             _assert_equal(merged[entry.name], oracle[entry.name],
-                          f"{entry.name}/{por}")
+                          entry.name)
 
 
 class _MutableCounter(OpBasedCRDT):
@@ -191,7 +217,7 @@ class _MutableCounter(OpBasedCRDT):
 class TestDeepcopyFallbackRegistry:
     """Registry-level pin of the ``snapshot_safe=False`` escape hatch."""
 
-    @pytest.mark.parametrize("por", ["sleep", "source", "optimal"])
+    @pytest.mark.parametrize("por", ["sleep", "source"])
     def test_mutable_state_counts_match_snapshot_path(self, por):
         base = next(e for e in ALL_ENTRIES if e.name == "Counter")
         mutable = dataclasses.replace(base, make_crdt=_MutableCounter)

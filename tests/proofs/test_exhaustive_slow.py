@@ -25,7 +25,8 @@ def test_orset_three_replicas_conflict_heavy():
         "r2": [("add", ("a",)), ("read", ())],
         "r3": [("add", ("a",))],
     }
-    result = exhaustive_verify(entry, programs)
+    # Sleep sets: the last assertion is about their pruning.
+    result = exhaustive_verify(entry, programs, por="sleep")
     assert result.ok, result.failures
     assert result.configurations > 1000
     # Completed exhaustively: the cap never fired.

@@ -89,7 +89,7 @@ def test_pool_worker_labels_match_serial():
     pool = Instrumentation.on()
     result = exhaustive_verify_steal(
         entry, programs, jobs=1, force_pool=True, split_interval=1,
-        pending_target=1, por="optimal", instrumentation=pool,
+        pending_target=1, instrumentation=pool,
     )
     assert result.configurations == expected.configurations
 

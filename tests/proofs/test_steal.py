@@ -10,6 +10,7 @@ machines, so these tests force real worker processes with
 """
 
 import os
+import random
 from collections import deque
 
 import pytest
@@ -149,21 +150,26 @@ class TestStealMatchesSerial:
 class _FifoScheduler:
     """A split schedule with no pool and no timing: one FIFO task queue,
     seeded with the root branches, and a split at every eligible node
-    (``always``) or whenever the queue is empty."""
+    (``"always"``), whenever the queue is empty (``"when-empty"``), or
+    with probability 1/2 drawn from ``random.Random(mode)`` (an int
+    ``mode`` is a seed)."""
 
-    def __init__(self, seeds, always):
+    def __init__(self, seeds, mode):
         self.queue = deque({"root_branch": branch} for branch in seeds)
-        self.always = always
+        self.mode = mode
+        self.rng = random.Random(mode) if isinstance(mode, int) else None
 
     def should_split(self, depth):
-        return self.always or not self.queue
+        if self.rng is not None:
+            return self.rng.random() < 0.5
+        return self.mode == "always" or not self.queue
 
     def offload(self, path, sleep, frames=None, guide=None):
         self.queue.append({"path": tuple(path), "sleep": frozenset(sleep),
                            "frames": frames, "guide": guide})
 
 
-def _split_schedule_run(entry, por, always):
+def _split_schedule_run(entry, por, mode):
     """Run every seed and every offloaded task on one engine session:
     ``(ok, configurations, subtrees offloaded)``."""
     programs = standard_programs(entry)
@@ -173,7 +179,7 @@ def _split_schedule_run(entry, por, always):
     system = OpBasedSystem if entry.kind == "OB" else StateBasedSystem
     _, seeds = _seed_tasks([(entry, programs, MAX_GOSSIPS)], None, None,
                            True, por)
-    scheduler = _FifoScheduler((seed[3] for seed in seeds), always)
+    scheduler = _FifoScheduler((seed[3] for seed in seeds), mode)
     fingerprints = set()
     engine = build_engine(
         "op" if entry.kind == "OB" else "state",
@@ -193,18 +199,21 @@ class TestSplitSchedule:
 
     The victim never executes the last transition of a path it offloads
     or defers, so the engine that runs the task must still reverse that
-    transition's races with the replayed prefix.
+    transition's races with the replayed prefix.  Which nodes split is a
+    test input here: two fixed schedules plus three seeded coin-flip
+    ones.
     """
 
-    @pytest.mark.parametrize("always", [False, True],
-                             ids=["when-empty", "always"])
-    @pytest.mark.parametrize("por", ["sleep", "source", "optimal"])
+    @pytest.mark.parametrize("mode", ["when-empty", "always", 0, 1, 2],
+                             ids=["when-empty", "always", "seed0", "seed1",
+                                  "seed2"])
+    @pytest.mark.parametrize("por", ["sleep", "source"])
     @pytest.mark.parametrize("entry", ALL_ENTRIES, ids=lambda e: e.name)
-    def test_matches_serial(self, entry, por, always):
+    def test_matches_serial(self, entry, por, mode):
         serial = _serial(entry, standard_programs(entry), MAX_GOSSIPS)
-        ok, configurations, spawned = _split_schedule_run(entry, por, always)
+        ok, configurations, spawned = _split_schedule_run(entry, por, mode)
         assert (ok, configurations) == (serial.ok, serial.configurations)
-        if always:
+        if mode != "when-empty":
             assert spawned > 0  # the schedule really split
 
 
