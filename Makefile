@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-explore bench-dpor bench-steal bench-compose bench-verify bench-diff figures table mutants exhaustive chaos examples all
+.PHONY: install test bench bench-explore bench-dpor bench-fp-store bench-compose bench-verify bench-diff figures table mutants exhaustive chaos examples all
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -24,11 +24,11 @@ bench-explore:
 bench-dpor:
 	$(PYTHON) -m pytest benchmarks/test_bench_dpor.py --benchmark-only -s
 
-# Work-stealing scheduler vs. static fan-out + fingerprint-store
-# memory tiers; merges steal_3r / fp_store sections into
-# BENCH_explore.json.  Add -m slow for the 4-replica spill scope.
-bench-steal:
-	$(PYTHON) -m pytest benchmarks/test_bench_steal.py --benchmark-only -s
+# Fingerprint-store memory tiers; merges the fp_store section into
+# BENCH_explore.json.  Add -m slow for the 4-replica spill scope
+# (steal_3r.four_replica_spill).
+bench-fp-store:
+	$(PYTHON) -m pytest benchmarks/test_bench_fp_store.py --benchmark-only -s
 
 # Compositional per-object proof rule vs whole-store product exploration
 # on a 3-object ⊗ts store; merges the compose_3r section into

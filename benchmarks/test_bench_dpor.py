@@ -8,8 +8,8 @@ and the structural-sharing ratio in the ``dpor_3r`` section of
 ``BENCH_explore.json``.  Wall clocks are the min over interleaved runs
 so a noisy neighbour does not sink either side, and every cell asserts
 the two flavors agree bit-for-bit on verdicts and
-distinct-configuration counts — including through the work-stealing
-scheduler.
+distinct-configuration counts — including through the frontier-split
+pool.
 """
 
 import json
@@ -95,7 +95,7 @@ def test_source_dpor_speedup(benchmark, name):
 
 
 def test_steal_parity(benchmark):
-    """Both flavors agree through the work-stealing scheduler too."""
+    """Both flavors agree through the frontier-split pool too."""
     entry, program, symmetry = SCOPES["Counter (3r)"]
     programs = _programs(program)
 

@@ -448,7 +448,7 @@ def _add_observatory_flags(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--journal", metavar="PATH", default=None,
         help="dump the structured lifecycle-event journal (scope "
-             "start/end, steal split/claim, spill promotion, DPOR "
+             "start/end, pool task claims, spill promotion, DPOR "
              "reversals, budget exhaustion, chaos crash/replay) as JSONL",
     )
 
@@ -505,9 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exhaustive.add_argument(
         "--no-steal", action="store_false", dest="steal",
-        help="with --jobs N, use the static root-branch frontier split "
-             "instead of the work-stealing scheduler (see "
-             "docs/performance.md)",
+        help="with --jobs N, split at the root branches only instead "
+             "of at a sleep-set frontier deep enough for every worker "
+             "(see docs/performance.md)",
     )
     exhaustive.add_argument(
         "--por", choices=("source", "sleep"), default="source",

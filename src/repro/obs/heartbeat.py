@@ -14,7 +14,7 @@ still cheap — it counts nodes and only probes the clock every
 elapsed.
 
 Records travel through any ``sink(record)`` callable: a bound
-``multiprocessing.Queue.put`` from a stealing worker, or
+``multiprocessing.Queue.put`` from a pool worker, or
 ``ProgressMonitor.ingest`` directly in a serial run.  They are **work
 artifacts** — rates and wall times vary run to run — and never touch
 the deterministic metric totals.

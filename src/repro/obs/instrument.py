@@ -196,23 +196,11 @@ class Instrumentation:
         )
         if stats.capped:
             m.counter("explore.capped", **labels).inc()
-        if stats.steal_splits:
-            m.counter("explore.steal.splits", **labels).inc(
-                stats.steal_splits
-            )
-        if stats.steal_spawned:
-            m.counter("explore.steal.spawned", **labels).inc(
-                stats.steal_spawned
-            )
         if stats.dpor_races:
             m.counter("explore.dpor.races", **labels).inc(stats.dpor_races)
         if stats.dpor_redundant_avoided:
             m.counter("explore.dpor.redundant_avoided", **labels).inc(
                 stats.dpor_redundant_avoided
-            )
-        if stats.dpor_deferred:
-            m.counter("explore.dpor.deferred", **labels).inc(
-                stats.dpor_deferred
             )
         if stats.dpor_full_expansions:
             m.counter("explore.dpor.full_expansions", **labels).inc(
@@ -226,12 +214,6 @@ class Instrumentation:
             m.counter("explore.dpor.patch_cuts", **labels).inc(
                 stats.dpor_patch_cuts
             )
-        if stats.dpor_deferred_seen:
-            # Peak LRU occupancy, not an event count: take the max across
-            # workers rather than summing.
-            m.gauge(
-                "explore.dpor.deferred_seen", policy="max", **labels
-            ).set(stats.dpor_deferred_seen)
         if stats.pstate_copied:
             m.counter("explore.pstate.nodes_copied", **labels).inc(
                 stats.pstate_copied
@@ -242,20 +224,21 @@ class Instrumentation:
             )
 
     def record_steal(self, stats: Any) -> None:
-        """Record one work-stealing pool run's scheduler counters.
+        """Record one frontier-split pool run's scheduler counters.
 
-        All ``explore.steal.*`` instruments are *work* metrics: how the
-        dynamic scheduler carved the search into tasks is load- and
-        timing-dependent, so totals vary run-to-run even though the
-        merged verification result does not.
+        All ``explore.steal.*`` instruments are *work* metrics: the
+        frontier depth follows the worker count, and which worker ran
+        which task follows timing, so totals differ between pool sizes
+        and runs even though the merged verification result does not.
         """
         if self.metrics is None:
             return
         m = self.metrics
         m.gauge("explore.steal.workers", policy="max").set(stats.workers)
         m.counter("explore.steal.tasks").inc(stats.tasks)
-        m.counter("explore.steal.seed_tasks").inc(stats.seed_tasks)
-        m.counter("explore.steal.stolen_tasks").inc(stats.stolen_tasks)
+        m.gauge("explore.steal.frontier_depth", policy="max").set(
+            stats.frontier_depth
+        )
         m.counter("explore.steal.idle_seconds").inc(stats.idle_seconds)
         m.counter("explore.steal.wall_seconds").inc(stats.wall_time)
 

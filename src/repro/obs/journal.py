@@ -2,7 +2,7 @@
 
 Metrics (:mod:`repro.obs.metrics`) answer "how much happened"; the
 journal answers "what happened, and when".  It records discrete
-lifecycle events — scope start/end, work-stealing splits and claims,
+lifecycle events — scope start/end, pool task claims,
 spill-tier promotions, DPOR race reversals, budget exhaustion, chaos
 crashes and replays — as plain dicts with a **deterministic field
 order**: every event starts ``wall, worker, seq, kind`` and then its
@@ -37,7 +37,6 @@ DEFAULT_LIMIT = 4096
 EVENT_KINDS = (
     "scope.start",
     "scope.end",
-    "steal.split",
     "steal.claim",
     "spill.promote",
     "dpor.reversal",

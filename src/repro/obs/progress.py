@@ -2,7 +2,7 @@
 
 The :class:`ProgressMonitor` is the consumer half of
 :mod:`repro.obs.heartbeat`: workers emit records into a channel (a
-``multiprocessing.Queue`` for the stealing pool, a direct call for
+``multiprocessing.Queue`` for the parallel pool, a direct call for
 serial runs), the coordinator feeds them here, and the monitor
 
 * keeps the latest record per worker and renders a one-line fleet

@@ -208,10 +208,10 @@ def exhaustive_verify(
 
     ``cache=False`` disables the shared verification caches (see
     :func:`_make_visit`).  ``jobs > 1`` fans the exploration out over
-    worker processes — by default the work-stealing scheduler
+    worker processes — by default the frontier-split pool
     (:mod:`repro.proofs.steal`), or the static root-branch fan-out with
-    ``steal=False`` (see :mod:`repro.proofs.parallel`).  The stealing
-    path shares ``max_configurations`` as a cross-worker budget so the
+    ``steal=False`` (see :mod:`repro.proofs.parallel`).  The pool
+    shares ``max_configurations`` as a cross-worker budget so the
     parallel cutoff lands on exactly the serial count; the static path
     remains incompatible with it.  Neither supports the naive engine.
     ``root_branch``/``fingerprints`` are the worker-side hooks of the
@@ -239,7 +239,7 @@ def exhaustive_verify(
 
     ``heartbeat`` threads a
     :class:`~repro.obs.heartbeat.HeartbeatEmitter` into the engine for
-    serial ``--progress`` runs (the stealing pool attaches per-worker
+    serial ``--progress`` runs (the parallel pool attaches per-worker
     emitters itself); None keeps the hot loop at one attribute check.
     """
     if entry.kind != "OB":

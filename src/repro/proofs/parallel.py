@@ -1,8 +1,8 @@
 """Process-parallel verification fan-out.
 
-By default the within-scope paths here delegate to the work-stealing
-scheduler (:mod:`repro.proofs.steal`); ``steal=False`` selects the
-static strategies below.  Two static sharding axes, both
+By default the within-scope paths here delegate to the frontier-split
+pool (:mod:`repro.proofs.steal`); ``steal=False`` selects the static
+strategies below.  Two static sharding axes, both
 built on :class:`concurrent.futures.ProcessPoolExecutor`:
 
 * **Across registry entries** — :func:`verify_entries_parallel` runs the
@@ -248,19 +248,13 @@ def _merge_branches(
             merged.stats.state_fp_cache_peak = max(
                 merged.stats.state_fp_cache_peak, stats.state_fp_cache_peak
             )
-            merged.stats.steal_splits += stats.steal_splits
-            merged.stats.steal_spawned += stats.steal_spawned
             merged.stats.dpor_races += stats.dpor_races
             merged.stats.dpor_redundant_avoided += (
                 stats.dpor_redundant_avoided
             )
-            merged.stats.dpor_deferred += stats.dpor_deferred
             merged.stats.dpor_full_expansions += stats.dpor_full_expansions
             merged.stats.dpor_wakeup_branches += stats.dpor_wakeup_branches
             merged.stats.dpor_patch_cuts += stats.dpor_patch_cuts
-            merged.stats.dpor_deferred_seen = max(
-                merged.stats.dpor_deferred_seen, stats.dpor_deferred_seen
-            )
             merged.stats.pstate_copied += stats.pstate_copied
             merged.stats.pstate_shared += stats.pstate_shared
         if result.fp_store is not None:
@@ -370,16 +364,17 @@ def exhaustive_verify_parallel(
     Semantically identical to :func:`exhaustive_verify` /
     :func:`exhaustive_verify_state` with the fast engine — same verdict,
     same distinct-configuration count — but explored by ``jobs`` worker
-    processes.  ``steal`` picks the scheduler: the work-stealing pool
-    (default, :mod:`repro.proofs.steal`) re-balances skewed subtrees at
-    runtime, ``steal=False`` is the static root-branch frontier split.
+    processes.  ``steal`` picks the scheduler: the pool (default,
+    :mod:`repro.proofs.steal`) splits at a sleep-set frontier deep
+    enough to keep every worker busy, ``steal=False`` is the static
+    root-branch split.
     ``max_gossips`` only applies to state-based entries.  With orbit
     dedup active (``symmetry``), root branches that are replica-renamings
     of an earlier branch are not fanned out at all
     (:func:`_symmetric_root_reps`).
 
-    ``max_configurations`` and ``spill`` require the stealing scheduler
-    (the shared budget and the fingerprint store are its machinery); the
+    ``max_configurations`` and ``spill`` require the pool (the shared
+    budget and the fingerprint store are its machinery); the
     static path rejects them.  An effective pool of one worker runs the
     serial algorithm inline — no processes are spawned.
 
@@ -403,12 +398,12 @@ def exhaustive_verify_parallel(
     if max_configurations is not None:
         raise ValueError(
             "max_configurations under parallel exploration requires the "
-            "work-stealing scheduler (steal=True)"
+            "frontier-split pool (steal=True)"
         )
     if spill is not None:
         raise ValueError(
-            "spill under parallel exploration requires the work-stealing "
-            "scheduler (steal=True)"
+            "spill under parallel exploration requires the frontier-split "
+            "pool (steal=True)"
         )
     jobs = jobs or default_jobs()
     tasks = _branch_tasks(entry, programs, max_gossips, reduction, symmetry,
@@ -448,12 +443,12 @@ def verify_scopes_parallel(
     ``{entry.name: merged result}`` preserving the input order.
 
     ``steal`` (default on) routes the whole batch through the
-    work-stealing pool (:func:`repro.proofs.steal.verify_scopes_steal`),
+    frontier-split pool (:func:`repro.proofs.steal.verify_scopes_steal`),
     which also carries ``max_configurations`` (shared budget) and
     ``spill`` (disk-backed fingerprint store); with ``steal=False`` the
     static strategy below applies and rejects both.  ``progress`` /
     ``progress_stream`` / ``heartbeat_log`` are the live-heartbeat knobs
-    of the stealing pool (and its serial fallback); the static strategy
+    of the pool (and its serial fallback); the static strategy
     ignores them.
 
     Task granularity adapts to the pool: with at least ``jobs`` scopes,
@@ -482,12 +477,12 @@ def verify_scopes_parallel(
     if max_configurations is not None:
         raise ValueError(
             "max_configurations under parallel exploration requires the "
-            "work-stealing scheduler (steal=True)"
+            "frontier-split pool (steal=True)"
         )
     if spill is not None:
         raise ValueError(
-            "spill under parallel exploration requires the work-stealing "
-            "scheduler (steal=True)"
+            "spill under parallel exploration requires the frontier-split "
+            "pool (steal=True)"
         )
     jobs = jobs or default_jobs()
     obs = _obs_envelope(ins)

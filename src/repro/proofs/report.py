@@ -406,10 +406,11 @@ def format_metrics(artifact: Mapping[str, Any]) -> str:
         for key, dumped in deterministic:
             lines.append(f"  {key:<52} {fmt_value(dumped.get('value')):>12}")
 
-    # Scheduler digest: the work-stealing and fingerprint-store counters
+    # Scheduler digest: the parallel-pool and fingerprint-store counters
     # summed across their per-entry label variants, with the derived
-    # ratios an operator actually reads (how much was stolen, how long
-    # workers waited, how well digest interning deduplicated).
+    # ratios an operator actually reads (how deep the frontier split
+    # went, how long workers waited, how well digest interning
+    # deduplicated).
     totals: Dict[str, float] = {}
     for key in instruments:
         name = key.split("{", 1)[0]
@@ -421,17 +422,15 @@ def format_metrics(artifact: Mapping[str, Any]) -> str:
     has_explore = any(key.startswith("explore.") for key in instruments)
     if totals or has_explore:
         lines.append("")
-        lines.append("scheduler (work stealing / fingerprint store):")
+        lines.append("scheduler (parallel pool / fingerprint store):")
 
         def total(name: str) -> float:
             return totals.get(name, 0.0)
 
         rows = [
             ("workers", total("explore.steal.workers")),
-            ("tasks (seed + stolen)", total("explore.steal.tasks")),
-            ("tasks stolen", total("explore.steal.stolen_tasks")),
-            ("splits", total("explore.steal.splits")),
-            ("subtrees spawned", total("explore.steal.spawned")),
+            ("frontier depth", total("explore.steal.frontier_depth")),
+            ("frontier tasks", total("explore.steal.tasks")),
             ("idle-wait seconds", total("explore.steal.idle_seconds")),
             ("pool wall seconds", total("explore.steal.wall_seconds")),
             ("fp-store lookups", total("explore.fp_store.lookups")),
@@ -440,12 +439,9 @@ def format_metrics(artifact: Mapping[str, Any]) -> str:
             ("dpor races analyzed", total("explore.dpor.races")),
             ("dpor redundant avoided",
              total("explore.dpor.redundant_avoided")),
-            ("dpor reversals deferred", total("explore.dpor.deferred")),
             ("dpor full expansions", total("explore.dpor.full_expansions")),
             ("dpor wakeup branches", total("explore.dpor.wakeup_branches")),
             ("dpor patch cuts", total("explore.dpor.patch_cuts")),
-            ("dpor deferred-seen LRU peak",
-             total("explore.dpor.deferred_seen")),
             ("pstate nodes copied", total("explore.pstate.nodes_copied")),
             ("pstate nodes shared", total("explore.pstate.nodes_shared")),
         ]
@@ -467,7 +463,7 @@ def format_metrics(artifact: Mapping[str, Any]) -> str:
         # off) are named explicitly — "(absent)" distinguishes "not
         # recorded" from "recorded zero" when reading old snapshots.
         families = [
-            ("work stealing", "explore.steal."),
+            ("parallel pool", "explore.steal."),
             ("fingerprint store", "explore.fp_store."),
             ("source-DPOR", "explore.dpor."),
             ("persistent state", "explore.pstate."),

@@ -1,48 +1,48 @@
-"""Work-stealing parallel exhaustive verification.
+"""Frontier-split parallel exhaustive verification (the ``--jobs N`` pool).
 
-The static frontier split (:mod:`repro.proofs.parallel`) carves the
+The static root-branch split (:mod:`repro.proofs.parallel`) carves the
 search at the DFS *root*: one task per root branch, fixed up front.  On
-skewed scopes — symmetric programs where orbit filtering leaves one huge
-representative branch, or asymmetric programs where one replica's
-subtree dwarfs the rest — most workers finish early and idle while a
-single straggler explores the bulk of the tree.
+symmetric scopes orbit filtering leaves a single root branch, so the
+run is serial; on skewed scopes one replica's subtree dwarfs the rest.
 
-This module replaces the static carve with a **work-stealing pool**:
+This module carves deeper, at a **sleep-set frontier**:
 
-* Workers pull ``(root-branch | replayed-path, sleep-set)`` tasks from a
-  shared :class:`multiprocessing.Queue`.  The initial tasks are exactly
-  the static root branches (orbit-filtered under symmetry, seeds
-  preserved), so a run that never splits degenerates to the static
-  fan-out.
-* A worker whose DFS notices the pool is hungry — idle workers, or a
-  task queue below its pending target — *splits*: an unexplored sibling
-  subtree is handed back to the queue as a ``(path from root, inherited
-  sleep set)`` task instead of being explored locally (see
-  ``_Engine._dfs`` and ``_Engine._run_path`` in
-  :mod:`repro.runtime.explore_engine`).  Test-apply keeps serial
-  semantics: the spawned task carries exactly the sleep seeds the serial
-  DFS would have descended with.
+* Per scope, the coordinator runs the sleep-set DFS over the top ``d``
+  levels only (``_Engine.run(cap=d)``).  Every node above the cap is
+  expanded in full, and its configuration is reported, checked and
+  budget-claimed here.  A node at depth ``d`` passes the usual
+  canonical-fingerprint / sleep-subsumption check and becomes a
+  ``(path, sleep)`` task instead of being expanded.  ``d`` deepens from
+  1 until the frontier holds :data:`TASKS_PER_WORKER` tasks per worker,
+  or until no node reaches the cap (the coordinator then walked the
+  whole tree).
+* Workers pull tasks from a shared :class:`multiprocessing.Queue`,
+  replay each prefix and run the scope's DFS below it — source-DPOR by
+  default.  The prefix runs under ignore frames: the coordinator fully
+  expanded every prefix node, so a race reversal landing there is
+  already explored or slept.  The root-branch split's ignore root
+  frame rests on the same argument.
 * Each worker keeps one engine *session* per scope (domain, visited and
   expanded records, verdict caches) across all its tasks, so dedup warms
   up like a serial run's.  Sessions keep raw canonical fingerprints, as
   serial runs do; with ``spill`` they intern them as collision-checked
   digests through a disk-spilling
   :class:`~repro.runtime.fp_store.FingerprintStore`.  Either way the
-  deterministic merge unions the per-worker fingerprint sets.
+  deterministic merge unions the coordinator's and the workers'
+  fingerprint sets.
 
 Determinism: the merged verdicts, distinct-configuration counts, and
-additive metrics are identical to the serial engine's — stealing only
-re-partitions *which worker* explores a subtree, never *whether* it is
-explored (workers' visited records are local, so a subtree is at worst
+deterministic metrics are identical to the serial engine's — the split
+only decides *which process* explores a subtree, never *whether* it is
+explored (visited records are per process, so a subtree is at worst
 re-explored, never skipped).  ``max_configurations`` becomes a shared
-cross-worker budget (:class:`_SharedBudget`) whose three-valued claim
+cross-process budget (:class:`_SharedBudget`) whose three-valued claim
 protocol guarantees the merged count stops at exactly the serial cap.
 
-Termination uses an id-accounting protocol rather than queue draining:
-every task has an id, every ack names the ids it spawned, and the
-coordinator is done when the acked set equals the expected set (seeds
-plus all spawned ids) — robust to acks arriving before their parent's
-ack registers them.
+Termination uses id accounting rather than queue draining: every task
+has an id, every ack names one, and the coordinator sends the stop
+sentinels once the acked set equals the set of queued ids.  A worker
+that dies aborts the run loudly.
 """
 
 import io
@@ -71,39 +71,39 @@ from .exhaustive import (
 )
 from .registry import CRDTEntry, entry_by_name
 
-#: A worker considers splitting on every Nth eligible DFS node — the
-#: tick gate keeps the qsize/idle probes off the per-node hot path.
-SPLIT_INTERVAL = 4
+#: The coordinator deepens a scope's frontier until it holds this many
+#: tasks per worker, so the pool still balances when a few tasks turn
+#: out much larger than the rest.
+TASKS_PER_WORKER = 4
 
 
 @dataclass
 class StealStats:
-    """Scheduler counters for one work-stealing pool run.
+    """Scheduler counters for one pool run.
 
-    ``timeline`` holds one ``(task_id, parent_id, scope_index, start,
-    end)`` record per executed task and ``spawn_times`` maps a stolen
-    task's id to the moment it was offloaded, both on
-    ``time.perf_counter`` clocks; with one worker the timeline is a
-    faithful serialization of the task DAG, which the bench suite
-    replays through a list-scheduling simulator to model multi-worker
-    makespan on machines without enough cores to measure it directly.
+    ``timeline`` holds one ``(task_id, worker_id, scope_index, start,
+    end)`` record per executed task, on ``time.perf_counter`` clocks.
+    ``tasks`` counts the frontier tasks the coordinator queued (a run
+    that ends normally executes every one) and ``frontier_depth`` is the
+    deepest cap it chose over the run's scopes.  ``stolen_tasks`` is
+    always 0: tasks come only from the coordinator's frontier, never
+    from splitting a running task.
     """
 
     workers: int = 0
-    seed_tasks: int = 0
     tasks: int = 0
     stolen_tasks: int = 0
+    frontier_depth: int = 0
     idle_seconds: float = 0.0
     wall_time: float = 0.0
     timeline: List[Tuple] = field(default_factory=list)
-    spawn_times: Dict[Tuple, float] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
             "workers": self.workers,
-            "seed_tasks": self.seed_tasks,
             "tasks": self.tasks,
             "stolen_tasks": self.stolen_tasks,
+            "frontier_depth": self.frontier_depth,
             "idle_seconds": self.idle_seconds,
             "wall_time": self.wall_time,
         }
@@ -156,85 +156,17 @@ class _SharedBudget:
         return bool(self._flag.value)
 
 
-class _WorkerScheduler:
-    """The engine-facing split hook of one worker.
-
-    ``should_split`` fires when the pool looks hungry: an idle worker
-    (the shared ``idle`` counter) or a task queue below
-    ``pending_target``.  ``offload`` assigns the spawned task an id
-    namespaced by this worker (``("w", worker_id, seq)``) so ids are
-    unique without coordination, and records it for the parent task's
-    ack.
-    """
-
-    def __init__(self, worker_id: int, task_q, idle,
-                 pending_target: int, split_interval: int) -> None:
-        self.worker_id = worker_id
-        self.task_q = task_q
-        self.idle = idle
-        self.pending_target = pending_target
-        self.split_interval = max(1, split_interval)
-        self.spawn_times: Dict[Tuple, float] = {}
-        self.spawned: List[Tuple] = []
-        self.current_task: Optional[Tuple] = None
-        self.scope_index: Optional[int] = None
-        self._seq = 0
-        self._tick = 0
-        self._qsize_ok = True
-
-    def begin_task(self, task_id: Tuple, scope_index: int) -> None:
-        self.current_task = task_id
-        self.scope_index = scope_index
-        self.spawned = []
-
-    def should_split(self, depth: int) -> bool:
-        self._tick += 1
-        if self._tick % self.split_interval:
-            return False
-        if self.idle.value > 0:
-            return True
-        if self._qsize_ok:
-            try:
-                return self.task_q.qsize() < self.pending_target
-            except NotImplementedError:  # macOS has no sem_getvalue
-                self._qsize_ok = False
-        return False
-
-    def offload(self, path: Sequence[Tuple], sleep: Any,
-                frames: Optional[Tuple] = None,
-                guide: Optional[Dict] = None) -> None:
-        # ``frames`` (source-DPOR only) carries the victim's
-        # per-prefix-node sleep sets so the thief can process race
-        # reversals that land on the replayed prefix; sleep-mode offloads
-        # stay 2-argument.  ``guide`` (source-DPOR only) is the stolen
-        # candidate's pending wakeup subtree — nested transition dicts,
-        # plain picklable data — so the thief replays the identical
-        # demanded schedule below the replayed prefix.
-        self._seq += 1
-        task_id = ("w", self.worker_id, self._seq)
-        self.spawn_times[task_id] = time.perf_counter()
-        self.spawned.append(task_id)
-        self.task_q.put(
-            (task_id, self.current_task, self.scope_index, None,
-             tuple(path), frozenset(sleep),
-             tuple(frames) if frames is not None else None, guide)
-        )
-
-
-def _take(task_q, idle, stop, idle_box: List[float]):
+def _take(task_q, stop, idle_box: List[float]):
     """Pull the next task; count the blocking wait as idle time.
 
     Returns ``None`` on the coordinator's sentinel or when ``stop`` is
-    set (error abort).  The shared ``idle`` counter is raised only while
-    actually blocked, so busy workers see an accurate hunger signal.
+    set (error abort).
     """
     try:
         return task_q.get_nowait()
     except queue.Empty:
         pass
     started = time.perf_counter()
-    with idle.get_lock():
-        idle.value += 1
     try:
         while not stop.is_set():
             try:
@@ -243,8 +175,6 @@ def _take(task_q, idle, stop, idle_box: List[float]):
                 continue
         return None
     finally:
-        with idle.get_lock():
-            idle.value -= 1
         idle_box[0] += time.perf_counter() - started
 
 
@@ -255,19 +185,20 @@ _ScopeSpec = Tuple[str, Dict[str, Program], Optional[int], Optional[bool],
 
 
 class _Session:
-    """One worker's persistent engine session for one scope.
+    """One process's persistent engine session for one scope.
 
-    Created lazily on the first task of the scope and reused for every
-    later one: the domain, visited/expanded records, the ``spill``
-    fingerprint store and verdict caches all persist, so a worker that
-    ends up with many tasks of one scope pays the serial run's cache
-    economics.  Local visited records mean a subtree already explored by
-    *another* worker may be re-explored here — wasted work, never missed
-    work — which is why the merge unions fingerprint sets instead of
-    summing counts.
+    A worker creates it lazily on the first task of the scope and reuses
+    it for every later one: the domain, visited/expanded records, the
+    ``spill`` fingerprint store and verdict caches all persist, so a
+    worker that ends up with many tasks of one scope pays the serial
+    run's cache economics.  Local visited records mean a subtree already
+    explored by *another* process may be re-explored here — wasted work,
+    never missed work — which is why the merge unions fingerprint sets
+    instead of summing counts.  The coordinator walks each scope's
+    frontier through a session of its own.
     """
 
-    def __init__(self, spec: _ScopeSpec, budget, scheduler,
+    def __init__(self, spec: _ScopeSpec, budget,
                  spill_dir: Optional[str], ins: Instrumentation,
                  heartbeat: Optional[HeartbeatEmitter] = None) -> None:
         name, programs, max_gossips, reduction, symmetry, cache, por = spec
@@ -306,7 +237,6 @@ class _Session:
             stats=self.stats,
             fingerprints=self.fps,
             store=self.store,
-            scheduler=scheduler,
             budget=budget,
             por=por,
             profile=ins.profile,
@@ -314,12 +244,25 @@ class _Session:
             heartbeat=heartbeat,
         )
 
-    def run(self, branch: Optional[int], path: Optional[Tuple],
-            sleep: Any, frames: Optional[Tuple] = None,
-            guide: Optional[Dict] = None) -> None:
-        self.engine.run(root_branch=branch, path=path,
-                        sleep=frozenset(sleep) if sleep else frozenset(),
-                        frames=frames, guide=guide)
+    def run(self, path: Tuple, sleep: Any) -> None:
+        self.engine.run(path=path, sleep=frozenset(sleep))
+
+    def frontier(self, target: int) -> Tuple[int, List[Tuple]]:
+        """``(depth, tasks)``: the shallowest frontier with at least
+        ``target`` tasks, or the whole tree walked here (no tasks).
+
+        A capped walk (shared budget exhausted) yields no tasks: nothing
+        below it could be counted anyway.
+        """
+        depth = 0
+        while True:
+            depth += 1
+            self.engine.run(cap=depth)
+            tasks = self.engine.frontier
+            if self.stats.capped:
+                return depth, []
+            if len(tasks) >= target or not tasks:
+                return depth, tasks
 
     def harvest(self, scope_index: int, ins: Instrumentation):
         """Close out the session: ``(scope_index, result, fingerprints)``."""
@@ -335,12 +278,11 @@ class _Session:
 
 
 def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
-                       task_q, ack_q, idle, stop, budget,
+                       task_q, ack_q, stop, budget,
                        obs: Optional[Dict[str, Any]],
                        spill_dir: Optional[str],
-                       pending_target: int, split_interval: int,
                        hb_q=None, hb_interval: Optional[float] = None) -> None:
-    """One worker process: pull, explore (splitting when hungry), ack.
+    """One worker process: pull a frontier task, explore below it, ack.
 
     Exits on the coordinator's ``None`` sentinel (normal) or the
     ``stop`` event (abort); a crash ships an ``("err", ...)`` record so
@@ -351,8 +293,6 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
     from .parallel import _worker_instrumentation
 
     ins = _worker_instrumentation(obs)
-    scheduler = _WorkerScheduler(worker_id, task_q, idle,
-                                 pending_target, split_interval)
     emitter: Optional[HeartbeatEmitter] = None
     if hb_q is not None:
         emitter = HeartbeatEmitter(
@@ -364,39 +304,32 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
     timeline: List[Tuple] = []
     try:
         while True:
-            task = _take(task_q, idle, stop, idle_box)
+            task = _take(task_q, stop, idle_box)
             if task is None:
                 break
-            (task_id, parent_id, scope_index, branch, path, sleep, frames,
-             guide) = task
+            task_id, scope_index, path, sleep = task
             session = sessions.get(scope_index)
             if session is None:
                 session = _Session(scope_table[scope_index], budget,
-                                   scheduler, spill_dir, ins,
-                                   heartbeat=emitter)
+                                   spill_dir, ins, heartbeat=emitter)
                 sessions[scope_index] = session
-            scheduler.begin_task(task_id, scope_index)
             scope_name = scope_table[scope_index][0]
+            label = ":".join(map(str, task_id))
             if emitter is not None:
-                emitter.begin_task(
-                    f"{scope_name}:{':'.join(map(str, task_id))}",
-                    session.stats, session.store,
-                )
-            ins.journal_event(
-                "steal.claim", worker=worker_id, entry=scope_name,
-                task=":".join(map(str, task_id)),
-                stolen=task_id[0] == "w",
-            )
+                emitter.begin_task(f"{scope_name}:{label}",
+                                   session.stats, session.store)
+            ins.journal_event("steal.claim", worker=worker_id,
+                              entry=scope_name, task=label)
             started = time.perf_counter()
             if budget is None or not budget.exhausted():
                 with ins.span("steal.task", worker=worker_id,
                               scope=scope_index):
-                    session.run(branch, path, sleep, frames, guide)
+                    session.run(path, sleep)
             timeline.append(
-                (task_id, parent_id, scope_index, started,
+                (task_id, worker_id, scope_index, started,
                  time.perf_counter())
             )
-            ack_q.put(("ack", task_id, list(scheduler.spawned)))
+            ack_q.put(("ack", task_id))
         if emitter is not None:
             emitter.emit()  # final beat: every worker reports at least once
         results = [
@@ -405,7 +338,7 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
         ]
         payload = ins.worker_payload() if obs is not None else None
         ack_q.put(("done", worker_id, results, idle_box[0], timeline,
-                   dict(scheduler.spawn_times), payload))
+                   payload))
     except BaseException as exc:  # ship the failure; never hang the pool
         ack_q.put(("err", worker_id, f"{type(exc).__name__}: {exc}",
                    traceback.format_exc()))
@@ -414,8 +347,8 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
 def steal_workers(jobs: int, oversubscribe: bool = False) -> int:
     """Effective pool size: ``jobs`` capped by cores.
 
-    Unlike the static path, the task count does not cap the pool —
-    splitting manufactures tasks for otherwise-idle workers.
+    Unlike the static path, the root's out-degree does not cap the pool
+    — the frontier deepens until there are tasks for every worker.
     ``oversubscribe`` drops the core cap: exploration workers block on
     queue I/O often enough that tests (and the bench harness) can
     exercise real multi-process scheduling on machines with fewer cores
@@ -426,38 +359,24 @@ def steal_workers(jobs: int, oversubscribe: bool = False) -> int:
     return max(1, min(jobs, os.cpu_count() or 1))
 
 
-def _seed_tasks(
+def _scope_table(
     scopes: Sequence[Tuple[CRDTEntry, Dict[str, Program], Optional[int]]],
     reduction: Optional[bool],
     symmetry: Optional[bool],
     cache: bool,
     por: str = "source",
-) -> Tuple[List[_ScopeSpec], List[Tuple]]:
-    """Static root-branch seeds (orbit-filtered) plus the scope table."""
-    from .parallel import (
-        _require_registered,
-        _root_transitions,
-        _symmetric_root_reps,
-    )
+) -> List[_ScopeSpec]:
+    """The picklable build spec of every scope, in input order."""
+    from .parallel import _require_registered
 
-    scope_table: List[_ScopeSpec] = []
-    seeds: List[Tuple] = []
-    for scope_index, (entry, programs, max_gossips) in enumerate(scopes):
+    table: List[_ScopeSpec] = []
+    for entry, programs, max_gossips in scopes:
         _require_registered(entry)
         gossips = max_gossips if entry.kind == "SB" else None
-        scope_table.append(
+        table.append(
             (entry.name, programs, gossips, reduction, symmetry, cache, por)
         )
-        transitions = _root_transitions(entry.kind, programs, gossips)
-        branches = list(range(max(1, len(transitions))))
-        if (entry.symmetry if symmetry is None else symmetry) and transitions:
-            branches = _symmetric_root_reps(entry, transitions, programs)
-        for branch in branches:
-            seeds.append(
-                (("s", scope_index, branch), None, scope_index, branch,
-                 None, frozenset(), None, None)
-            )
-    return scope_table, seeds
+    return table
 
 
 def _verify_scopes_inline(
@@ -509,36 +428,25 @@ def verify_scopes_steal(
     spill: Optional[str] = None,
     instrumentation: Optional[Instrumentation] = None,
     oversubscribe: bool = False,
-    pending_target: Optional[int] = None,
-    split_interval: int = SPLIT_INTERVAL,
     stats_sink: Optional[Dict[str, Any]] = None,
-    force_pool: bool = False,
     por: str = "source",
     progress: Optional[float] = None,
     progress_stream: Optional[Any] = None,
     heartbeat_log: Optional[str] = None,
 ) -> Dict[str, ExhaustiveResult]:
-    """Run many exhaustive scopes through one work-stealing pool.
+    """Run many exhaustive scopes through one frontier-split pool.
 
     Same contract as :func:`repro.proofs.parallel.verify_scopes_parallel`
     — ``{entry.name: merged result}`` in input order, verdicts and
     distinct-configuration counts identical to serial — plus:
 
     * ``max_configurations`` is honored exactly via the shared budget.
-    * ``spill`` puts every worker's visited/expanded records behind a
+    * ``spill`` puts every session's visited/expanded records behind a
       disk-spilling fingerprint store; without it sessions keep raw
       fingerprints in memory, as serial runs do.
     * ``oversubscribe`` lifts the physical-core cap on the pool size.
     * ``stats_sink``, when a dict, receives the pool's
-      :class:`StealStats` under ``"steal"`` (the bench harness reads the
-      task timeline from it).
-    * ``force_pool`` runs the queue/worker machinery even when the
-      effective pool is one worker — the bench harness uses a
-      single-worker forced-split run as a contention-free serialization
-      of the task DAG (accurate per-task durations and spawn times),
-      which it replays through a list-scheduling simulator to model
-      multi-worker makespan on machines without enough cores to measure
-      it directly.
+      :class:`StealStats` under ``"steal"``.
     * ``progress`` (seconds) turns on live heartbeat rendering: workers
       emit :mod:`repro.obs.heartbeat` records through a side queue and
       the coordinator's :class:`ProgressMonitor` renders the fleet
@@ -547,19 +455,19 @@ def verify_scopes_steal(
       or without rendering.  Both are presentation only — no effect on
       results or deterministic metrics.
     """
-    from .parallel import _obs_envelope, default_jobs
+    from .parallel import _merge_branches, _obs_envelope, default_jobs
 
     ins = instrumentation if instrumentation is not None \
         else NULL_INSTRUMENTATION
     jobs = jobs or default_jobs()
     workers = steal_workers(jobs, oversubscribe)
-    scope_table, seeds = _seed_tasks(scopes, reduction, symmetry, cache, por)
+    scope_table = _scope_table(scopes, reduction, symmetry, cache, por)
     order: List[str] = []
     for entry, _, _ in scopes:
         if entry.name not in order:
             order.append(entry.name)
     observe = progress is not None or heartbeat_log is not None
-    if (workers <= 1 and not force_pool) or not seeds:
+    if workers <= 1 or not scope_table:
         monitor = emitter = None
         if observe:
             monitor = ProgressMonitor(
@@ -579,9 +487,7 @@ def verify_scopes_steal(
             if monitor is not None:
                 monitor.close()
         if stats_sink is not None:
-            stats_sink["steal"] = StealStats(
-                workers=1, seed_tasks=len(seeds), tasks=len(seeds),
-            )
+            stats_sink["steal"] = StealStats(workers=1)
         return merged
 
     manager = mp.Manager() if max_configurations is not None else None
@@ -591,10 +497,8 @@ def verify_scopes_steal(
     )
     task_q: Any = mp.Queue()
     ack_q: Any = mp.Queue()
-    idle = mp.Value("i", 0)
     stop = mp.Event()
     obs = _obs_envelope(ins)
-    target = pending_target if pending_target is not None else 2 * workers
     hb_q: Any = mp.Queue() if observe else None
     monitor = (
         ProgressMonitor(
@@ -608,14 +512,13 @@ def verify_scopes_steal(
     started = time.perf_counter()
     for name in order:
         ins.journal_event("scope.start", entry=name, workers=workers)
-    for seed in seeds:
-        task_q.put(seed)
+    # Workers start first, so their fork overlaps the frontier walks and
+    # the first scope's tasks run while later frontiers are computed.
     procs = [
         mp.Process(
             target=_steal_worker_main,
-            args=(worker_id, scope_table, task_q, ack_q, idle, stop,
-                  budget, obs, spill, target, split_interval,
-                  hb_q, progress),
+            args=(worker_id, scope_table, task_q, ack_q, stop, budget,
+                  obs, spill, hb_q, progress),
             daemon=True,
         )
         for worker_id in range(workers)
@@ -623,13 +526,25 @@ def verify_scopes_steal(
     for proc in procs:
         proc.start()
 
-    expected = {seed[0] for seed in seeds}
+    coordinator: Dict[int, _Session] = {}
+    frontier_depth = 0
+    expected: set = set()
     acked: set = set()
     errors: List[str] = []
     dones: List[Tuple] = []
     done_workers: set = set()
     sent_sentinels = False
     try:
+        for scope_index, spec in enumerate(scope_table):
+            session = _Session(spec, budget, spill, ins)
+            coordinator[scope_index] = session
+            with ins.span("steal.frontier", scope=scope_index):
+                depth, tasks = session.frontier(TASKS_PER_WORKER * workers)
+            frontier_depth = max(frontier_depth, depth)
+            for number, (path, sleep) in enumerate(tasks):
+                task_id = (scope_index, number)
+                expected.add(task_id)
+                task_q.put((task_id, scope_index, path, sleep))
         while len(dones) < len(procs) and not errors:
             if not sent_sentinels and expected == acked:
                 for _ in procs:
@@ -650,9 +565,7 @@ def verify_scopes_steal(
                 continue
             kind = message[0]
             if kind == "ack":
-                _, task_id, spawned = message
-                acked.add(task_id)
-                expected.update(spawned)
+                acked.add(message[1])
             elif kind == "done":
                 dones.append(message)
                 done_workers.add(message[1])
@@ -675,25 +588,25 @@ def verify_scopes_steal(
             manager.shutdown()
     if errors:
         raise RuntimeError(
-            "work-stealing exploration failed: " + "; ".join(errors)
+            "frontier-split exploration failed: " + "; ".join(errors)
         )
-
-    from .parallel import _merge_branches
 
     steal_stats = StealStats(
         workers=workers,
-        seed_tasks=len(seeds),
         tasks=len(acked),
-        stolen_tasks=sum(1 for task_id in acked if task_id[0] == "w"),
+        frontier_depth=frontier_depth,
         wall_time=time.perf_counter() - started,
     )
     outcomes: Dict[str, List[Tuple[int, ExhaustiveResult, set]]] = {}
-    for _, worker_id, results, idle_seconds, timeline, spawns, payload \
-            in dones:
+    for scope_index, session in coordinator.items():
+        _, result, fps = session.harvest(scope_index, ins)
+        outcomes.setdefault(scope_table[scope_index][0], []).append(
+            (-1, result, fps)
+        )
+    for _, worker_id, results, idle_seconds, timeline, payload in dones:
         ins.absorb_worker(payload)
         steal_stats.idle_seconds += idle_seconds
         steal_stats.timeline.extend(timeline)
-        steal_stats.spawn_times.update(spawns)
         for scope_index, result, fps in results:
             name = scope_table[scope_index][0]
             outcomes.setdefault(name, []).append((worker_id, result, fps))
@@ -726,25 +639,22 @@ def exhaustive_verify_steal(
     spill: Optional[str] = None,
     instrumentation: Optional[Instrumentation] = None,
     oversubscribe: bool = False,
-    pending_target: Optional[int] = None,
-    split_interval: int = SPLIT_INTERVAL,
     stats_sink: Optional[Dict[str, Any]] = None,
-    force_pool: bool = False,
     por: str = "source",
     progress: Optional[float] = None,
     progress_stream: Optional[Any] = None,
     heartbeat_log: Optional[str] = None,
 ) -> ExhaustiveResult:
-    """Work-stealing exhaustive verification of one registry entry."""
+    """Frontier-split parallel exhaustive verification of one registry
+    entry."""
     gossips = max_gossips if entry.kind == "SB" else None
     merged = verify_scopes_steal(
         [(entry, programs, gossips)], jobs=jobs, reduction=reduction,
         symmetry=symmetry, cache=cache,
         max_configurations=max_configurations, spill=spill,
-        instrumentation=instrumentation,
-        oversubscribe=oversubscribe, pending_target=pending_target,
-        split_interval=split_interval, stats_sink=stats_sink,
-        force_pool=force_pool, por=por, progress=progress,
-        progress_stream=progress_stream, heartbeat_log=heartbeat_log,
+        instrumentation=instrumentation, oversubscribe=oversubscribe,
+        stats_sink=stats_sink, por=por,
+        progress=progress, progress_stream=progress_stream,
+        heartbeat_log=heartbeat_log,
     )
     return merged[entry.name]

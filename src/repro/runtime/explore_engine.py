@@ -66,9 +66,7 @@ dedup hits, sleep-set prunes, peak DFS frontier, wall time) that
 
 import copy
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from hashlib import blake2b
 from typing import (
     Any,
     Callable,
@@ -83,7 +81,6 @@ from typing import (
 from ..core.errors import PreconditionViolation
 from ..obs.instrument import Instrumentation, NULL_INSTRUMENTATION
 from . import pstate
-from .fp_store import stable_encode
 from .state_system import StateBasedSystem
 from .symmetry import (
     SymmetryReducer,
@@ -113,11 +110,6 @@ Lid = Tuple[str, int]
 #: Shared empty sleep set — the overwhelmingly common child sleep in the
 #: source-DPOR loop, interned to skip per-step frozenset construction.
 _EMPTY_SLEEP: FrozenSet[Transition] = frozenset()
-
-#: Entry bound of the deferred-reversal dedup LRU (see
-#: :class:`_DigestLRU`): long steal sessions previously grew
-#: ``_deferred_seen`` without limit.
-_DEFERRED_SEEN_LIMIT = 1 << 14
 
 #: A wakeup (sub)tree: ordered transitions to child subtrees; ``None``
 #: is the empty tree.  A source-DPOR frame's backtrack dict maps each
@@ -165,20 +157,12 @@ class ExploreStats:
     pinned_replicas: int = 0
     #: Peak entry count of the per-state fingerprint cache.
     state_fp_cache_peak: int = 0
-    #: Work-stealing only: nodes whose unexplored siblings were offloaded
-    #: back onto the shared task queue.
-    steal_splits: int = 0
-    #: Work-stealing only: subtree tasks spawned by those splits.
-    steal_spawned: int = 0
     #: Source-DPOR only: reversible races detected along executions.
     dpor_races: int = 0
     #: Source-DPOR only: enabled transitions never scheduled because no
     #: race required them — the interleavings sleep sets alone would
     #: still have explored.
     dpor_redundant_avoided: int = 0
-    #: Source-DPOR only: race reversals at stolen-prefix nodes, re-run
-    #: locally as deferred subtree tasks.
-    dpor_deferred: int = 0
     #: Source-DPOR only: frames conservatively re-expanded to the full
     #: enabled set (a race candidate failing its precondition at apply
     #: time, or a disabled initial demanded by residual replay).
@@ -186,9 +170,6 @@ class ExploreStats:
     #: Source-DPOR only: race reversals grafted into a frame's wakeup
     #: tree with a non-empty pending continuation.
     dpor_wakeup_branches: int = 0
-    #: Source-DPOR only: peak entry count of the deferred-reversal dedup
-    #: LRU (bounded; evictions cost re-runs, never coverage).
-    dpor_deferred_seen: int = 0
     #: Source-DPOR only: re-converged states cut by exploring just the
     #: recorded-sleep difference instead of the whole subtree.
     dpor_patch_cuts: int = 0
@@ -220,14 +201,10 @@ class ExploreStats:
             "symmetry_group": self.symmetry_group,
             "pinned_replicas": self.pinned_replicas,
             "state_fp_cache_peak": self.state_fp_cache_peak,
-            "steal_splits": self.steal_splits,
-            "steal_spawned": self.steal_spawned,
             "dpor_races": self.dpor_races,
             "dpor_redundant_avoided": self.dpor_redundant_avoided,
-            "dpor_deferred": self.dpor_deferred,
             "dpor_full_expansions": self.dpor_full_expansions,
             "dpor_wakeup_branches": self.dpor_wakeup_branches,
-            "dpor_deferred_seen": self.dpor_deferred_seen,
             "dpor_patch_cuts": self.dpor_patch_cuts,
             "pstate_copied": self.pstate_copied,
             "pstate_shared": self.pstate_shared,
@@ -236,39 +213,6 @@ class ExploreStats:
 
 class _SearchCapped(Exception):
     """Raised internally to stop the whole search at the exact cap."""
-
-
-class _DigestLRU:
-    """Bounded dedup of deferred race-reversal tasks.
-
-    Keys — ``(prefix, transition)`` pairs — are collapsed to 16-byte
-    :func:`~repro.runtime.fp_store.stable_encode` digests so a long
-    steal session holds a fixed 16 bytes per remembered task instead of
-    an unbounded set of transition tuples.  Eviction at the LRU bound
-    only costs a duplicate subtree task (deferred tasks are idempotent
-    under the merged fingerprint union), never coverage.
-    """
-
-    __slots__ = ("_entries", "_limit", "peak")
-
-    def __init__(self, limit: int = _DEFERRED_SEEN_LIMIT) -> None:
-        self._entries: OrderedDict = OrderedDict()
-        self._limit = limit
-        self.peak = 0
-
-    def seen(self, key: Any) -> bool:
-        """Record ``key``; True when it was already present."""
-        digest = blake2b(stable_encode(key), digest_size=16).digest()
-        entries = self._entries
-        if digest in entries:
-            entries.move_to_end(digest)
-            return True
-        entries[digest] = None
-        if len(entries) > self._limit:
-            entries.popitem(last=False)
-        elif len(entries) > self.peak:
-            self.peak = len(entries)
-        return False
 
 
 def _logical_ids(generation_order: Sequence) -> Dict[int, Lid]:
@@ -1137,12 +1081,11 @@ class _Frame:
 
     * ``"real"`` — a live node of this engine's DFS: reversals join the
       node's ``backtrack`` set and its candidate loop explores them.
-    * ``"defer"`` — a replayed prefix node of a stolen subtree task: the
-      node's sibling loop ran (or runs) on another worker, so reversals
-      become fresh subtree tasks on this engine's deferred queue.
-    * ``"ignore"`` — the root node of a static root-branch split: every
-      root transition is seeded as its own branch task, so any reversal
-      is already covered.
+    * ``"ignore"`` — a node some sleep-set walk expanded in full: the
+      root of a static root-branch split, or a replayed prefix node of
+      a frontier task.  Every enabled transition there is either
+      explored (as a sibling task) or slept, so any reversal is already
+      covered.  :data:`_IGNORE_FRAME` is the one shared instance.
     """
 
     __slots__ = (
@@ -1180,6 +1123,11 @@ class _Frame:
         if enabled_set is None:
             enabled_set = self.enabled_set = set(self.enabled)
         return transition in enabled_set
+
+
+#: Ignore frames are never consulted beyond their mode, so one instance
+#: serves every fully expanded prefix node.
+_IGNORE_FRAME = _Frame("ignore", [], _EMPTY_SLEEP)
 
 
 class _ProfiledDomain:
@@ -1290,7 +1238,6 @@ class _Engine:
         stats: ExploreStats,
         fingerprints: Optional[set] = None,
         store: Optional[Any] = None,
-        scheduler: Optional[Any] = None,
         budget: Optional[Any] = None,
         por: str = "source",
         profile: Optional[Any] = None,
@@ -1314,16 +1261,19 @@ class _Engine:
         #: collision-checked digests and spill to its sqlite tier; without
         #: it they hold raw fingerprints in a plain set and dict.
         self.store = store
-        #: Optional work-stealing hook (``should_split(depth)`` /
-        #: ``offload(path, sleep)``); when set, the engine tracks the
-        #: transition path from the root so unexplored siblings can be
-        #: handed off as replayable subtree tasks.
-        self.scheduler = scheduler
         #: Optional cross-worker configuration budget (``claim(fp)`` /
         #: ``exhausted()``) implementing an exact shared
         #: ``max_configurations`` cutoff under parallel exploration.
         self.budget = budget
+        #: Transitions from the root to the current node.
         self._path: List[Transition] = []
+        #: Frontier walks only (:meth:`run` with ``cap``): nodes at this
+        #: path length become tasks in :attr:`frontier` instead of being
+        #: expanded.
+        self._cap: Optional[int] = None
+        #: The ``(path, sleep)`` tasks of the last frontier walk.
+        self.frontier: List[Tuple[Tuple[Transition, ...],
+                                  FrozenSet[Transition]]] = []
         #: Fingerprints of configurations already reported to ``visit``.
         #: A caller-provided set is used in place (and thus observable
         #: afterwards) — the parallel frontier-split merge unions the
@@ -1363,11 +1313,6 @@ class _Engine:
         self._frames: List[_Frame] = []
         #: Happens-before predecessor bitmask per path event.
         self._hb: List[int] = []
-        #: Race reversals landing on defer-mode (stolen-prefix) frames,
-        #: run locally as (path, sleep, frame-sleeps, guide) subtree
-        #: tasks.
-        self._deferred: List[Tuple] = []
-        self._deferred_seen = _DigestLRU()
         if self.por != "sleep":
             domain.hb_reset()
         if heartbeat is not None:
@@ -1384,33 +1329,25 @@ class _Engine:
         root_branch: Optional[int] = None,
         path: Optional[Sequence[Transition]] = None,
         sleep: FrozenSet[Transition] = frozenset(),
-        frames: Optional[Sequence[FrozenSet[Transition]]] = None,
-        guide: WakeupTree = None,
+        cap: Optional[int] = None,
     ) -> ExploreStats:
-        """Explore the whole tree, one root branch, or a stolen subtree.
+        """Explore the whole tree, one root branch, a frontier task, or
+        the frontier itself.
 
         ``path`` replays a transition sequence from the root and runs the
-        DFS below it under ``sleep`` — the work-stealing task unit.
-        ``frames`` (source-DPOR tasks only) carries the per-prefix-node
-        sleep sets, so race reversals landing on the replayed prefix can
-        be re-run with the right schedule filters.  ``guide`` (source-DPOR
-        tasks only) is the pending wakeup subtree at the task's branch
-        point: the stolen prefix replays the identical schedule the
-        victim would have run.  Wall time *accumulates* so an engine reused
-        across stolen tasks reports its total exploration time.
-
-        Source-DPOR reversals that land on replayed prefix nodes are
-        queued and drained here, after the primary unit: they never go
-        back through the work-stealing queue (the ack protocol only
-        accounts for victim-offloaded tasks), and exploring them locally
-        at worst duplicates work another worker also covers — the merged
-        fingerprint union is unchanged.
+        DFS below it under ``sleep`` — the pool's task unit.  ``cap``
+        instead runs the sleep-set walk over the top ``cap`` levels only
+        (see :meth:`_run_frontier`) and leaves the nodes at that depth in
+        :attr:`frontier`.  Wall time *accumulates* so an engine reused
+        across tasks reports its total exploration time.
         """
         started = time.perf_counter()
         pstate_mark = pstate.STATS.snapshot()
         try:
-            if path is not None:
-                self._run_path(path, sleep, frames, guide=guide)
+            if cap is not None:
+                self._run_frontier(cap)
+            elif path is not None:
+                self._run_path(path, sleep)
             elif root_branch is None:
                 if self.por != "sleep":
                     self._run_source_root()
@@ -1418,13 +1355,6 @@ class _Engine:
                     self._dfs(frozenset(), 1)
             else:
                 self._run_root_branch(root_branch)
-            while self._deferred:
-                (task_path, task_sleep, task_frames,
-                 task_guide) = self._deferred.pop()
-                self._run_path(
-                    task_path, task_sleep, task_frames,
-                    race_task=True, guide=task_guide,
-                )
         except _SearchCapped:
             self.stats.capped = True
             if self.journal is not None:
@@ -1435,8 +1365,6 @@ class _Engine:
         copied, shared = pstate.STATS.snapshot()
         self.stats.pstate_copied += copied - pstate_mark[0]
         self.stats.pstate_shared += shared - pstate_mark[1]
-        if self._deferred_seen.peak > self.stats.dpor_deferred_seen:
-            self.stats.dpor_deferred_seen = self._deferred_seen.peak
         self.stats.wall_time += time.perf_counter() - started
         return self.stats
 
@@ -1454,70 +1382,65 @@ class _Engine:
         finally:
             self._reset_stacks()
 
+    def _run_frontier(self, cap: int) -> None:
+        """Sleep-set walk of the top ``cap`` levels: the pool's split.
+
+        Every node above the cap is expanded in full (every enabled
+        transition outside its sleep set), and its configuration is
+        reported as usual.  A node at path length ``cap`` passes the
+        usual fingerprint / sleep-subsumption check and then becomes a
+        ``(path, sleep)`` task in :attr:`frontier` instead of being
+        expanded.  Source-DPOR below a task replays the prefix under
+        ignore frames: each prefix node was fully expanded here, so any
+        reversal landing on it is already explored or slept.
+
+        The expanded table starts empty on every call, so a deeper walk
+        re-expands the same top levels, while the visited set persists,
+        so a configuration above the cap is reported once however many
+        walks reach it.
+        """
+        self._cap = cap
+        self.frontier = []
+        self._expanded = {}
+        try:
+            self._dfs(frozenset(), 1)
+        finally:
+            self._cap = None
+            self._path = []
+
     def _run_path(
         self,
         path: Sequence[Transition],
         sleep: FrozenSet[Transition],
-        frames: Optional[Sequence[FrozenSet[Transition]]] = None,
-        race_task: bool = False,
-        guide: WakeupTree = None,
     ) -> None:
         """Replay ``path`` from the root, then DFS under ``sleep``.
 
-        The path was produced by a worker that successfully applied every
+        The path was produced by a walk that successfully applied every
         transition on it, and apply() failures are deterministic in the
         configuration, so a replay failure means the task is corrupt —
-        raise rather than silently dropping a subtree.  The one exception
-        is the *last* transition of a deferred race task (``race_task``):
-        a race candidate is enabled structurally but may still fail its
-        precondition at the branch point, in which case the reversal is
-        covered by fully re-expanding that node instead.
+        raise rather than silently dropping a subtree.  Under source-DPOR
+        each prefix node gets an ignore frame (see :meth:`_run_frontier`)
+        and its event's happens-before mask, so races below the task
+        land on the right frames.
         """
         domain = self.domain
+        source = self.por != "sleep"
         token = domain.push()
         try:
-            if self.por != "sleep":
-                last = len(path) - 1
-                for index, transition in enumerate(path):
-                    frame_sleep = (
-                        frames[index]
-                        if frames is not None and index < len(frames)
-                        else frozenset()
+            for transition in path:
+                if not domain.apply(transition):
+                    raise RuntimeError(
+                        f"frontier task failed to replay at {transition!r}"
                     )
-                    self._frames.append(_Frame(
-                        "defer", domain.transitions(), frame_sleep,
-                    ))
-                    if not domain.apply(transition):
-                        if race_task and index == last:
-                            self._full_expand_defer(index)
-                            return
-                        raise RuntimeError(
-                            "stolen subtree failed to replay at "
-                            f"{transition!r}"
-                        )
-                    if index == last:
-                        # The victim offloaded or deferred this transition
-                        # without executing it, so its races with the
-                        # prefix are still unprocessed; on the defer
-                        # frames their reversals become local tasks.
-                        self._record_event(transition)
-                    else:
-                        # Record happens-before only: races *among*
-                        # prefix events were processed by the victim when
-                        # it first executed them.
-                        _, hb_mask = self._analyze_event(transition)
-                        domain.hb_note(transition, len(self._path))
-                        self._path.append(transition)
-                        self._hb.append(hb_mask)
-                self._dfs_source(frozenset(sleep), len(path) + 1, guide)
+                if source:
+                    _, hb_mask = self._analyze_event(transition)
+                    domain.hb_note(transition, len(self._path))
+                    self._frames.append(_IGNORE_FRAME)
+                    self._hb.append(hb_mask)
+                self._path.append(transition)
+            if source:
+                self._dfs_source(frozenset(sleep), len(path) + 1)
             else:
-                for transition in path:
-                    if not domain.apply(transition):
-                        raise RuntimeError(
-                            "stolen subtree failed to replay at "
-                            f"{transition!r}"
-                        )
-                self._path = list(path)
                 self._dfs(frozenset(sleep), len(path) + 1)
         finally:
             # Restore the root even when capped mid-subtree, so a worker
@@ -1528,16 +1451,17 @@ class _Engine:
     def _run_root_branch(self, branch: int) -> None:
         """Explore only the subtree under the ``branch``-th root transition.
 
-        This is the frontier-split unit of the parallel verifier: worker
-        ``i`` reconstructs exactly the state the serial DFS has when it
-        descends into root child ``i`` — the earlier root transitions that
-        ran (and were fully explored) become sleep-set seeds when
-        independent of this branch's transition — and then runs the
-        ordinary DFS below it.  Branch 0 additionally owns the root
-        configuration itself, so across workers it is reported once.
-        A ``branch`` beyond the root's out-degree is a no-op.
+        This is the unit of the static root-branch split
+        (``repro.proofs.parallel``): worker ``i`` reconstructs exactly
+        the state the serial DFS has when it descends into root child
+        ``i`` — the earlier root transitions that ran (and were fully
+        explored) become sleep-set seeds when independent of this
+        branch's transition — and then runs the ordinary DFS below it.
+        Branch 0 additionally owns the root configuration itself, so
+        across workers it is reported once.  A ``branch`` beyond the
+        root's out-degree is a no-op.
 
-        Under source-DPOR the root node gets an ``"ignore"`` frame: every
+        Under source-DPOR the root node gets an ignore frame: every
         root transition is statically seeded as a branch of its own (the
         orbit filter only drops transitions covered by a symmetric
         representative), so the full root expansion subsumes any source
@@ -1572,24 +1496,18 @@ class _Engine:
             other for other in done if domain.independent(other, target)
         )
         if domain.apply(target):
-            if self.por != "sleep":
-                self._frames.append(_Frame("ignore", transitions,
-                                           frozenset()))
-                try:
+            try:
+                self._path.append(target)
+                if self.por != "sleep":
+                    self._frames.append(_IGNORE_FRAME)
                     domain.hb_note(target, 0)
-                    self._path.append(target)
                     self._hb.append(0)
                     self._dfs_source(child_sleep, 2)
-                finally:
-                    self._reset_stacks()
-                    domain.pop(token)
-            else:
-                self._path = [target]
-                try:
+                else:
                     self._dfs(child_sleep, 2)
-                finally:
-                    self._path = []
-                    domain.pop(token)
+            finally:
+                self._reset_stacks()
+                domain.pop(token)
 
     def _report(self, fingerprint: Any) -> None:
         if self.dedup:
@@ -1649,11 +1567,12 @@ class _Engine:
                     stats.states_deduped += 1
                     return
             recorded_sets.append(sleep_key)
-        scheduler = self.scheduler
+        cap = self._cap
+        if cap is not None and depth > cap:
+            self.frontier.append((tuple(self._path), sleep))
+            return
         token = domain.push()
         done: List[Transition] = []
-        explored_locally = False
-        did_split = False
         for transition in transitions:
             if transition in sleep:
                 stats.branches_pruned += 1
@@ -1665,43 +1584,13 @@ class _Engine:
                 for other in sleep.union(done)
                 if domain.independent(other, transition)
             )
-            if (
-                scheduler is not None
-                and explored_locally
-                and scheduler.should_split(depth)
-            ):
-                # The pool is hungry: hand this sibling's subtree to an
-                # idle worker instead of exploring it here.  Test-apply
-                # keeps serial semantics — a failed apply() is skipped by
-                # the serial loop too, and ``done``/``child_sleep`` are
-                # exactly what the serial DFS would have used.
-                if domain.apply(transition):
-                    domain.pop(token)
-                    scheduler.offload(
-                        tuple(self._path) + (transition,), child_sleep
-                    )
-                    stats.steal_spawned += 1
-                    if self.journal is not None:
-                        self.journal.record(
-                            "steal.split", depth=depth,
-                            path_len=len(self._path) + 1,
-                        )
-                    if not did_split:
-                        did_split = True
-                        stats.steal_splits += 1
-                    done.append(transition)
-                continue
             if not domain.apply(transition):
                 continue
-            if scheduler is not None:
-                self._path.append(transition)
-                self._dfs(child_sleep, depth + 1)
-                self._path.pop()
-            else:
-                self._dfs(child_sleep, depth + 1)
+            self._path.append(transition)
+            self._dfs(child_sleep, depth + 1)
+            self._path.pop()
             domain.pop(token)
             done.append(transition)
-            explored_locally = True
 
     # -- source-DPOR ----------------------------------------------------
 
@@ -1792,10 +1681,7 @@ class _Engine:
                 recorded_sets.append(sleep_key)
         frame = _Frame("real", transitions, sleep)
         self._frames.append(frame)
-        scheduler = self.scheduler
         token = domain.push()
-        explored_locally = False
-        did_split = False
         try:
             if patch is not None:
                 # Patch node: schedule only the owed difference (plus
@@ -1867,34 +1753,6 @@ class _Engine:
                     )
                 else:
                     child_sleep = _EMPTY_SLEEP
-                if (
-                    scheduler is not None
-                    and explored_locally
-                    and scheduler.should_split(depth)
-                ):
-                    if domain.apply(transition):
-                        domain.pop(token)
-                        scheduler.offload(
-                            tuple(self._path) + (transition,),
-                            child_sleep,
-                            tuple(f.sleep for f in self._frames),
-                            # The candidate's pending wakeup subtree
-                            # rides along so the thief replays the
-                            # identical schedule.
-                            frame.backtrack.get(transition),
-                        )
-                        stats.steal_spawned += 1
-                        if self.journal is not None:
-                            self.journal.record(
-                                "steal.split", depth=depth,
-                                path_len=len(self._path) + 1,
-                            )
-                        if not did_split:
-                            did_split = True
-                            stats.steal_splits += 1
-                        frame.done.append(transition)
-                        frame.progressed = True
-                    continue
                 if not domain.apply(transition):
                     if transition in frame.race_added:
                         # A race demanded this reversal but the
@@ -1912,7 +1770,6 @@ class _Engine:
                 domain.pop(token)
                 frame.done.append(transition)
                 frame.progressed = True
-                explored_locally = True
         finally:
             self._frames.pop()
         for transition in transitions:
@@ -1959,27 +1816,6 @@ class _Engine:
         path.append(transition)
         self._hb.append(hb_mask)
 
-    @staticmethod
-    def _initial_covered(
-        w: Transition,
-        sleep: FrozenSet[Transition],
-        real: bool,
-        backtrack: Dict[Transition, Any],
-        tried: set,
-        taken: Optional[Transition],
-    ) -> bool:
-        """The source-set condition for one initial ``w``, shared by the
-        ``path[m]`` and trailing-``transition`` arms of the race walk: a
-        slept initial means the branch that slept it covers the
-        reversal; a scheduled/run initial means this node already
-        explores it; on a defer frame the prefix transition itself is
-        the schedule the stealing victim runs."""
-        if w in sleep:
-            return True
-        if real:
-            return w in backtrack or w in tried
-        return w == taken
-
     def _race_plan(
         self, j: int, k: int, transition: Transition, hb_mask: int
     ) -> Optional[Tuple[Transition, WakeupTree]]:
@@ -1994,10 +1830,6 @@ class _Engine:
         profile = self.profile
         start = time.perf_counter() if profile is not None else 0.0
         frame = self._frames[j]
-        real = frame.mode == "real"
-        # On a "defer" frame the sibling loop belongs to the stealing
-        # victim, so reversals become local subtree tasks instead.
-        taken = None if real else self._path[j]
         path, hb = self._path, self._hb
         sleep = frame.sleep
         backtrack, tried = frame.backtrack, frame.tried
@@ -2015,9 +1847,10 @@ class _Engine:
                 continue
             w = path[m]
             if not (hbm & v_mask):
-                if self._initial_covered(
-                    w, sleep, real, backtrack, tried, taken
-                ):
+                # The source-set condition for an initial: a slept one is
+                # covered by the branch that slept it, a scheduled or run
+                # one by this node itself.
+                if w in sleep or w in backtrack or w in tried:
                     covered = True
                     break
                 if first is None:
@@ -2025,8 +1858,10 @@ class _Engine:
             v_mask |= 1 << m
             chain.append(w)
         if not covered and not (hb_mask & v_mask):
-            if self._initial_covered(
-                transition, sleep, real, backtrack, tried, taken
+            if (
+                transition in sleep
+                or transition in backtrack
+                or transition in tried
             ):
                 covered = True
             elif first is None:
@@ -2065,10 +1900,9 @@ class _Engine:
         :meth:`_race_plan` walks the initials of the reversal sequence
         ``v·t`` and short-circuits when one already covers it, which in
         the common case is the immediately following event.  Otherwise
-        the first initial is scheduled — grafted into the backtrack
-        (wakeup) store of a real frame, queued as a subtree task for a
-        defer frame — through this single insertion point.  A demanded
-        initial that is not enabled at frame ``j`` (only possible via
+        the first initial is grafted into the frame's backtrack (wakeup)
+        store through this single insertion point.  A demanded initial
+        that is not enabled at frame ``j`` (only possible via
         :meth:`_replay_residual`'s positional over-approximation)
         degrades the frame to the full sleep-set schedule, counted in
         ``dpor_full_expansions``; races from real executions always
@@ -2079,24 +1913,15 @@ class _Engine:
             return
         first, cont = plan
         frame = self._frames[j]
-        real = frame.mode == "real"
         if self.journal is not None:
-            self.journal.record(
-                "dpor.reversal", frame=j, depth=k, mode=frame.mode,
-            )
+            self.journal.record("dpor.reversal", frame=j, depth=k)
         if not frame.is_enabled(first):
-            if real:
-                self._full_expand(frame)
-            else:
-                self._full_expand_defer(j, taken=self._path[j])
+            self._full_expand(frame)
             return
-        if real:
-            if cont is not None:
-                self.stats.dpor_wakeup_branches += 1
-            frame.backtrack[first] = cont
-            frame.race_added.add(first)
-        else:
-            self._defer(j, first, cont)
+        if cont is not None:
+            self.stats.dpor_wakeup_branches += 1
+        frame.backtrack[first] = cont
+        frame.race_added.add(first)
 
     def _full_expand(self, frame: _Frame) -> None:
         """Degrade a frame to the sleep-set schedule (every non-slept
@@ -2115,36 +1940,6 @@ class _Engine:
                 # fails to apply it is skipped, as in the sleep engine.
                 frame.backtrack[transition] = None
 
-    def _full_expand_defer(
-        self, j: int, taken: Optional[Transition] = None
-    ) -> None:
-        """Defer-frame analogue of :meth:`_full_expand`: enqueue every
-        non-slept enabled transition at prefix node ``j`` as a subtree
-        task (minus ``taken``, whose subtree the victim explored)."""
-        self.stats.dpor_full_expansions += 1
-        frame = self._frames[j]
-        for transition in frame.enabled:
-            if transition not in frame.sleep and transition != taken:
-                self._defer(j, transition)
-
-    def _defer(
-        self, j: int, w: Transition, cont: WakeupTree = None
-    ) -> None:
-        """Queue the subtree task ``path[:j] + (w,)`` (deduplicated)."""
-        prefix = tuple(self._path[:j])
-        if self._deferred_seen.seen((prefix, w)):
-            return
-        domain = self.domain
-        frame = self._frames[j]
-        task_sleep = frozenset(
-            s for s in frame.sleep if domain.independent(s, w)
-        )
-        frame_sleeps = tuple(f.sleep for f in self._frames[:j + 1])
-        self._deferred.append(
-            (prefix + (w,), task_sleep, frame_sleeps, cont)
-        )
-        self.stats.dpor_deferred += 1
-
     def _replay_residual(self) -> None:
         """Re-run race detection for a dedup-cut subtree.
 
@@ -2158,7 +1953,7 @@ class _Engine:
         every maximal execution below this node, and it is computed from
         the *live* configuration — so nothing is recorded, no canonical-
         frame renaming is needed, and whether the equivalent subtree was
-        itself cut short (offloaded, capped) is irrelevant.  Positional
+        itself cut short (capped) is irrelevant.  Positional
         information is over-approximated (a deep subtree event is
         analyzed as if it ran immediately) — extra backtrack points cost
         work, never soundness.
@@ -2181,7 +1976,7 @@ class _Engine:
 
 
 # ----------------------------------------------------------------------
-# Session factory (the work-stealing workers' entry point)
+# Session factory (the pool workers' entry point)
 # ----------------------------------------------------------------------
 
 
@@ -2198,7 +1993,6 @@ def build_engine(
     stats: Optional[ExploreStats] = None,
     fingerprints: Optional[set] = None,
     store: Optional[Any] = None,
-    scheduler: Optional[Any] = None,
     budget: Optional[Any] = None,
     symmetry: bool = False,
     por: str = "source",
@@ -2211,8 +2005,8 @@ def build_engine(
     Unlike :func:`explore_op_programs`/:func:`explore_state_programs`,
     which run one exploration and return, the engine handle persists its
     domain, visited/expanded records, and statistics across multiple
-    :meth:`_Engine.run` calls — the work-stealing workers run many
-    subtree tasks of the same scope through one session, so dedup and
+    :meth:`_Engine.run` calls — the pool's workers run many frontier
+    tasks of the same scope through one session, so dedup and
     verdict caches warm up exactly like a serial run's.
     """
     stats = stats if stats is not None else ExploreStats()
@@ -2230,8 +2024,7 @@ def build_engine(
         raise ValueError(f"unknown exploration kind {kind!r}")
     return _Engine(
         domain, visit, max_configurations, dedup, stats,
-        fingerprints=fingerprints, store=store,
-        scheduler=scheduler, budget=budget, por=por,
+        fingerprints=fingerprints, store=store, budget=budget, por=por,
         profile=profile, journal=journal, heartbeat=heartbeat,
     )
 

@@ -209,7 +209,7 @@ class _DiskTier:
     off, and the scratch file is *unlinked immediately after connecting*
     — sqlite keeps working through its open file descriptor, and the
     kernel reclaims the space as soon as the descriptor closes, however
-    the process ends.  A work-stealing worker killed mid-run (terminate,
+    the process ends.  A pool worker killed mid-run (terminate,
     OOM, ctrl-C) therefore leaves nothing behind in ``--spill DIR``;
     before this, abnormal exits accumulated orphaned ``fp-store-*``
     files that only a manual sweep removed.  On platforms that refuse to

@@ -1,4 +1,5 @@
-"""3-replica exhaustive scopes — feasible only with the fast engine.
+"""3- and 4-replica exhaustive scopes — feasible only with the fast
+engine.
 
 These scopes were out of reach for the naive raw-interleaving explorer
 (the 6-operation OR-Set program alone has billions of interleavings once
@@ -45,3 +46,21 @@ def test_rga_three_replicas_conflict_heavy():
     assert result.ok, result.failures
     assert result.configurations > 1000
     assert not result.stats.capped
+
+
+def test_orset_skewed_four_replicas_serial_and_pool():
+    # The skewed 4-replica shape of the benchmark's skew_4r_spill
+    # workload; 645 is the sleep-set oracle's count.  The full
+    # expansions that residual replay triggers are load-bearing here:
+    # an engine that skips them finds 626.
+    entry = entry_by_name("OR-Set")
+    programs = {
+        "r1": [("add", ("a",)), ("remove", ("a",))],
+        "r2": [("add", ("a",))],
+        "r3": [("add", ("a",))],
+        "r4": [("add", ("b",))],
+    }
+    serial = exhaustive_verify(entry, programs)
+    pooled = exhaustive_verify(entry, programs, jobs=2, oversubscribe=True)
+    assert (serial.ok, serial.configurations) == (True, 645)
+    assert (pooled.ok, pooled.configurations) == (True, 645)

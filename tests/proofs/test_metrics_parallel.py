@@ -79,7 +79,7 @@ def test_work_counters_at_least_serial():
 
 
 def test_pool_worker_labels_match_serial():
-    """A real pool worker (forked whatever the core count) labels every
+    """Real pool workers (two, whatever the core count) label every
     ``explore.*`` instrument exactly as a serial run does."""
     entry, programs, _ = next(
         scope for scope in SCOPES if scope[0].name == "OR-Set"
@@ -88,8 +88,7 @@ def test_pool_worker_labels_match_serial():
     expected = exhaustive_verify(entry, programs, instrumentation=serial)
     pool = Instrumentation.on()
     result = exhaustive_verify_steal(
-        entry, programs, jobs=1, force_pool=True, split_interval=1,
-        pending_target=1, instrumentation=pool,
+        entry, programs, jobs=2, oversubscribe=True, instrumentation=pool,
     )
     assert result.configurations == expected.configurations
 

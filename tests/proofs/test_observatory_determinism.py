@@ -4,7 +4,7 @@ Heartbeats, journal events, and phase profiles are *work artifacts*:
 they describe the machinery, never the verdicts.  This suite pins the
 two load-bearing guarantees:
 
-* serial and work-stealing runs produce byte-identical
+* serial and pool runs produce byte-identical
   ``deterministic_totals`` even with the full observatory switched on
   (live progress at every beat, heartbeat log, journal, profiler), and
 * with everything off the engine's hot loop pays a single attribute
@@ -60,8 +60,7 @@ def test_serial_vs_steal_pool_with_observatory_on(tmp_path):
         SCOPES, str(tmp_path / "hb-serial.jsonl"))
     pooled = Instrumentation.on()
     verify_scopes_steal(
-        SCOPES, jobs=2, oversubscribe=True, force_pool=True,
-        instrumentation=pooled,
+        SCOPES, jobs=2, oversubscribe=True, instrumentation=pooled,
         progress=0.0, progress_stream=io.StringIO(),
         heartbeat_log=str(tmp_path / "hb-pool.jsonl"),
     )

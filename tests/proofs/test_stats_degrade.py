@@ -46,22 +46,22 @@ def test_pre_observatory_artifact_names_absent_families():
             "labels": {"kind": "op"}, "deterministic": False, "value": 42,
         },
     }))
-    for label in ("work stealing", "fingerprint store", "source-DPOR",
+    for label in ("parallel pool", "fingerprint store", "source-DPOR",
                   "persistent state"):
         assert f"{label:<52} {'(absent)':>12}" in rendered
 
 
 def test_present_family_is_not_marked_absent():
     rendered = format_metrics(_artifact({
-        "explore.steal.stolen_tasks{entry=X}": {
-            "kind": "counter", "name": "explore.steal.stolen_tasks",
+        "explore.steal.tasks{entry=X}": {
+            "kind": "counter", "name": "explore.steal.tasks",
             "labels": {"entry": "X"}, "deterministic": False, "value": 3,
         },
     }))
-    assert "tasks stolen" in rendered
+    assert "frontier tasks" in rendered
     lines = [line for line in rendered.splitlines() if "(absent)" in line]
-    assert len(lines) == 3  # fp-store, dpor, pstate — but not stealing
-    assert not any("work stealing" in line for line in lines)
+    assert len(lines) == 3  # fp-store, dpor, pstate — but not the pool
+    assert not any("parallel pool" in line for line in lines)
 
 
 def test_artifact_without_explore_metrics_skips_scheduler_digest():

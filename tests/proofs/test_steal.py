@@ -1,24 +1,21 @@
-"""Work-stealing pool vs serial: the exactness contract.
+"""Frontier-split pool vs serial: the exactness contract.
 
-Stealing re-partitions *which worker* explores a subtree, never
-*whether* it is explored, so every run — natural splitting, forced
-splitting, symmetric scopes, shared budgets, spill tiers — must return
-the serial verdict and the serial distinct-configuration count.  The
+The pool only decides *which process* explores a subtree, never
+*whether* it is explored, so every run — any frontier depth, any task
+order, symmetric scopes, shared budgets, spill tiers — must return the
+serial verdict and the serial distinct-configuration count.  The
 1-core fallback makes jobs>1 degenerate to the serial engine on small
 machines, so these tests force real worker processes with
-``oversubscribe=True`` and force splitting with a huge pending target.
+``oversubscribe=True``.
 """
 
+import functools
 import os
-import random
-from collections import deque
 
 import pytest
 
 from repro.obs import Instrumentation, deterministic_totals
 from repro.proofs.exhaustive import (
-    ExhaustiveResult,
-    _make_visit,
     exhaustive_verify,
     exhaustive_verify_state,
     standard_programs,
@@ -31,18 +28,14 @@ from repro.proofs.parallel import (
 from repro.proofs.registry import ALL_ENTRIES, entry_by_name
 from repro.proofs.steal import (
     StealStats,
-    _seed_tasks,
     exhaustive_verify_steal,
     steal_workers,
     verify_scopes_steal,
 )
-from repro.runtime.explore_engine import build_engine
-from repro.runtime.state_system import StateBasedSystem
-from repro.runtime.system import OpBasedSystem
+from tests.strategies import SplitSchedule, run_split
 
-#: Force real worker processes and aggressive splitting: a pending
-#: target no real queue reaches makes every eligible DFS node split.
-FORCE = dict(oversubscribe=True, pending_target=10**6, split_interval=1)
+#: Force real worker processes whatever the host's core count.
+FORCE = dict(oversubscribe=True)
 
 MAX_GOSSIPS = 2
 
@@ -60,15 +53,13 @@ def _serial(entry, programs, max_gossips):
 
 class TestStealMatchesSerial:
     def test_all_scopes_one_pool(self):
-        # The acceptance criterion: every registry entry through one
-        # work-stealing pool returns the serial verdict and the serial
-        # distinct-configuration count.
+        # Every registry entry through one pool returns the serial
+        # verdict and the serial distinct-configuration count.
         scopes = standard_scopes()
         assert scopes
         sink = {}
         merged = verify_scopes_steal(
-            scopes, jobs=3, oversubscribe=True, split_interval=2,
-            stats_sink=sink,
+            scopes, jobs=3, oversubscribe=True, stats_sink=sink,
         )
         assert list(merged) == [entry.name for entry, _, _ in scopes]
         assert sink["steal"].workers == 3
@@ -83,44 +74,42 @@ class TestStealMatchesSerial:
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs)
         sink = {}
-        stolen = exhaustive_verify_steal(
+        pooled = exhaustive_verify_steal(
             entry, programs, jobs=2, stats_sink=sink, **FORCE
         )
         stats = sink["steal"]
-        assert stats.stolen_tasks > 0  # splitting actually happened
-        assert stats.tasks == stats.seed_tasks + stats.stolen_tasks
+        assert stats.tasks > 1  # the frontier really split
+        assert stats.stolen_tasks == 0
+        assert stats.frontier_depth >= 1
         assert len(stats.timeline) == stats.tasks
-        assert set(stats.spawn_times) \
-            == {t for t in (r[0] for r in stats.timeline) if t[0] == "w"}
-        assert stolen.ok == serial.ok
-        assert stolen.configurations == serial.configurations
-        assert stolen.stats.steal_spawned > 0
+        assert pooled.ok == serial.ok
+        assert pooled.configurations == serial.configurations
 
     def test_forced_splitting_state_based(self):
         entry = entry_by_name("G-Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify_state(entry, programs, max_gossips=2)
         sink = {}
-        stolen = exhaustive_verify_steal(
+        pooled = exhaustive_verify_steal(
             entry, programs, jobs=2, max_gossips=2, stats_sink=sink, **FORCE
         )
-        assert sink["steal"].stolen_tasks > 0
-        assert stolen.ok == serial.ok
-        assert stolen.configurations == serial.configurations
+        assert sink["steal"].tasks > 1
+        assert pooled.ok == serial.ok
+        assert pooled.configurations == serial.configurations
 
     def test_symmetry_on_and_off(self):
         entry = entry_by_name("Counter")
         on = exhaustive_verify(entry, SYM_PROGRAMS)
         off = exhaustive_verify(entry, SYM_PROGRAMS, symmetry=False)
         assert on.configurations < off.configurations
-        stolen_on = exhaustive_verify_steal(
+        pooled_on = exhaustive_verify_steal(
             entry, SYM_PROGRAMS, jobs=2, **FORCE
         )
-        stolen_off = exhaustive_verify_steal(
+        pooled_off = exhaustive_verify_steal(
             entry, SYM_PROGRAMS, jobs=2, symmetry=False, **FORCE
         )
-        assert stolen_on.configurations == on.configurations
-        assert stolen_off.configurations == off.configurations
+        assert pooled_on.configurations == on.configurations
+        assert pooled_off.configurations == off.configurations
 
     def test_raw_fingerprints_without_store(self):
         # Without spill, sessions keep raw-fingerprint sets (the serial
@@ -128,98 +117,80 @@ class TestStealMatchesSerial:
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs)
-        stolen = exhaustive_verify_steal(
+        pooled = exhaustive_verify_steal(
             entry, programs, jobs=2, **FORCE
         )
-        assert stolen.configurations == serial.configurations
-        assert stolen.fp_store is None
+        assert pooled.configurations == serial.configurations
+        assert pooled.fp_store is None
 
     def test_spill_tier(self, tmp_path):
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs)
-        stolen = exhaustive_verify_steal(
+        pooled = exhaustive_verify_steal(
             entry, programs, jobs=2, spill=str(tmp_path), **FORCE
         )
-        assert stolen.configurations == serial.configurations
-        assert stolen.fp_store is not None
-        assert stolen.fp_store.lookups > 0
+        assert pooled.configurations == serial.configurations
+        assert pooled.fp_store is not None
+        assert pooled.fp_store.lookups > 0
         assert not list(tmp_path.iterdir())  # scratch files cleaned up
 
 
-class _FifoScheduler:
-    """A split schedule with no pool and no timing: one FIFO task queue,
-    seeded with the root branches, and a split at every eligible node
-    (``"always"``), whenever the queue is empty (``"when-empty"``), or
-    with probability 1/2 drawn from ``random.Random(mode)`` (an int
-    ``mode`` is a seed)."""
+#: The named schedules of :class:`TestSplitSchedule`, each dealt to two
+#: sessions.
+SCHEDULES = {
+    "when-empty": dict(order="frontier", deal="least-work"),
+    "always": dict(order="reversed"),
+    "seed0": dict(order="shuffle", seed=0),
+    "seed1": dict(order="shuffle", seed=1),
+    "seed2": dict(order="shuffle", seed=2),
+}
 
-    def __init__(self, seeds, mode):
-        self.queue = deque({"root_branch": branch} for branch in seeds)
-        self.mode = mode
-        self.rng = random.Random(mode) if isinstance(mode, int) else None
-
-    def should_split(self, depth):
-        if self.rng is not None:
-            return self.rng.random() < 0.5
-        return self.mode == "always" or not self.queue
-
-    def offload(self, path, sleep, frames=None, guide=None):
-        self.queue.append({"path": tuple(path), "sleep": frozenset(sleep),
-                           "frames": frames, "guide": guide})
+#: Frontier depths every schedule runs at.
+DEPTHS = (1, 2, 3, 5)
 
 
-def _split_schedule_run(entry, por, mode):
-    """Run every seed and every offloaded task on one engine session:
-    ``(ok, configurations, subtrees offloaded)``."""
-    programs = standard_programs(entry)
-    result = ExhaustiveResult(entry.name)
-    visit = _make_visit(entry, result, cache=True)
-    persistent = por != "sleep"
-    system = OpBasedSystem if entry.kind == "OB" else StateBasedSystem
-    _, seeds = _seed_tasks([(entry, programs, MAX_GOSSIPS)], None, None,
-                           True, por)
-    scheduler = _FifoScheduler((seed[3] for seed in seeds), mode)
-    fingerprints = set()
-    engine = build_engine(
-        "op" if entry.kind == "OB" else "state",
-        lambda: system(entry.make_crdt(), replicas=sorted(programs),
-                       persistent=persistent),
-        programs, visit, max_gossips=MAX_GOSSIPS,
-        reduction=entry.reduction, symmetry=entry.symmetry,
-        fingerprints=fingerprints, scheduler=scheduler, por=por,
-    )
-    while scheduler.queue:
-        engine.run(**scheduler.queue.popleft())
-    return result.ok, len(fingerprints), engine.stats.steal_spawned
+@functools.lru_cache(maxsize=None)
+def _serial_verdict(name):
+    entry = entry_by_name(name)
+    serial = _serial(entry, standard_programs(entry), MAX_GOSSIPS)
+    return serial.ok, serial.configurations
 
 
 class TestSplitSchedule:
-    """Offloaded and deferred subtrees lose no configuration.
+    """Frontier tasks lose no configuration, whoever runs them and in
+    whatever order.
 
-    The victim never executes the last transition of a path it offloads
-    or defers, so the engine that runs the task must still reverse that
-    transition's races with the replayed prefix.  Which nodes split is a
-    test input here: two fixed schedules plus three seeded coin-flip
-    ones.
+    Which tasks exist (the frontier depth) and who runs them in which
+    order are test inputs here, replayed in one process over two
+    engine sessions with separate visited records.  ``when-empty``
+    deals the frontier in order, each task to the session with less
+    work so far (the way an idle worker pulls from the shared queue);
+    ``always`` alternates sessions over the reversed frontier;
+    ``seedN`` alternates over a ``random.Random(N)`` shuffle.
     """
 
-    @pytest.mark.parametrize("mode", ["when-empty", "always", 0, 1, 2],
-                             ids=["when-empty", "always", "seed0", "seed1",
-                                  "seed2"])
+    @pytest.mark.parametrize("mode", list(SCHEDULES))
     @pytest.mark.parametrize("por", ["sleep", "source"])
     @pytest.mark.parametrize("entry", ALL_ENTRIES, ids=lambda e: e.name)
     def test_matches_serial(self, entry, por, mode):
-        serial = _serial(entry, standard_programs(entry), MAX_GOSSIPS)
-        ok, configurations, spawned = _split_schedule_run(entry, por, mode)
-        assert (ok, configurations) == (serial.ok, serial.configurations)
-        if mode != "when-empty":
-            assert spawned > 0  # the schedule really split
+        expected = _serial_verdict(entry.name)
+        programs = standard_programs(entry)
+        most_tasks = 0
+        for depth in DEPTHS:
+            schedule = SplitSchedule(depth=depth, **SCHEDULES[mode])
+            ok, configurations, tasks = run_split(
+                entry, programs, schedule, por=por, max_gossips=MAX_GOSSIPS
+            )
+            assert (ok, configurations) == expected, depth
+            most_tasks = max(most_tasks, tasks)
+        assert most_tasks > 1  # the schedule really split the tree
 
 
 class TestSharedBudget:
-    """``max_configurations`` is a cross-worker budget: parallel and
-    serial stop at exactly the same count, stolen tasks included."""
+    """``max_configurations`` is a cross-process budget: parallel and
+    serial stop at exactly the same count, the coordinator's frontier
+    walk included."""
 
     @pytest.mark.parametrize("cap", [1, 3, 7, 10**6])
     def test_exact_cutoff_op_based(self, cap):
@@ -228,11 +199,11 @@ class TestSharedBudget:
         serial = exhaustive_verify(
             entry, programs, max_configurations=cap
         )
-        stolen = exhaustive_verify_steal(
+        pooled = exhaustive_verify_steal(
             entry, programs, jobs=2, max_configurations=cap, **FORCE
         )
-        assert stolen.configurations == serial.configurations
-        assert stolen.stats.capped == serial.stats.capped
+        assert pooled.configurations == serial.configurations
+        assert pooled.stats.capped == serial.stats.capped
 
     def test_exact_cutoff_state_based(self):
         entry = entry_by_name("G-Counter")
@@ -240,16 +211,16 @@ class TestSharedBudget:
         serial = exhaustive_verify_state(
             entry, programs, max_gossips=2, max_configurations=5
         )
-        stolen = exhaustive_verify_steal(
+        pooled = exhaustive_verify_steal(
             entry, programs, jobs=2, max_gossips=2, max_configurations=5,
             **FORCE
         )
-        assert stolen.configurations == serial.configurations == 5
-        assert stolen.stats.capped
+        assert pooled.configurations == serial.configurations == 5
+        assert pooled.stats.capped
 
     def test_cutoff_through_parallel_front_door(self):
-        # The satellite: exhaustive_verify with jobs>1 and a budget used
-        # to be rejected; the stealing path honors it exactly.
+        # exhaustive_verify with jobs>1 and a budget: the pool honors it
+        # exactly.
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs, max_configurations=9)
@@ -319,7 +290,7 @@ class TestPoolMechanics:
 
 
 class TestDispatch:
-    """The parallel front door routes to stealing by default."""
+    """The parallel front door routes to the pool by default."""
 
     def test_default_routes_to_steal(self, monkeypatch):
         sentinel = object()
@@ -362,15 +333,15 @@ class TestDispatch:
     def test_static_path_rejects_budget_and_spill(self):
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
-        with pytest.raises(ValueError, match="work-stealing"):
+        with pytest.raises(ValueError, match="steal=True"):
             exhaustive_verify_parallel(
                 entry, programs, jobs=2, steal=False, max_configurations=5
             )
-        with pytest.raises(ValueError, match="work-stealing"):
+        with pytest.raises(ValueError, match="steal=True"):
             exhaustive_verify_parallel(
                 entry, programs, jobs=2, steal=False, spill="/tmp/x"
             )
-        with pytest.raises(ValueError, match="work-stealing"):
+        with pytest.raises(ValueError, match="steal=True"):
             verify_scopes_parallel(
                 standard_scopes()[:1], jobs=2, steal=False,
                 max_configurations=5,
@@ -397,7 +368,7 @@ class TestInstrumentation:
         instruments = ins.metrics.snapshot()["instruments"]
         bare = {key.split("{", 1)[0] for key in instruments}
         assert "explore.steal.workers" in bare
-        assert "explore.steal.stolen_tasks" in bare
+        assert "explore.steal.frontier_depth" in bare
         assert "explore.steal.idle_seconds" in bare
         assert "explore.fp_store.lookups" in bare
         assert instruments["explore.steal.workers"]["value"] == 2

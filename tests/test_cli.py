@@ -234,13 +234,13 @@ class TestStealCLI:
 
         assert main(["stats", path]) == 0
         out = capsys.readouterr().out
-        assert "scheduler (work stealing / fingerprint store):" in out
+        assert "scheduler (parallel pool / fingerprint store):" in out
         assert "fp-store lookups" in out
         assert "fp-store hit ratio" in out
 
     def test_stats_renders_scheduler_counters(self, capsys, tmp_path):
-        # A real forced-split pool run, written through the artifact
-        # round trip: `repro stats` must surface the scheduler digest.
+        # A real pool run, written through the artifact round trip:
+        # `repro stats` must surface the scheduler digest.
         from repro.obs import Instrumentation
         from repro.obs.instrument import write_artifact
         from repro.proofs import entry_by_name, exhaustive_verify_steal
@@ -250,14 +250,15 @@ class TestStealCLI:
         entry = entry_by_name("Counter")
         exhaustive_verify_steal(
             entry, standard_programs(entry), jobs=2, oversubscribe=True,
-            pending_target=10**6, split_interval=1, instrumentation=ins,
+            instrumentation=ins,
         )
         path = str(tmp_path / "steal.json")
         write_artifact(path, ins, "exhaustive", {})
         assert main(["stats", path]) == 0
         out = capsys.readouterr().out
-        assert "scheduler (work stealing / fingerprint store):" in out
-        assert "tasks stolen" in out
+        assert "scheduler (parallel pool / fingerprint store):" in out
+        assert "frontier depth" in out
+        assert "frontier tasks" in out
         assert "workers" in out
         assert "idle-wait seconds" in out
 
