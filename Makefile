@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-explore bench-dpor bench-fp-store bench-compose bench-verify bench-diff figures table mutants exhaustive chaos examples all
+.PHONY: install test bench bench-explore bench-dpor bench-fp-store bench-compose bench-diff figures table mutants exhaustive chaos examples all
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -35,11 +35,6 @@ bench-fp-store:
 # BENCH_explore.json (see docs/composition.md).
 bench-compose:
 	$(PYTHON) -m pytest benchmarks/test_bench_compose.py --benchmark-only -s
-
-# PR-1 serial baseline vs. incremental checking vs. --jobs 4; refreshes
-# BENCH_verify.json.  Needs git history for the pinned baseline commit.
-bench-verify:
-	$(PYTHON) -m pytest benchmarks/test_bench_verify_parallel.py --benchmark-only -s
 
 # Regression gate: compare freshly benched sections against the committed
 # baselines.  OLD/NEW default to the self-compare smoke; override as

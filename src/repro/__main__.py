@@ -67,7 +67,7 @@ from .proofs import (
     verify_entries_parallel,
     verify_entry,
     verify_mutant,
-    verify_scopes_parallel,
+    verify_scopes_steal,
     verify_store,
 )
 from .runtime.composition import check_composed_ra_linearizable
@@ -286,13 +286,12 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     symmetry = False if args.no_symmetry else None
     if args.jobs > 1:
         scopes = [(entry, standard_programs(entry), None) for entry in entries]
-        merged = verify_scopes_parallel(scopes, jobs=args.jobs,
-                                        symmetry=symmetry,
-                                        steal=args.steal, spill=args.spill,
-                                        instrumentation=ins, por=args.por,
-                                        progress=args.progress,
-                                        heartbeat_log=args.heartbeat_log)
-        results = [merged[entry.name] for entry in entries]
+        results = verify_scopes_steal(scopes, jobs=args.jobs,
+                                      symmetry=symmetry,
+                                      steal=args.steal, spill=args.spill,
+                                      instrumentation=ins, por=args.por,
+                                      progress=args.progress,
+                                      heartbeat_log=args.heartbeat_log)
     else:
         monitor, emitter = _progress_monitor(args)
         try:

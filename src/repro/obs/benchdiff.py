@@ -1,8 +1,8 @@
 """Regression gate between two bench JSON artifacts.
 
 ``repro bench diff OLD NEW`` (and ``make bench-diff``) compares two
-bench documents — ``BENCH_explore.json`` / ``BENCH_verify.json`` shapes,
-arbitrarily nested dicts of sections — metric by metric, classifying
+bench documents — ``BENCH_explore.json``'s shape, arbitrarily nested
+dicts of sections — metric by metric, classifying
 each leaf by name:
 
 * **exact** — semantic results: configuration/state counts, orbit

@@ -285,8 +285,8 @@ class Instrumentation:
         """Record a scope's *final* outcome (deterministic counters).
 
         Must be called exactly once per verified scope, on the merged
-        result in the parallel paths — never on a frontier-split branch
-        shard — so serial and ``--jobs N`` totals coincide.
+        result in the parallel pool — never on one session's partial
+        result — so serial and ``--jobs N`` totals coincide.
         """
         if self.metrics is None:
             return

@@ -1,7 +1,7 @@
 """Structured metrics with snapshot and deterministic merge.
 
-The verification pipeline is process-parallel (:mod:`repro.proofs.parallel`
-ships frontier-split shards to worker processes), so metrics cannot be a
+The verification pipeline is process-parallel (:mod:`repro.proofs.steal`
+ships frontier tasks to worker processes), so metrics cannot be a
 single shared mutable registry.  Instead each process owns a
 :class:`MetricsRegistry`, and registries communicate by **snapshot**: a
 plain-JSON dict that pickles through the worker pipe exactly like the

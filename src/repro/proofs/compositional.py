@@ -503,8 +503,12 @@ def verify_store(
     # Phase (a): per-object exhaustive verification on projections.
     groups = _object_groups(store, programs)
     if jobs > 1 and len(groups) > 1:
-        group_results = _verify_groups_parallel(
-            groups, jobs=jobs, reduction=reduction, symmetry=symmetry,
+        # One pool, one scope (and one task stream) per object group.
+        from .steal import verify_scopes_steal
+
+        group_results = verify_scopes_steal(
+            [(entry, projected, None) for entry, projected, _ in groups],
+            jobs=jobs, reduction=reduction, symmetry=symmetry,
             cache=cache, steal=steal, spill=spill, por=por,
             instrumentation=ins, progress=progress,
             heartbeat_log=heartbeat_log,
@@ -544,47 +548,6 @@ def verify_store(
     if ins.enabled:
         ins.record_compose(result)
     return result
-
-
-def _verify_groups_parallel(
-    groups, jobs, reduction, symmetry, cache, steal, spill, por,
-    instrumentation, progress, heartbeat_log,
-) -> List[ExhaustiveResult]:
-    """Run per-object scopes through the shared worker pool.
-
-    One scope per object group — the steal pool turns each scope into its
-    own task stream and merges deterministically (serial-identical
-    results, as in the PR-6 fan-out).  ``verify_scopes_parallel`` keys its
-    result table by entry name, so groups sharing an entry name (same
-    CRDT, different programs) are split across sequential batches.
-    """
-    from .parallel import verify_scopes_parallel
-
-    batches: List[List[int]] = []
-    batch_names: List[set] = []
-    for index, (entry, _, _) in enumerate(groups):
-        for batch, names in zip(batches, batch_names):
-            if entry.name not in names:
-                batch.append(index)
-                names.add(entry.name)
-                break
-        else:
-            batches.append([index])
-            batch_names.append({entry.name})
-    results: List[Optional[ExhaustiveResult]] = [None] * len(groups)
-    for batch in batches:
-        scopes = [
-            (groups[index][0], groups[index][1], None) for index in batch
-        ]
-        merged = verify_scopes_parallel(
-            scopes, jobs=jobs, reduction=reduction, symmetry=symmetry,
-            cache=cache, steal=steal, spill=spill, por=por,
-            instrumentation=instrumentation, progress=progress,
-            heartbeat_log=heartbeat_log,
-        )
-        for index in batch:
-            results[index] = merged[groups[index][0].name]
-    return [r for r in results if r is not None]
 
 
 def composed_table_entry(

@@ -183,8 +183,6 @@ def exhaustive_verify(
     symmetry: Optional[bool] = None,
     cache: bool = True,
     jobs: int = 1,
-    root_branch: Optional[int] = None,
-    fingerprints: Optional[set] = None,
     instrumentation: Optional[Instrumentation] = None,
     steal: bool = True,
     spill: Optional[str] = None,
@@ -208,14 +206,12 @@ def exhaustive_verify(
 
     ``cache=False`` disables the shared verification caches (see
     :func:`_make_visit`).  ``jobs > 1`` fans the exploration out over
-    worker processes — by default the frontier-split pool
-    (:mod:`repro.proofs.steal`), or the static root-branch fan-out with
-    ``steal=False`` (see :mod:`repro.proofs.parallel`).  The pool
-    shares ``max_configurations`` as a cross-worker budget so the
-    parallel cutoff lands on exactly the serial count; the static path
-    remains incompatible with it.  Neither supports the naive engine.
-    ``root_branch``/``fingerprints`` are the worker-side hooks of the
-    static fan-out and are rarely useful directly.
+    worker processes through the frontier-split pool
+    (:func:`repro.proofs.steal.exhaustive_verify_steal`); ``steal=False``
+    splits there at the root branches only.  The pool shares
+    ``max_configurations`` as a cross-worker budget so the parallel
+    cutoff lands on exactly the serial count.  It does not run the naive
+    engine.
 
     Without ``spill`` the visited/expanded records hold raw canonical
     fingerprints in memory.  ``spill DIR`` interns them as fixed-width
@@ -226,8 +222,8 @@ def exhaustive_verify(
 
     ``instrumentation`` threads the observability handle through the
     whole run (scope span, exploration/cache metrics, the deterministic
-    ``verify.*`` counters — recorded here only for whole-tree runs; the
-    parallel merge records them for frontier-split shards).
+    ``verify.*`` counters — the pool records those once, on its merged
+    result).
 
     ``por`` selects the partial-order-reduction flavor: ``"source"``
     (the default: source-DPOR — race-driven source sets over the sleep
@@ -254,9 +250,9 @@ def exhaustive_verify(
     if jobs > 1:
         if engine == "naive":
             raise ValueError("jobs > 1 requires the fast engine")
-        from .parallel import exhaustive_verify_parallel
+        from .steal import exhaustive_verify_steal
 
-        return exhaustive_verify_parallel(
+        return exhaustive_verify_steal(
             entry, programs, jobs=jobs, reduction=reduction,
             symmetry=symmetry, cache=cache, instrumentation=ins,
             steal=steal, spill=spill,
@@ -268,8 +264,7 @@ def exhaustive_verify(
     store: Optional[FingerprintStore] = None
     if spill is not None and engine == "fast":
         store = FingerprintStore(spill_dir=spill)
-    if root_branch is None:
-        ins.journal_event("scope.start", entry=entry.name, family="OB")
+    ins.journal_event("scope.start", entry=entry.name, family="OB")
     if heartbeat is not None:
         heartbeat.begin_task(entry.name)
 
@@ -283,8 +278,7 @@ def exhaustive_verify(
             persistent=(por == "source" and engine == "fast"),
         )
 
-    with ins.span("exhaustive.scope", entry=entry.name, kind="OB",
-                  root_branch=root_branch):
+    with ins.span("exhaustive.scope", entry=entry.name, kind="OB"):
         if engine == "naive":
             result.configurations = explore_op_programs_naive(
                 make_system, programs, visit,
@@ -298,8 +292,6 @@ def exhaustive_verify(
                 reduction=entry.reduction if reduction is None else reduction,
                 symmetry=entry.symmetry if symmetry is None else symmetry,
                 stats=result.stats,
-                root_branch=root_branch,
-                fingerprints=fingerprints,
                 instrumentation=ins,
                 store=store,
                 por=por,
@@ -312,12 +304,11 @@ def exhaustive_verify(
     if ins.enabled:
         if result.check_stats is not None:
             ins.record_check(result.check_stats, entry=entry.name)
-        if root_branch is None:
-            ins.record_result(entry.name, result)
-            ins.journal_event(
-                "scope.end", entry=entry.name, ok=result.ok,
-                configurations=result.configurations,
-            )
+        ins.record_result(entry.name, result)
+        ins.journal_event(
+            "scope.end", entry=entry.name, ok=result.ok,
+            configurations=result.configurations,
+        )
     return result
 
 
@@ -331,8 +322,6 @@ def exhaustive_verify_state(
     symmetry: Optional[bool] = None,
     cache: bool = True,
     jobs: int = 1,
-    root_branch: Optional[int] = None,
-    fingerprints: Optional[set] = None,
     instrumentation: Optional[Instrumentation] = None,
     steal: bool = True,
     spill: Optional[str] = None,
@@ -361,9 +350,9 @@ def exhaustive_verify_state(
     if jobs > 1:
         if engine == "naive":
             raise ValueError("jobs > 1 requires the fast engine")
-        from .parallel import exhaustive_verify_parallel
+        from .steal import exhaustive_verify_steal
 
-        return exhaustive_verify_parallel(
+        return exhaustive_verify_steal(
             entry, programs, jobs=jobs, max_gossips=max_gossips,
             reduction=reduction, symmetry=symmetry, cache=cache,
             instrumentation=ins, steal=steal, spill=spill,
@@ -375,8 +364,7 @@ def exhaustive_verify_state(
     store: Optional[FingerprintStore] = None
     if spill is not None and engine == "fast":
         store = FingerprintStore(spill_dir=spill)
-    if root_branch is None:
-        ins.journal_event("scope.start", entry=entry.name, family="SB")
+    ins.journal_event("scope.start", entry=entry.name, family="SB")
     if heartbeat is not None:
         heartbeat.begin_task(entry.name)
 
@@ -386,8 +374,7 @@ def exhaustive_verify_state(
             persistent=(por == "source" and engine == "fast"),
         )
 
-    with ins.span("exhaustive.scope", entry=entry.name, kind="SB",
-                  root_branch=root_branch):
+    with ins.span("exhaustive.scope", entry=entry.name, kind="SB"):
         if engine == "naive":
             result.configurations = explore_state_programs_naive(
                 make_system, programs, visit,
@@ -403,8 +390,6 @@ def exhaustive_verify_state(
                 reduction=entry.reduction if reduction is None else reduction,
                 symmetry=entry.symmetry if symmetry is None else symmetry,
                 stats=result.stats,
-                root_branch=root_branch,
-                fingerprints=fingerprints,
                 instrumentation=ins,
                 store=store,
                 por=por,
@@ -417,12 +402,11 @@ def exhaustive_verify_state(
     if ins.enabled:
         if result.check_stats is not None:
             ins.record_check(result.check_stats, entry=entry.name)
-        if root_branch is None:
-            ins.record_result(entry.name, result)
-            ins.journal_event(
-                "scope.end", entry=entry.name, ok=result.ok,
-                configurations=result.configurations,
-            )
+        ins.record_result(entry.name, result)
+        ins.journal_event(
+            "scope.end", entry=entry.name, ok=result.ok,
+            configurations=result.configurations,
+        )
     return result
 
 

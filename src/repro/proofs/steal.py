@@ -1,11 +1,6 @@
 """Frontier-split parallel exhaustive verification (the ``--jobs N`` pool).
 
-The static root-branch split (:mod:`repro.proofs.parallel`) carves the
-search at the DFS *root*: one task per root branch, fixed up front.  On
-symmetric scopes orbit filtering leaves a single root branch, so the
-run is serial; on skewed scopes one replica's subtree dwarfs the rest.
-
-This module carves deeper, at a **sleep-set frontier**:
+The pool carves the search at a **sleep-set frontier**:
 
 * Per scope, the coordinator runs the sleep-set DFS over the top ``d``
   levels only (``_Engine.run(cap=d)``).  Every node above the cap is
@@ -15,13 +10,14 @@ This module carves deeper, at a **sleep-set frontier**:
   ``(path, sleep)`` task instead of being expanded.  ``d`` deepens from
   1 until the frontier holds :data:`TASKS_PER_WORKER` tasks per worker,
   or until no node reaches the cap (the coordinator then walked the
-  whole tree).
+  whole tree).  ``steal=False`` (``--no-steal``) stops at ``d = 1``:
+  one task per root branch, with the coordinator's canonical dedup
+  keeping one branch per replica-permutation orbit.
 * Workers pull tasks from a shared :class:`multiprocessing.Queue`,
   replay each prefix and run the scope's DFS below it — source-DPOR by
   default.  The prefix runs under ignore frames: the coordinator fully
   expanded every prefix node, so a race reversal landing there is
-  already explored or slept.  The root-branch split's ignore root
-  frame rests on the same argument.
+  already explored or slept.
 * Each worker keeps one engine *session* per scope (domain, visited and
   expanded records, verdict caches) across all its tasks, so dedup warms
   up like a serial run's.  Sessions keep raw canonical fingerprints, as
@@ -47,18 +43,18 @@ that dies aborts the run loudly.
 
 import io
 import multiprocessing as mp
-import os
 import queue
 import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.ralin import CheckStats
 from ..obs.heartbeat import HeartbeatEmitter
 from ..obs.instrument import Instrumentation, NULL_INSTRUMENTATION
 from ..obs.progress import ProgressMonitor
 from ..runtime.explore_engine import ExploreStats, build_engine
-from ..runtime.fp_store import FingerprintStore
+from ..runtime.fp_store import FingerprintStore, FPStoreStats
 from ..runtime.schedule import Program
 from ..runtime.state_system import StateBasedSystem
 from ..runtime.system import OpBasedSystem
@@ -68,6 +64,13 @@ from .exhaustive import (
     _make_visit,
     exhaustive_verify,
     exhaustive_verify_state,
+)
+from .parallel import (
+    _obs_envelope,
+    _require_registered,
+    _worker_count,
+    _worker_instrumentation,
+    default_jobs,
 )
 from .registry import CRDTEntry, entry_by_name
 
@@ -250,6 +253,8 @@ class _Session:
     def frontier(self, target: int) -> Tuple[int, List[Tuple]]:
         """``(depth, tasks)``: the shallowest frontier with at least
         ``target`` tasks, or the whole tree walked here (no tasks).
+        ``target=1`` stops at depth 1 whenever the root has a child: the
+        root-branch split of ``steal=False``.
 
         A capped walk (shared budget exhausted) yields no tasks: nothing
         below it could be counted anyway.
@@ -290,8 +295,6 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
     the worker owns a :class:`HeartbeatEmitter` whose records travel to
     the coordinator's :class:`ProgressMonitor` through that queue.
     """
-    from .parallel import _worker_instrumentation
-
     ins = _worker_instrumentation(obs)
     emitter: Optional[HeartbeatEmitter] = None
     if hb_q is not None:
@@ -344,21 +347,6 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
                    traceback.format_exc()))
 
 
-def steal_workers(jobs: int, oversubscribe: bool = False) -> int:
-    """Effective pool size: ``jobs`` capped by cores.
-
-    Unlike the static path, the root's out-degree does not cap the pool
-    — the frontier deepens until there are tasks for every worker.
-    ``oversubscribe`` drops the core cap: exploration workers block on
-    queue I/O often enough that tests (and the bench harness) can
-    exercise real multi-process scheduling on machines with fewer cores
-    than workers.
-    """
-    if oversubscribe:
-        return max(1, jobs)
-    return max(1, min(jobs, os.cpu_count() or 1))
-
-
 def _scope_table(
     scopes: Sequence[Tuple[CRDTEntry, Dict[str, Program], Optional[int]]],
     reduction: Optional[bool],
@@ -367,8 +355,6 @@ def _scope_table(
     por: str = "source",
 ) -> List[_ScopeSpec]:
     """The picklable build spec of every scope, in input order."""
-    from .parallel import _require_registered
-
     table: List[_ScopeSpec] = []
     for entry, programs, max_gossips in scopes:
         _require_registered(entry)
@@ -389,7 +375,7 @@ def _verify_scopes_inline(
     ins: Instrumentation,
     por: str = "source",
     heartbeat: Optional[HeartbeatEmitter] = None,
-) -> Dict[str, ExhaustiveResult]:
+) -> List[ExhaustiveResult]:
     """Serial fallback when the effective pool is one worker.
 
     Spawning a single worker process would pay fork + pickle + queue
@@ -397,7 +383,7 @@ def _verify_scopes_inline(
     The serial engine *is* the semantics the pool must reproduce, which
     makes this fallback trivially exact.
     """
-    merged: Dict[str, ExhaustiveResult] = {}
+    results: List[ExhaustiveResult] = []
     for entry, programs, max_gossips in scopes:
         if entry.kind == "OB":
             result = exhaustive_verify(
@@ -414,7 +400,97 @@ def _verify_scopes_inline(
                 spill=spill, instrumentation=ins, por=por,
                 heartbeat=heartbeat,
             )
-        merged[entry.name] = result
+        results.append(result)
+    return results
+
+
+def _merge_sessions(
+    entry_name: str, outcomes: List[Tuple[int, ExhaustiveResult, Any]]
+) -> ExhaustiveResult:
+    """One scope's result from its sessions' ``(order key, result,
+    fingerprints)`` outcomes: the coordinator's (key -1) and every
+    worker's that ran a task of the scope.
+
+    The distinct-configuration count is the size of the union of the
+    sessions' fingerprint sets — a configuration reached by two
+    processes is counted once, exactly as serial dedup would.  Verdicts
+    and failures are combined in key order, additive counters summed,
+    and wall times and peaks ``max``-ed (sessions run concurrently).
+    """
+    merged = ExhaustiveResult(entry_name)
+    merged.stats = ExploreStats()
+    check_stats = CheckStats()
+    saw_check_stats = False
+    fingerprints: set = set()
+    for _, result, session_fps in sorted(outcomes, key=lambda item: item[0]):
+        fingerprints |= session_fps
+        if not result.ok:
+            merged.ok = False
+        for failure in result.failures:
+            if len(merged.failures) < 10:
+                merged.failures.append(failure)
+        stats = result.stats
+        if stats is not None:
+            merged.stats.states_visited += stats.states_visited
+            merged.stats.states_deduped += stats.states_deduped
+            merged.stats.branches_pruned += stats.branches_pruned
+            merged.stats.commute_checks += stats.commute_checks
+            merged.stats.snapshots += stats.snapshots
+            merged.stats.deepcopies += stats.deepcopies
+            merged.stats.peak_frontier = max(
+                merged.stats.peak_frontier, stats.peak_frontier
+            )
+            merged.stats.wall_time = max(
+                merged.stats.wall_time, stats.wall_time
+            )
+            merged.stats.capped |= stats.capped
+            merged.stats.symmetry_group = max(
+                merged.stats.symmetry_group, stats.symmetry_group
+            )
+            merged.stats.pinned_replicas = max(
+                merged.stats.pinned_replicas, stats.pinned_replicas
+            )
+            merged.stats.state_fp_cache_peak = max(
+                merged.stats.state_fp_cache_peak, stats.state_fp_cache_peak
+            )
+            merged.stats.dpor_races += stats.dpor_races
+            merged.stats.dpor_redundant_avoided += (
+                stats.dpor_redundant_avoided
+            )
+            merged.stats.dpor_full_expansions += stats.dpor_full_expansions
+            merged.stats.dpor_wakeup_branches += stats.dpor_wakeup_branches
+            merged.stats.dpor_patch_cuts += stats.dpor_patch_cuts
+            merged.stats.pstate_copied += stats.pstate_copied
+            merged.stats.pstate_shared += stats.pstate_shared
+        if result.fp_store is not None:
+            if merged.fp_store is None:
+                merged.fp_store = FPStoreStats()
+            merged.fp_store.merge(result.fp_store)
+        if result.check_stats is not None:
+            saw_check_stats = True
+            check_stats.checks += result.check_stats.checks
+            check_stats.verdict_hits += result.check_stats.verdict_hits
+            check_stats.unkeyed += result.check_stats.unkeyed
+            check_stats.frontier_hits += result.check_stats.frontier_hits
+            check_stats.frontier_misses += result.check_stats.frontier_misses
+            check_stats.frontier_unattached += (
+                result.check_stats.frontier_unattached
+            )
+            check_stats.frontier_nodes = max(
+                check_stats.frontier_nodes, result.check_stats.frontier_nodes
+            )
+            for cond, seconds in result.check_stats.cond_seconds.items():
+                check_stats.cond_seconds[cond] = (
+                    check_stats.cond_seconds.get(cond, 0.0) + seconds
+                )
+            for cond, count in result.check_stats.failed_conditions.items():
+                check_stats.failed_conditions[cond] = (
+                    check_stats.failed_conditions.get(cond, 0) + count
+                )
+    merged.configurations = len(fingerprints)
+    merged.stats.configurations = merged.configurations
+    if saw_check_stats:
+        merged.check_stats = check_stats
     return merged
 
 
@@ -433,13 +509,20 @@ def verify_scopes_steal(
     progress: Optional[float] = None,
     progress_stream: Optional[Any] = None,
     heartbeat_log: Optional[str] = None,
-) -> Dict[str, ExhaustiveResult]:
+    steal: bool = True,
+) -> List[ExhaustiveResult]:
     """Run many exhaustive scopes through one frontier-split pool.
 
-    Same contract as :func:`repro.proofs.parallel.verify_scopes_parallel`
-    — ``{entry.name: merged result}`` in input order, verdicts and
-    distinct-configuration counts identical to serial — plus:
+    ``scopes`` is a sequence of ``(entry, programs, max_gossips)``
+    triples (``max_gossips`` ignored for op-based entries).  Returns one
+    result per scope, in input order — two scopes of one entry stay two
+    results — with verdicts and distinct-configuration counts identical
+    to serial.  All scopes' tasks share one pool, so late scopes keep
+    early workers busy.  Options:
 
+    * ``steal=False`` splits every scope at its root branches only (a
+      depth-1 frontier) instead of deepening until each worker has
+      :data:`TASKS_PER_WORKER` tasks.
     * ``max_configurations`` is honored exactly via the shared budget.
     * ``spill`` puts every session's visited/expanded records behind a
       disk-spilling fingerprint store; without it sessions keep raw
@@ -455,17 +538,11 @@ def verify_scopes_steal(
       or without rendering.  Both are presentation only — no effect on
       results or deterministic metrics.
     """
-    from .parallel import _merge_branches, _obs_envelope, default_jobs
-
     ins = instrumentation if instrumentation is not None \
         else NULL_INSTRUMENTATION
     jobs = jobs or default_jobs()
-    workers = steal_workers(jobs, oversubscribe)
+    workers = _worker_count(jobs, oversubscribe=oversubscribe)
     scope_table = _scope_table(scopes, reduction, symmetry, cache, por)
-    order: List[str] = []
-    for entry, _, _ in scopes:
-        if entry.name not in order:
-            order.append(entry.name)
     observe = progress is not None or heartbeat_log is not None
     if workers <= 1 or not scope_table:
         monitor = emitter = None
@@ -510,8 +587,8 @@ def verify_scopes_steal(
         if observe else None
     )
     started = time.perf_counter()
-    for name in order:
-        ins.journal_event("scope.start", entry=name, workers=workers)
+    for spec in scope_table:
+        ins.journal_event("scope.start", entry=spec[0], workers=workers)
     # Workers start first, so their fork overlaps the frontier walks and
     # the first scope's tasks run while later frontiers are computed.
     procs = [
@@ -527,6 +604,7 @@ def verify_scopes_steal(
         proc.start()
 
     coordinator: Dict[int, _Session] = {}
+    target = TASKS_PER_WORKER * workers if steal else 1
     frontier_depth = 0
     expected: set = set()
     acked: set = set()
@@ -539,7 +617,7 @@ def verify_scopes_steal(
             session = _Session(spec, budget, spill, ins)
             coordinator[scope_index] = session
             with ins.span("steal.frontier", scope=scope_index):
-                depth, tasks = session.frontier(TASKS_PER_WORKER * workers)
+                depth, tasks = session.frontier(target)
             frontier_depth = max(frontier_depth, depth)
             for number, (path, sleep) in enumerate(tasks):
                 task_id = (scope_index, number)
@@ -597,30 +675,30 @@ def verify_scopes_steal(
         frontier_depth=frontier_depth,
         wall_time=time.perf_counter() - started,
     )
-    outcomes: Dict[str, List[Tuple[int, ExhaustiveResult, set]]] = {}
+    outcomes: List[List[Tuple[int, ExhaustiveResult, Any]]] = [
+        [] for _ in scope_table
+    ]
     for scope_index, session in coordinator.items():
         _, result, fps = session.harvest(scope_index, ins)
-        outcomes.setdefault(scope_table[scope_index][0], []).append(
-            (-1, result, fps)
-        )
+        outcomes[scope_index].append((-1, result, fps))
     for _, worker_id, results, idle_seconds, timeline, payload in dones:
         ins.absorb_worker(payload)
         steal_stats.idle_seconds += idle_seconds
         steal_stats.timeline.extend(timeline)
         for scope_index, result, fps in results:
-            name = scope_table[scope_index][0]
-            outcomes.setdefault(name, []).append((worker_id, result, fps))
-    with ins.span("steal.merge", scopes=len(order),
+            outcomes[scope_index].append((worker_id, result, fps))
+    with ins.span("steal.merge", scopes=len(scope_table),
                   tasks=steal_stats.tasks):
-        merged = {
-            name: _merge_branches(name, outcomes.get(name, []))
-            for name in order
-        }
+        merged = [
+            _merge_sessions(spec[0], scope_outcomes)
+            for spec, scope_outcomes in zip(scope_table, outcomes)
+        ]
     if ins.enabled:
         ins.record_steal(steal_stats)
-        for name, result in merged.items():
-            ins.record_result(name, result)
-            ins.journal_event("scope.end", entry=name, ok=result.ok,
+        for result in merged:
+            ins.record_result(result.entry_name, result)
+            ins.journal_event("scope.end", entry=result.entry_name,
+                              ok=result.ok,
                               configurations=result.configurations)
     if stats_sink is not None:
         stats_sink["steal"] = steal_stats
@@ -644,17 +722,26 @@ def exhaustive_verify_steal(
     progress: Optional[float] = None,
     progress_stream: Optional[Any] = None,
     heartbeat_log: Optional[str] = None,
+    steal: bool = True,
 ) -> ExhaustiveResult:
     """Frontier-split parallel exhaustive verification of one registry
-    entry."""
+    entry: the one-scope case of :func:`verify_scopes_steal`, which
+    documents the options.
+
+    Semantically identical to :func:`exhaustive_verify` /
+    :func:`exhaustive_verify_state` with the fast engine — same verdict,
+    same distinct-configuration count — but explored by ``jobs`` worker
+    processes.  ``max_gossips`` only applies to state-based entries.  An
+    effective pool of one worker runs the serial algorithm inline.
+    """
     gossips = max_gossips if entry.kind == "SB" else None
-    merged = verify_scopes_steal(
+    (result,) = verify_scopes_steal(
         [(entry, programs, gossips)], jobs=jobs, reduction=reduction,
         symmetry=symmetry, cache=cache,
         max_configurations=max_configurations, spill=spill,
         instrumentation=instrumentation, oversubscribe=oversubscribe,
         stats_sink=stats_sink, por=por,
         progress=progress, progress_stream=progress_stream,
-        heartbeat_log=heartbeat_log,
+        heartbeat_log=heartbeat_log, steal=steal,
     )
-    return merged[entry.name]
+    return result

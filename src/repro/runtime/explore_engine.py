@@ -1081,11 +1081,11 @@ class _Frame:
 
     * ``"real"`` — a live node of this engine's DFS: reversals join the
       node's ``backtrack`` set and its candidate loop explores them.
-    * ``"ignore"`` — a node some sleep-set walk expanded in full: the
-      root of a static root-branch split, or a replayed prefix node of
-      a frontier task.  Every enabled transition there is either
-      explored (as a sibling task) or slept, so any reversal is already
-      covered.  :data:`_IGNORE_FRAME` is the one shared instance.
+    * ``"ignore"`` — a node some sleep-set walk expanded in full: a
+      replayed prefix node of a frontier task.  Every enabled
+      transition there is either explored (as a sibling task) or
+      slept, so any reversal is already covered.  :data:`_IGNORE_FRAME`
+      is the one shared instance.
     """
 
     __slots__ = (
@@ -1276,8 +1276,8 @@ class _Engine:
                                   FrozenSet[Transition]]] = []
         #: Fingerprints of configurations already reported to ``visit``.
         #: A caller-provided set is used in place (and thus observable
-        #: afterwards) — the parallel frontier-split merge unions the
-        #: per-branch sets to count distinct configurations globally.
+        #: afterwards) — the pool's merge unions the per-session sets to
+        #: count distinct configurations globally.
         if fingerprints is None:
             fingerprints = store.visited_set() if store is not None else set()
         self._visited_fps: Any = fingerprints
@@ -1326,13 +1326,12 @@ class _Engine:
 
     def run(
         self,
-        root_branch: Optional[int] = None,
         path: Optional[Sequence[Transition]] = None,
         sleep: FrozenSet[Transition] = frozenset(),
         cap: Optional[int] = None,
     ) -> ExploreStats:
-        """Explore the whole tree, one root branch, a frontier task, or
-        the frontier itself.
+        """Explore the whole tree, a frontier task, or the frontier
+        itself.
 
         ``path`` replays a transition sequence from the root and runs the
         DFS below it under ``sleep`` — the pool's task unit.  ``cap``
@@ -1348,13 +1347,10 @@ class _Engine:
                 self._run_frontier(cap)
             elif path is not None:
                 self._run_path(path, sleep)
-            elif root_branch is None:
-                if self.por != "sleep":
-                    self._run_source_root()
-                else:
-                    self._dfs(frozenset(), 1)
+            elif self.por != "sleep":
+                self._run_source_root()
             else:
-                self._run_root_branch(root_branch)
+                self._dfs(frozenset(), 1)
         except _SearchCapped:
             self.stats.capped = True
             if self.journal is not None:
@@ -1447,67 +1443,6 @@ class _Engine:
             # session stays reusable for its next task.
             self._reset_stacks()
             domain.pop(token)
-
-    def _run_root_branch(self, branch: int) -> None:
-        """Explore only the subtree under the ``branch``-th root transition.
-
-        This is the unit of the static root-branch split
-        (``repro.proofs.parallel``): worker ``i`` reconstructs exactly
-        the state the serial DFS has when it descends into root child
-        ``i`` — the earlier root transitions that ran (and were fully
-        explored) become sleep-set seeds when independent of this
-        branch's transition — and then runs the ordinary DFS below it.
-        Branch 0 additionally owns the root configuration itself, so
-        across workers it is reported once.  A ``branch`` beyond the
-        root's out-degree is a no-op.
-
-        Under source-DPOR the root node gets an ignore frame: every
-        root transition is statically seeded as a branch of its own (the
-        orbit filter only drops transitions covered by a symmetric
-        representative), so the full root expansion subsumes any source
-        set a race reversal could request.
-        """
-        domain, stats = self.domain, self.stats
-        transitions = domain.transitions()
-        fingerprint = self.dedup and self._fingerprint()
-        if branch == 0:
-            stats.states_visited += 1
-            stats.peak_frontier = max(stats.peak_frontier, 1)
-            if domain.should_visit(transitions):
-                self._report(fingerprint)
-        if branch >= len(transitions):
-            return
-        if self.dedup:
-            # Serial DFS records the root under the empty sleep set; keep
-            # that so deeper re-arrivals at the root configuration are
-            # subsumed here exactly as they are serially.
-            self._expanded.setdefault(fingerprint, []).append(frozenset())
-        target = transitions[branch]
-        token = domain.push()
-        done: List[Transition] = []
-        for transition in transitions[:branch]:
-            # Serial order: these ran (and were explored) before `target`.
-            # Test-apply to find out which ones actually ran — a failed
-            # apply() is skipped by the serial loop too.
-            if domain.apply(transition):
-                domain.pop(token)
-                done.append(transition)
-        child_sleep = frozenset(
-            other for other in done if domain.independent(other, target)
-        )
-        if domain.apply(target):
-            try:
-                self._path.append(target)
-                if self.por != "sleep":
-                    self._frames.append(_IGNORE_FRAME)
-                    domain.hb_note(target, 0)
-                    self._hb.append(0)
-                    self._dfs_source(child_sleep, 2)
-                else:
-                    self._dfs(child_sleep, 2)
-            finally:
-                self._reset_stacks()
-                domain.pop(token)
 
     def _report(self, fingerprint: Any) -> None:
         if self.dedup:
@@ -2043,8 +1978,6 @@ def explore_op_programs(
     reduction: bool = True,
     dedup: bool = True,
     stats: Optional[ExploreStats] = None,
-    root_branch: Optional[int] = None,
-    fingerprints: Optional[set] = None,
     instrumentation: Optional[Instrumentation] = None,
     symmetry: bool = False,
     store: Optional[Any] = None,
@@ -2067,11 +2000,6 @@ def explore_op_programs(
     once per orbit and ``max_configurations`` caps the *orbit* count.
     ``stats`` may be a caller-provided :class:`ExploreStats` to fill in.
 
-    ``root_branch=i`` explores only the subtree under the i-th initial
-    transition (the frontier-split unit of ``repro.proofs.parallel``);
-    ``fingerprints`` may be a caller-provided set used as the visited-
-    configuration record, so branch workers' sets can be unioned.
-
     ``instrumentation`` wraps the run in an ``explore.op`` span and folds
     the final :class:`ExploreStats` into metrics; the DFS hot path is
     untouched, so disabled instrumentation costs one attribute check.
@@ -2084,13 +2012,12 @@ def explore_op_programs(
         symmetry=symmetry,
     )
     with ins.span("explore.op", replicas=len(programs),
-                  root_branch=root_branch, symmetry=symmetry,
-                  por=por) as span:
+                  symmetry=symmetry, por=por) as span:
         _Engine(
             domain, visit, max_configurations, dedup, stats,
-            fingerprints=fingerprints, store=store, por=por,
+            store=store, por=por,
             profile=ins.profile, journal=ins.journal, heartbeat=heartbeat,
-        ).run(root_branch)
+        ).run()
         span.set(configurations=stats.configurations,
                  states_visited=stats.states_visited)
     if ins.enabled:
@@ -2107,8 +2034,6 @@ def explore_state_programs(
     reduction: bool = True,
     dedup: bool = True,
     stats: Optional[ExploreStats] = None,
-    root_branch: Optional[int] = None,
-    fingerprints: Optional[set] = None,
     instrumentation: Optional[Instrumentation] = None,
     symmetry: bool = False,
     store: Optional[Any] = None,
@@ -2130,13 +2055,13 @@ def explore_state_programs(
         symmetry=symmetry,
     )
     with ins.span("explore.state", replicas=len(programs),
-                  max_gossips=max_gossips, root_branch=root_branch,
-                  symmetry=symmetry, por=por) as span:
+                  max_gossips=max_gossips, symmetry=symmetry,
+                  por=por) as span:
         _Engine(
             domain, visit, max_configurations, dedup, stats,
-            fingerprints=fingerprints, store=store, por=por,
+            store=store, por=por,
             profile=ins.profile, journal=ins.journal, heartbeat=heartbeat,
-        ).run(root_branch)
+        ).run()
         span.set(configurations=stats.configurations,
                  states_visited=stats.states_visited)
     if ins.enabled:

@@ -28,7 +28,7 @@ from repro.proofs.exhaustive import (
     exhaustive_verify_state,
     standard_programs,
 )
-from repro.proofs.parallel import standard_scopes, verify_scopes_parallel
+from repro.proofs.parallel import standard_scopes
 from repro.proofs.registry import ALL_ENTRIES
 from repro.proofs.steal import verify_scopes_steal
 
@@ -164,21 +164,24 @@ class TestParallelDifferential:
             scopes, jobs=2, symmetry=symmetry, oversubscribe=True,
             por="source",
         )
-        for entry, _, _ in scopes:
+        for (entry, _, _), result in zip(scopes, merged):
             expected = (
                 oracle[entry.name] if symmetry is None
                 else _serial(entry, "sleep", symmetry)
             )
-            _assert_equal(merged[entry.name], expected, entry.name)
+            _assert_equal(result, expected, entry.name)
 
     def test_static_pool_matches_serial_sleep(self, oracle):
+        # steal=False: the pool split statically at the root branches.
         scopes = standard_scopes(max_gossips=MAX_GOSSIPS)
-        merged = verify_scopes_parallel(
-            scopes, jobs=2, steal=False, oversubscribe=True, por="source"
+        sink = {}
+        merged = verify_scopes_steal(
+            scopes, jobs=2, steal=False, oversubscribe=True, por="source",
+            stats_sink=sink,
         )
-        for entry, _, _ in scopes:
-            _assert_equal(merged[entry.name], oracle[entry.name],
-                          entry.name)
+        assert sink["steal"].frontier_depth == 1
+        for (entry, _, _), result in zip(scopes, merged):
+            _assert_equal(result, oracle[entry.name], entry.name)
 
 
 class _MutableCounter(OpBasedCRDT):

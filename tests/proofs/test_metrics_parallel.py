@@ -17,11 +17,10 @@ from repro.proofs.exhaustive import (
     exhaustive_verify,
     exhaustive_verify_state,
 )
-from repro.proofs.parallel import standard_scopes, verify_scopes_parallel
-from repro.proofs.report import verify_entry
-from repro.proofs.parallel import verify_entries_parallel
+from repro.proofs.parallel import standard_scopes, verify_entries_parallel
 from repro.proofs.registry import ALL_ENTRIES
-from repro.proofs.steal import exhaustive_verify_steal
+from repro.proofs.report import verify_entry
+from repro.proofs.steal import exhaustive_verify_steal, verify_scopes_steal
 
 SCOPES = standard_scopes()
 JOBS = 4
@@ -47,16 +46,16 @@ def test_entry_deterministic_totals_match(scope):
     """Every registry entry: serial ≡ --jobs 4 deterministic counters."""
     serial = _serial_totals([scope])
     parallel = Instrumentation.on()
-    verify_scopes_parallel([scope], jobs=JOBS, instrumentation=parallel)
+    verify_scopes_steal([scope], jobs=JOBS, instrumentation=parallel)
     assert deterministic_totals(parallel.metrics.snapshot()) \
         == deterministic_totals(serial.metrics.snapshot())
 
 
 def test_suite_deterministic_totals_match_whole_tree_path():
-    """All scopes at once (≥ jobs ⇒ whole-tree tasks): still identical."""
+    """All scopes through one pool at once: still identical."""
     serial = _serial_totals(SCOPES)
     parallel = Instrumentation.on()
-    verify_scopes_parallel(SCOPES, jobs=2, instrumentation=parallel)
+    verify_scopes_steal(SCOPES, jobs=2, instrumentation=parallel)
     assert deterministic_totals(parallel.metrics.snapshot()) \
         == deterministic_totals(serial.metrics.snapshot())
 
@@ -69,7 +68,7 @@ def test_work_counters_at_least_serial():
     )
     serial = _serial_totals([scope])
     parallel = Instrumentation.on()
-    verify_scopes_parallel([scope], jobs=JOBS, instrumentation=parallel)
+    verify_scopes_steal([scope], jobs=JOBS, instrumentation=parallel)
     serial_instruments = serial.metrics.snapshot()["instruments"]
     parallel_instruments = parallel.metrics.snapshot()["instruments"]
     for key in ("explore.states_visited{kind=op}",

@@ -1,9 +1,11 @@
-"""The process-parallel verification fan-out (:mod:`repro.proofs.parallel`).
+"""The process-parallel verification fan-out (:mod:`repro.proofs.parallel`
+helpers, the per-entry table pool, and the exhaustive pool behind them).
 
 The acceptance bar for the parallel pipeline is *bit-for-bit agreement*
 with the serial checkers: same verdict and same distinct-configuration
-count for every registry entry, on both sharding axes (whole-tree tasks
-and frontier-split root branches).
+count for every registry entry, whether a scope shares the pool with
+others or has it to itself, and whether the pool splits at a deep
+frontier or (``steal=False``) at the root branches.
 """
 
 import dataclasses
@@ -17,13 +19,13 @@ from repro.proofs.exhaustive import (
 )
 from repro.proofs.parallel import (
     _worker_count,
-    exhaustive_verify_parallel,
+    default_jobs,
     standard_scopes,
     verify_entries_parallel,
-    verify_scopes_parallel,
 )
 from repro.proofs.registry import ALL_ENTRIES, entry_by_name
 from repro.proofs.report import verify_entry
+from repro.proofs.steal import exhaustive_verify_steal, verify_scopes_steal
 
 
 def _serial(entry, programs, max_gossips):
@@ -39,23 +41,23 @@ class TestScopesParallel:
         # the serial distinct-configuration count.
         scopes = standard_scopes()
         assert scopes, "standard scope suite must not be empty"
-        parallel = verify_scopes_parallel(scopes, jobs=2)
-        assert list(parallel) == [entry.name for entry, _, _ in scopes]
-        for entry, programs, max_gossips in scopes:
+        parallel = verify_scopes_steal(scopes, jobs=2)
+        assert [result.entry_name for result in parallel] \
+            == [entry.name for entry, _, _ in scopes]
+        for (entry, programs, max_gossips), merged in zip(scopes, parallel):
             serial = _serial(entry, programs, max_gossips)
-            merged = parallel[entry.name]
             assert merged.ok == serial.ok, entry.name
             assert merged.configurations == serial.configurations, entry.name
 
     def test_few_scopes_frontier_split_path(self):
-        # One scope, four jobs: the adaptive granularity must switch to
-        # frontier-split shards — and still merge to the serial answer.
+        # One scope, four jobs: the frontier deepens until every worker
+        # has tasks — and still merges to the serial answer.
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs)
-        merged = verify_scopes_parallel([(entry, programs, None)], jobs=4)
-        assert merged[entry.name].ok == serial.ok
-        assert merged[entry.name].configurations == serial.configurations
+        (merged,) = verify_scopes_steal([(entry, programs, None)], jobs=4)
+        assert merged.ok == serial.ok
+        assert merged.configurations == serial.configurations
 
 
 class TestFrontierSplit:
@@ -64,7 +66,7 @@ class TestFrontierSplit:
         entry = entry_by_name(name)
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs)
-        split = exhaustive_verify_parallel(entry, programs, jobs=3)
+        split = exhaustive_verify_steal(entry, programs, jobs=3)
         assert split.ok == serial.ok
         assert split.configurations == serial.configurations
 
@@ -72,7 +74,7 @@ class TestFrontierSplit:
         entry = entry_by_name("G-Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify_state(entry, programs, max_gossips=2)
-        split = exhaustive_verify_parallel(
+        split = exhaustive_verify_steal(
             entry, programs, jobs=3, max_gossips=2
         )
         assert split.ok == serial.ok
@@ -94,20 +96,18 @@ class TestGuards:
         base = entry_by_name("Counter")
         rogue = dataclasses.replace(base, name="not-in-registry")
         with pytest.raises(ValueError, match="not in the registry"):
-            exhaustive_verify_parallel(rogue, standard_programs(base), jobs=2)
+            exhaustive_verify_steal(rogue, standard_programs(base), jobs=2)
 
     def test_worker_count_caps(self):
         assert _worker_count(1, 10) == 1
         assert _worker_count(8, 3) <= 3  # never more workers than tasks
         assert _worker_count(4, 0) == 1  # floor of one
-        import os
-        assert _worker_count(64, 64) <= (os.cpu_count() or 64)
+        assert _worker_count(64, 64) <= default_jobs()
 
     def test_worker_count_clamp_matrix(self, monkeypatch):
         monkeypatch.setattr("repro.proofs.parallel.os.cpu_count", lambda: 4)
         # --jobs 0 maps to default_jobs() = all cores; with fewer tasks
         # than cores the pool must not spawn idle processes.
-        from repro.proofs.parallel import default_jobs
         assert default_jobs() == 4
         assert _worker_count(default_jobs(), 2) == 2
         assert _worker_count(8, 100) == 4  # physical-core cap
@@ -115,25 +115,37 @@ class TestGuards:
         assert _worker_count(8, 3, oversubscribe=True) == 3  # task cap stays
         assert _worker_count(2, 1) == 1
         assert _worker_count(0, 10) == 1  # degenerate jobs floor to one
+        # The exhaustive pool knows no task count up front.
+        assert _worker_count(1) == 1
+        assert _worker_count(0) == 1
+        assert _worker_count(8) == 4
+        assert _worker_count(8, oversubscribe=True) == 8
         monkeypatch.setattr(
             "repro.proofs.parallel.os.cpu_count", lambda: None
         )
-        assert _worker_count(8, 100) == 8  # unknown core count: trust jobs
+        # A core count the host cannot report counts as one, for both
+        # pools, as default_jobs() does.
+        assert default_jobs() == 1
+        assert _worker_count(8, 100) == 1
+        assert _worker_count(8) == 1
+        assert _worker_count(8, oversubscribe=True) == 8
 
     def test_single_worker_runs_inline(self, monkeypatch):
         # One effective worker (task count or core cap) must run in the
-        # calling process — no executor, no fork/pickle overhead.
+        # calling process — no executor or worker process, no
+        # fork/pickle overhead.
         def _boom(*args, **kwargs):
-            raise AssertionError("executor used for a 1-worker pool")
+            raise AssertionError("worker process used for a 1-worker pool")
 
         monkeypatch.setattr(
             "repro.proofs.parallel.ProcessPoolExecutor", _boom
         )
+        monkeypatch.setattr("repro.proofs.steal.mp.Process", _boom)
         monkeypatch.setattr("repro.proofs.parallel.os.cpu_count", lambda: 1)
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs)
-        inline = exhaustive_verify_parallel(
+        inline = exhaustive_verify_steal(
             entry, programs, jobs=4, steal=False
         )
         assert inline.configurations == serial.configurations
@@ -147,8 +159,9 @@ class TestGuards:
 
 
 class TestSymmetricSharding:
-    """Orbit-aware frontier split: symmetric root branches are not fanned
-    out, and the merged result still equals the serial symmetric run."""
+    """Orbit-aware frontier split: symmetric branches are not fanned out
+    (the coordinator's canonical dedup drops them), and the merged
+    result still equals the serial symmetric run."""
 
     SYM_PROGRAMS = {
         "r1": [("inc", ()), ("read", ())],
@@ -158,7 +171,7 @@ class TestSymmetricSharding:
     def test_op_based_matches_serial_with_symmetry(self):
         entry = entry_by_name("Counter")
         serial = exhaustive_verify(entry, self.SYM_PROGRAMS)
-        split = exhaustive_verify_parallel(entry, self.SYM_PROGRAMS, jobs=4)
+        split = exhaustive_verify_steal(entry, self.SYM_PROGRAMS, jobs=4)
         assert split.ok == serial.ok
         assert split.configurations == serial.configurations
         assert split.stats.symmetry_group == 2
@@ -168,7 +181,7 @@ class TestSymmetricSharding:
         serial = exhaustive_verify_state(
             entry, self.SYM_PROGRAMS, max_gossips=2
         )
-        split = exhaustive_verify_parallel(
+        split = exhaustive_verify_steal(
             entry, self.SYM_PROGRAMS, jobs=4, max_gossips=2
         )
         assert split.ok == serial.ok
@@ -177,23 +190,29 @@ class TestSymmetricSharding:
     def test_symmetry_override_off_matches_serial(self):
         entry = entry_by_name("Counter")
         serial = exhaustive_verify(entry, self.SYM_PROGRAMS, symmetry=False)
-        split = exhaustive_verify_parallel(
+        split = exhaustive_verify_steal(
             entry, self.SYM_PROGRAMS, jobs=4, symmetry=False
         )
         assert split.configurations == serial.configurations
-        assert split.configurations > exhaustive_verify_parallel(
+        assert split.configurations > exhaustive_verify_steal(
             entry, self.SYM_PROGRAMS, jobs=4
         ).configurations
 
     def test_symmetric_branches_are_skipped(self):
-        from repro.proofs.parallel import _branch_tasks, _root_transitions
-
+        # A depth-1 frontier (steal=False) holds one task per root branch
+        # the coordinator keeps: both replicas' first inc are in one
+        # orbit, so symmetry leaves one task, and two without it.
         entry = entry_by_name("Counter")
-        transitions = _root_transitions("OB", self.SYM_PROGRAMS, None)
-        assert len(transitions) == 2
-        tasks = _branch_tasks(entry, self.SYM_PROGRAMS, None, None, None,
-                              True)
-        assert [task[6] for task in tasks] == [0]  # second branch ≅ first
-        tasks_off = _branch_tasks(entry, self.SYM_PROGRAMS, None, None,
-                                  False, True)
-        assert [task[6] for task in tasks_off] == [0, 1]
+        tasks = {}
+        for symmetry in (None, False):
+            sink = {}
+            result = exhaustive_verify_steal(
+                entry, self.SYM_PROGRAMS, jobs=2, symmetry=symmetry,
+                steal=False, oversubscribe=True, stats_sink=sink,
+            )
+            assert result.configurations == exhaustive_verify(
+                entry, self.SYM_PROGRAMS, symmetry=symmetry
+            ).configurations
+            assert sink["steal"].frontier_depth == 1
+            tasks[symmetry] = sink["steal"].tasks
+        assert tasks == {None: 1, False: 2}

@@ -20,16 +20,11 @@ from repro.proofs.exhaustive import (
     exhaustive_verify_state,
     standard_programs,
 )
-from repro.proofs.parallel import (
-    exhaustive_verify_parallel,
-    standard_scopes,
-    verify_scopes_parallel,
-)
+from repro.proofs.parallel import standard_scopes
 from repro.proofs.registry import ALL_ENTRIES, entry_by_name
 from repro.proofs.steal import (
     StealStats,
     exhaustive_verify_steal,
-    steal_workers,
     verify_scopes_steal,
 )
 from tests.strategies import SplitSchedule, run_split
@@ -61,13 +56,29 @@ class TestStealMatchesSerial:
         merged = verify_scopes_steal(
             scopes, jobs=3, oversubscribe=True, stats_sink=sink,
         )
-        assert list(merged) == [entry.name for entry, _, _ in scopes]
+        assert [result.entry_name for result in merged] \
+            == [entry.name for entry, _, _ in scopes]
         assert sink["steal"].workers == 3
-        for entry, programs, max_gossips in scopes:
+        for (entry, programs, max_gossips), result in zip(scopes, merged):
             serial = _serial(entry, programs, max_gossips)
-            assert merged[entry.name].ok == serial.ok, entry.name
-            assert merged[entry.name].configurations \
-                == serial.configurations, entry.name
+            assert result.ok == serial.ok, entry.name
+            assert result.configurations == serial.configurations, entry.name
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_result_per_scope(self, jobs):
+        # Two scopes of one entry stay two results, in input order.
+        entry = entry_by_name("Counter")
+        scopes = [
+            (entry, {"r1": [("inc", ()), ("read", ())],
+                     "r2": [("inc", ()), ("read", ())]}, None),
+            (entry, {"r1": [("inc", ()), ("read", ()), ("dec", ())],
+                     "r2": [("read", ())]}, None),
+        ]
+        serial = [exhaustive_verify(e, programs).configurations
+                  for e, programs, _ in scopes]
+        assert serial == [11, 10]
+        merged = verify_scopes_steal(scopes, jobs=jobs, **FORCE)
+        assert [result.configurations for result in merged] == serial
 
     def test_forced_splitting_op_based(self):
         entry = entry_by_name("Counter")
@@ -113,7 +124,7 @@ class TestStealMatchesSerial:
 
     def test_raw_fingerprints_without_store(self):
         # Without spill, sessions keep raw-fingerprint sets (the serial
-        # and static paths' representation); the merge must be exact.
+        # path's representation); the merge must be exact.
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs)
@@ -231,24 +242,13 @@ class TestSharedBudget:
 
 
 class TestPoolMechanics:
-    def test_steal_workers_clamp(self, monkeypatch):
-        monkeypatch.setattr("repro.proofs.steal.os.cpu_count", lambda: 4)
-        assert steal_workers(1) == 1
-        assert steal_workers(0) == 1  # floor of one
-        assert steal_workers(8) == 4  # core cap
-        assert steal_workers(8, oversubscribe=True) == 8
-        monkeypatch.setattr(
-            "repro.proofs.steal.os.cpu_count", lambda: None
-        )
-        assert steal_workers(8) == 1
-
     def test_single_worker_runs_inline(self, monkeypatch):
         # One effective worker must not pay fork + pickle + queue costs:
         # the pool path is never entered.
         def _boom(*args, **kwargs):
             raise AssertionError("mp.Process used for a 1-worker pool")
 
-        monkeypatch.setattr("repro.proofs.steal.os.cpu_count", lambda: 1)
+        monkeypatch.setattr("repro.proofs.parallel.os.cpu_count", lambda: 1)
         monkeypatch.setattr("repro.proofs.steal.mp.Process", _boom)
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
@@ -290,7 +290,8 @@ class TestPoolMechanics:
 
 
 class TestDispatch:
-    """The parallel front door routes to the pool by default."""
+    """``jobs > 1`` routes both exhaustive front doors to the pool, and
+    ``steal=False`` is the same pool with a depth-1 frontier."""
 
     def test_default_routes_to_steal(self, monkeypatch):
         sentinel = object()
@@ -305,55 +306,68 @@ class TestDispatch:
         )
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
-        assert exhaustive_verify_parallel(entry, programs, jobs=2) \
-            is sentinel
+        assert exhaustive_verify(entry, programs, jobs=2) is sentinel
         assert seen["jobs"] == 2
-        assert exhaustive_verify_parallel(
-            entry, programs, jobs=2, steal=True, spill="/tmp/x",
+        assert seen["steal"] is True
+        assert exhaustive_verify(
+            entry, programs, jobs=2, steal=False, spill="/tmp/x",
             max_configurations=4,
         ) is sentinel
+        assert seen["steal"] is False
         assert seen["spill"] == "/tmp/x"
         assert seen["max_configurations"] == 4
+        state = entry_by_name("G-Counter")
+        assert exhaustive_verify_state(
+            state, standard_programs(state), jobs=2, max_gossips=2,
+        ) is sentinel
+        assert seen["max_gossips"] == 2
 
-    def test_steal_off_uses_static_path(self, monkeypatch):
-        def _fail(*args, **kwargs):
-            raise AssertionError("steal path used despite steal=False")
-
-        monkeypatch.setattr(
-            "repro.proofs.steal.exhaustive_verify_steal", _fail
-        )
+    def test_steal_off_runs_pool_at_depth_one(self):
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs)
-        static = exhaustive_verify_parallel(
-            entry, programs, jobs=2, steal=False
-        )
-        assert static.configurations == serial.configurations
+        depths = {}
+        for steal in (True, False):
+            sink = {}
+            pooled = exhaustive_verify_steal(
+                entry, programs, jobs=2, steal=steal, stats_sink=sink,
+                **FORCE
+            )
+            assert (pooled.ok, pooled.configurations) \
+                == (serial.ok, serial.configurations)
+            stats = sink["steal"]
+            assert len(stats.timeline) == stats.tasks
+            depths[steal] = (stats.frontier_depth, stats.tasks)
+        # One task per root branch: each replica's first invocation.
+        assert depths[False] == (1, 2)
+        assert depths[True][0] > 1
 
-    def test_static_path_rejects_budget_and_spill(self):
+    def test_steal_off_honors_budget_and_spill(self, tmp_path):
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
-        with pytest.raises(ValueError, match="steal=True"):
-            exhaustive_verify_parallel(
-                entry, programs, jobs=2, steal=False, max_configurations=5
-            )
-        with pytest.raises(ValueError, match="steal=True"):
-            exhaustive_verify_parallel(
-                entry, programs, jobs=2, steal=False, spill="/tmp/x"
-            )
-        with pytest.raises(ValueError, match="steal=True"):
-            verify_scopes_parallel(
-                standard_scopes()[:1], jobs=2, steal=False,
-                max_configurations=5,
-            )
+        sink = {}
+        capped = exhaustive_verify_steal(
+            entry, programs, jobs=2, steal=False, max_configurations=9,
+            stats_sink=sink, **FORCE
+        )
+        assert capped.configurations == 9
+        assert capped.stats.capped
+        assert sink["steal"].frontier_depth == 1
+        spilled = exhaustive_verify_steal(
+            entry, programs, jobs=2, steal=False, spill=str(tmp_path),
+            **FORCE
+        )
+        assert spilled.configurations \
+            == exhaustive_verify(entry, programs).configurations
+        assert spilled.fp_store is not None
+        assert not list(tmp_path.iterdir())  # scratch files cleaned up
 
     def test_scopes_front_door_steal_off_matches(self):
         scopes = standard_scopes()[:2]
-        static = verify_scopes_parallel(scopes, jobs=2, steal=False)
-        for entry, programs, max_gossips in scopes:
+        static = verify_scopes_steal(scopes, jobs=2, steal=False)
+        for (entry, programs, max_gossips), result in zip(scopes, static):
             serial = _serial(entry, programs, max_gossips)
-            assert static[entry.name].configurations \
-                == serial.configurations
+            assert result.configurations == serial.configurations
 
 
 class TestInstrumentation:

@@ -220,6 +220,46 @@ class TestStealCLI:
                      "--no-steal"]) == 0
         assert self._configs(capsys.readouterr().out) == serial
 
+    def test_steal_is_the_parser_default(self):
+        assert build_parser().parse_args(["exhaustive"]).steal is True
+        assert build_parser().parse_args(
+            ["exhaustive", "--no-steal"]).steal is False
+
+    def test_no_steal_spill(self, capsys, tmp_path):
+        # --no-steal is the pool at depth 1, so it takes --spill too.
+        spill_dir = tmp_path / "spill"
+        spill_dir.mkdir()
+        assert main(["exhaustive", "--scope", "counter", "--jobs", "2",
+                     "--no-steal", "--spill", str(spill_dir)]) == 0
+        assert self._configs(capsys.readouterr().out) == "50"
+        assert not list(spill_dir.iterdir())  # scratch cleaned up
+
+    def test_no_steal_heartbeat_log(self, capsys, tmp_path):
+        from repro.obs.heartbeat import HEARTBEAT_SCHEMA
+
+        hb_log = tmp_path / "heartbeat.jsonl"
+        assert main(["exhaustive", "--scope", "counter", "--jobs", "2",
+                     "--no-steal", "--heartbeat-log", str(hb_log)]) == 0
+        capsys.readouterr()
+        header, *records = [json.loads(line)
+                            for line in hb_log.read_text().splitlines()]
+        assert header["schema"] == HEARTBEAT_SCHEMA
+        assert records
+        assert all(record["task"].startswith("Counter:")
+                   for record in records)
+
+    def test_no_steal_store_batch_matches_serial(self, capsys):
+        def rows(out):
+            return [line.split()[:3] for line in out.splitlines()
+                    if line.startswith(("counter", "or_set", "verdict"))]
+
+        assert main(["exhaustive", "--store", "counter:1,orset:1"]) == 0
+        serial = rows(capsys.readouterr().out)
+        assert main(["exhaustive", "--store", "counter:1,orset:1",
+                     "--jobs", "2", "--no-steal"]) == 0
+        assert rows(capsys.readouterr().out) == serial
+        assert len(serial) == 3
+
     def test_spill_serial_round_trip(self, capsys, tmp_path):
         spill_dir = tmp_path / "spill"
         spill_dir.mkdir()
