@@ -27,7 +27,6 @@ deterministic metric totals.
 """
 
 import argparse
-import io
 import re
 import sys
 
@@ -39,9 +38,7 @@ from .core.ralin import (
 from .core.render import render_history, render_linearization
 from .core.strong import check_strong_linearizable
 from .obs import (
-    HeartbeatEmitter,
     Instrumentation,
-    ProgressMonitor,
     bench_diff_paths,
     read_artifact,
     write_artifact,
@@ -51,7 +48,6 @@ from .proofs import (
     chaos_soak,
     default_plans,
     dump_trace,
-    exhaustive_verify,
     format_chaos,
     parse_store_spec,
     plan_by_name,
@@ -123,27 +119,6 @@ def _emit_journal(args: argparse.Namespace, ins: Instrumentation) -> None:
     if getattr(args, "journal", None) and ins.journal is not None:
         ins.journal.dump(args.journal)
         print(f"journal written to {args.journal}")
-
-
-def _progress_monitor(args: argparse.Namespace):
-    """(monitor, emitter) for a serial run, or (None, None).
-
-    The monitor renders to stderr only when ``--progress`` was given;
-    with ``--heartbeat-log`` alone the records go to the JSONL file and
-    the render stream is a discard buffer.
-    """
-    progress = getattr(args, "progress", None)
-    log = getattr(args, "heartbeat_log", None)
-    if progress is None and not log:
-        return None, None
-    monitor = ProgressMonitor(
-        interval=progress,
-        stream=(sys.stderr if progress is not None else io.StringIO()),
-        log_path=log,
-    )
-    emitter = HeartbeatEmitter(worker="w0", sink=monitor.ingest,
-                               interval=progress)
-    return monitor, emitter
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -284,27 +259,12 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     if args.jobs == 0:
         args.jobs = default_jobs()
     symmetry = False if args.no_symmetry else None
-    if args.jobs > 1:
-        scopes = [(entry, standard_programs(entry), None) for entry in entries]
-        results = verify_scopes_steal(scopes, jobs=args.jobs,
-                                      symmetry=symmetry,
-                                      steal=args.steal, spill=args.spill,
-                                      instrumentation=ins, por=args.por,
-                                      progress=args.progress,
-                                      heartbeat_log=args.heartbeat_log)
-    else:
-        monitor, emitter = _progress_monitor(args)
-        try:
-            results = [
-                exhaustive_verify(entry, standard_programs(entry),
-                                  symmetry=symmetry, spill=args.spill,
+    scopes = [(entry, standard_programs(entry), None) for entry in entries]
+    results = verify_scopes_steal(scopes, jobs=args.jobs, symmetry=symmetry,
+                                  steal=args.steal, spill=args.spill,
                                   instrumentation=ins, por=args.por,
-                                  heartbeat=emitter)
-                for entry in entries
-            ]
-        finally:
-            if monitor is not None:
-                monitor.close()
+                                  progress=args.progress,
+                                  heartbeat_log=args.heartbeat_log)
     print(format_exhaustive(
         results, title="Exhaustive small-scope verification"
     ))

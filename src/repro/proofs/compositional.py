@@ -46,8 +46,9 @@ from ..runtime.composition import (
 from ..runtime.explore_engine import ExploreStats
 from ..runtime.schedule import explore_op_programs
 from ..runtime.system import OpBasedSystem
-from .exhaustive import ExhaustiveResult, exhaustive_verify, standard_programs
+from .exhaustive import ExhaustiveResult, standard_programs
 from .registry import ALL_ENTRIES, CRDTEntry
+from .steal import verify_scopes_steal
 
 #: Per-replica store programs: ``(method, args, object_name)`` triples.
 StoreProgram = Dict[str, List[Tuple]]
@@ -469,9 +470,11 @@ def verify_store(
 
     ⊗ts stores are verified per object (phase a) plus the side-condition
     sweep (phase b): the existing exhaustive engine runs on each object's
-    projected programs — sharded across the work pool with one task
-    stream per object when ``jobs > 1`` — and a bounded sample of product
-    executions is checked for timestamp dominance and witness
+    projected programs — one scope per object group of one
+    :func:`~repro.proofs.steal.verify_scopes_steal` batch, which reaches
+    the work pool when ``jobs > 1`` and takes ``max_configurations`` and
+    the heartbeat options at every ``jobs`` value — and a bounded sample
+    of product executions is checked for timestamp dominance and witness
     mergeability.  Stores with independent generators (⊗) opt out of the
     rule's soundness premise, so they take the escape hatch (phase c):
     whole-store product exploration via :func:`product_verify_store`
@@ -500,27 +503,16 @@ def verify_store(
             ins.record_compose(result)
         return result
 
-    # Phase (a): per-object exhaustive verification on projections.
+    # Phase (a): per-object exhaustive verification on projections, one
+    # scope of one batch per object group.
     groups = _object_groups(store, programs)
-    if jobs > 1 and len(groups) > 1:
-        # One pool, one scope (and one task stream) per object group.
-        from .steal import verify_scopes_steal
-
-        group_results = verify_scopes_steal(
-            [(entry, projected, None) for entry, projected, _ in groups],
-            jobs=jobs, reduction=reduction, symmetry=symmetry,
-            cache=cache, steal=steal, spill=spill, por=por,
-            instrumentation=ins, progress=progress,
-            heartbeat_log=heartbeat_log,
-        )
-    else:
-        group_results = []
-        for entry, projected, _ in groups:
-            group_results.append(exhaustive_verify(
-                entry, projected, reduction=reduction, symmetry=symmetry,
-                cache=cache, jobs=jobs, steal=steal, spill=spill, por=por,
-                instrumentation=ins,
-            ))
+    group_results = verify_scopes_steal(
+        [(entry, projected, None) for entry, projected, _ in groups],
+        jobs=jobs, reduction=reduction, symmetry=symmetry, cache=cache,
+        max_configurations=max_configurations, steal=steal, spill=spill,
+        por=por, instrumentation=ins, progress=progress,
+        heartbeat_log=heartbeat_log,
+    )
     for (entry, projected, names), obj_result in zip(groups, group_results):
         for obj in names:
             result.objects[obj] = obj_result

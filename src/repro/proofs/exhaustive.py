@@ -17,7 +17,7 @@ symbolically.
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..core.convergence import check_convergence
 from ..core.ralin import (
@@ -34,6 +34,8 @@ from ..runtime.explore_naive import (
 )
 from ..runtime.fp_store import FingerprintStore, FPStoreStats
 from ..runtime.schedule import Program, explore_op_programs
+from ..runtime.state_explore import explore_state_programs
+from ..runtime.state_system import StateBasedSystem
 from ..runtime.system import OpBasedSystem
 from .registry import CRDTEntry
 
@@ -174,6 +176,114 @@ def _harvest_store(store: FingerprintStore, result: ExhaustiveResult,
     store.close()
 
 
+def _system_factory(
+    entry: CRDTEntry, programs: Dict[str, Program], persistent: bool
+) -> Callable[[], Any]:
+    """The runtime system constructor of one scope: op- or state-based
+    by the entry's kind, over the programs' replicas."""
+    system_class = OpBasedSystem if entry.kind == "OB" else StateBasedSystem
+    replicas = sorted(programs)
+
+    def make_system():
+        return system_class(entry.make_crdt(), replicas=replicas,
+                            persistent=persistent)
+
+    return make_system
+
+
+def _verify_scope(
+    entry: CRDTEntry,
+    programs: Dict[str, Program],
+    max_gossips: Optional[int],
+    max_configurations: Optional[int],
+    engine: str,
+    reduction: Optional[bool],
+    symmetry: Optional[bool],
+    cache: bool,
+    jobs: int,
+    instrumentation: Optional[Instrumentation],
+    steal: bool,
+    spill: Optional[str],
+    oversubscribe: bool,
+    por: str,
+    heartbeat: Optional[object],
+) -> ExhaustiveResult:
+    """The one driver behind :func:`exhaustive_verify` and
+    :func:`exhaustive_verify_state`; ``max_gossips`` only applies to
+    state-based entries."""
+    if engine not in ("fast", "naive"):
+        raise ValueError(f"unknown engine {engine!r}: use 'fast' or 'naive'")
+    ins = instrumentation if instrumentation is not None \
+        else NULL_INSTRUMENTATION
+    if jobs > 1:
+        if engine == "naive":
+            raise ValueError("jobs > 1 requires the fast engine")
+        from .steal import exhaustive_verify_steal
+
+        return exhaustive_verify_steal(
+            entry, programs, jobs=jobs, max_gossips=max_gossips,
+            reduction=reduction, symmetry=symmetry, cache=cache,
+            instrumentation=ins, steal=steal, spill=spill,
+            max_configurations=max_configurations,
+            oversubscribe=oversubscribe, por=por,
+        )
+    fast = engine == "fast"
+    result = ExhaustiveResult(entry.name)
+    visit = _make_visit(entry, result, cache and fast, ins)
+    store: Optional[FingerprintStore] = None
+    if spill is not None and fast:
+        store = FingerprintStore(spill_dir=spill)
+    ins.journal_event("scope.start", entry=entry.name, family=entry.kind)
+    if heartbeat is not None:
+        heartbeat.begin_task(entry.name)
+    # Source-DPOR branches orders of magnitude more often than it
+    # mutates; the persistent (hash-trie) containers make each branch
+    # point O(delta) instead of O(configuration).  The naive oracle keeps
+    # the plain containers.
+    make_system = _system_factory(entry, programs,
+                                  persistent=(por == "source" and fast))
+    if entry.kind == "OB":
+        explore, explore_naive = explore_op_programs, explore_op_programs_naive
+        options = {}
+    else:
+        explore = explore_state_programs
+        explore_naive = explore_state_programs_naive
+        options = {"max_gossips": max_gossips}
+    with ins.span("exhaustive.scope", entry=entry.name, kind=entry.kind):
+        if fast:
+            result.stats = ExploreStats()
+            result.configurations = explore(
+                make_system, programs, visit,
+                max_configurations=max_configurations,
+                reduction=entry.reduction if reduction is None else reduction,
+                symmetry=entry.symmetry if symmetry is None else symmetry,
+                stats=result.stats,
+                instrumentation=ins,
+                store=store,
+                por=por,
+                heartbeat=heartbeat,
+                **options,
+            )
+        else:
+            result.configurations = explore_naive(
+                make_system, programs, visit,
+                max_configurations=max_configurations, **options,
+            )
+    if heartbeat is not None:
+        heartbeat.emit()  # final beat: short scopes get at least one
+    if store is not None:
+        _harvest_store(store, result, ins)
+    if ins.enabled:
+        if result.check_stats is not None:
+            ins.record_check(result.check_stats, entry=entry.name)
+        ins.record_result(entry.name, result)
+        ins.journal_event(
+            "scope.end", entry=entry.name, ok=result.ok,
+            configurations=result.configurations,
+        )
+    return result
+
+
 def exhaustive_verify(
     entry: CRDTEntry,
     programs: Dict[str, Program],
@@ -192,9 +302,9 @@ def exhaustive_verify(
 ) -> ExhaustiveResult:
     """Check every interleaving of ``programs`` against the entry's class.
 
-    Only op-based entries are supported (the state-based semantics has an
-    unbounded message alphabet; its coverage story is the property checks
-    of Appendix D instead).
+    Only op-based entries are supported here; state-based ones go
+    through :func:`exhaustive_verify_state`, which bounds the gossip
+    steps.
 
     ``engine`` selects ``"fast"`` (the default: partial-order reduction
     + dedup + copy-on-write snapshots) or ``"naive"`` (the raw-interleaving
@@ -243,73 +353,11 @@ def exhaustive_verify(
             f"{entry.name} is state-based; exhaustive exploration covers "
             "op-based entries only"
         )
-    if engine not in ("fast", "naive"):
-        raise ValueError(f"unknown engine {engine!r}: use 'fast' or 'naive'")
-    ins = instrumentation if instrumentation is not None \
-        else NULL_INSTRUMENTATION
-    if jobs > 1:
-        if engine == "naive":
-            raise ValueError("jobs > 1 requires the fast engine")
-        from .steal import exhaustive_verify_steal
-
-        return exhaustive_verify_steal(
-            entry, programs, jobs=jobs, reduction=reduction,
-            symmetry=symmetry, cache=cache, instrumentation=ins,
-            steal=steal, spill=spill,
-            max_configurations=max_configurations,
-            oversubscribe=oversubscribe, por=por,
-        )
-    result = ExhaustiveResult(entry.name)
-    visit = _make_visit(entry, result, cache and engine == "fast", ins)
-    store: Optional[FingerprintStore] = None
-    if spill is not None and engine == "fast":
-        store = FingerprintStore(spill_dir=spill)
-    ins.journal_event("scope.start", entry=entry.name, family="OB")
-    if heartbeat is not None:
-        heartbeat.begin_task(entry.name)
-
-    def make_system() -> OpBasedSystem:
-        # Source-DPOR branches orders of magnitude more often than it
-        # mutates; the persistent (hash-trie) containers make each branch
-        # point O(delta) instead of O(configuration).  The naive oracle
-        # keeps the plain containers.
-        return OpBasedSystem(
-            entry.make_crdt(), replicas=sorted(programs),
-            persistent=(por == "source" and engine == "fast"),
-        )
-
-    with ins.span("exhaustive.scope", entry=entry.name, kind="OB"):
-        if engine == "naive":
-            result.configurations = explore_op_programs_naive(
-                make_system, programs, visit,
-                max_configurations=max_configurations,
-            )
-        else:
-            result.stats = ExploreStats()
-            result.configurations = explore_op_programs(
-                make_system, programs, visit,
-                max_configurations=max_configurations,
-                reduction=entry.reduction if reduction is None else reduction,
-                symmetry=entry.symmetry if symmetry is None else symmetry,
-                stats=result.stats,
-                instrumentation=ins,
-                store=store,
-                por=por,
-                heartbeat=heartbeat,
-            )
-    if heartbeat is not None:
-        heartbeat.emit()  # final beat: short scopes get at least one
-    if store is not None:
-        _harvest_store(store, result, ins)
-    if ins.enabled:
-        if result.check_stats is not None:
-            ins.record_check(result.check_stats, entry=entry.name)
-        ins.record_result(entry.name, result)
-        ins.journal_event(
-            "scope.end", entry=entry.name, ok=result.ok,
-            configurations=result.configurations,
-        )
-    return result
+    return _verify_scope(
+        entry, programs, None, max_configurations, engine, reduction,
+        symmetry, cache, jobs, instrumentation, steal, spill, oversubscribe,
+        por, heartbeat,
+    )
 
 
 def exhaustive_verify_state(
@@ -338,76 +386,13 @@ def exhaustive_verify_state(
     ``spill``, ``por`` and ``instrumentation`` behave as in
     :func:`exhaustive_verify`.
     """
-    from ..runtime.state_explore import explore_state_programs
-    from ..runtime.state_system import StateBasedSystem
-
     if entry.kind != "SB":
         raise ValueError(f"{entry.name} is op-based; use exhaustive_verify")
-    if engine not in ("fast", "naive"):
-        raise ValueError(f"unknown engine {engine!r}: use 'fast' or 'naive'")
-    ins = instrumentation if instrumentation is not None \
-        else NULL_INSTRUMENTATION
-    if jobs > 1:
-        if engine == "naive":
-            raise ValueError("jobs > 1 requires the fast engine")
-        from .steal import exhaustive_verify_steal
-
-        return exhaustive_verify_steal(
-            entry, programs, jobs=jobs, max_gossips=max_gossips,
-            reduction=reduction, symmetry=symmetry, cache=cache,
-            instrumentation=ins, steal=steal, spill=spill,
-            max_configurations=max_configurations,
-            oversubscribe=oversubscribe, por=por,
-        )
-    result = ExhaustiveResult(entry.name)
-    visit = _make_visit(entry, result, cache and engine == "fast", ins)
-    store: Optional[FingerprintStore] = None
-    if spill is not None and engine == "fast":
-        store = FingerprintStore(spill_dir=spill)
-    ins.journal_event("scope.start", entry=entry.name, family="SB")
-    if heartbeat is not None:
-        heartbeat.begin_task(entry.name)
-
-    def make_system() -> StateBasedSystem:
-        return StateBasedSystem(
-            entry.make_crdt(), replicas=sorted(programs),
-            persistent=(por == "source" and engine == "fast"),
-        )
-
-    with ins.span("exhaustive.scope", entry=entry.name, kind="SB"):
-        if engine == "naive":
-            result.configurations = explore_state_programs_naive(
-                make_system, programs, visit,
-                max_gossips=max_gossips,
-                max_configurations=max_configurations,
-            )
-        else:
-            result.stats = ExploreStats()
-            result.configurations = explore_state_programs(
-                make_system, programs, visit,
-                max_gossips=max_gossips,
-                max_configurations=max_configurations,
-                reduction=entry.reduction if reduction is None else reduction,
-                symmetry=entry.symmetry if symmetry is None else symmetry,
-                stats=result.stats,
-                instrumentation=ins,
-                store=store,
-                por=por,
-                heartbeat=heartbeat,
-            )
-    if heartbeat is not None:
-        heartbeat.emit()  # final beat: short scopes get at least one
-    if store is not None:
-        _harvest_store(store, result, ins)
-    if ins.enabled:
-        if result.check_stats is not None:
-            ins.record_check(result.check_stats, entry=entry.name)
-        ins.record_result(entry.name, result)
-        ins.journal_event(
-            "scope.end", entry=entry.name, ok=result.ok,
-            configurations=result.configurations,
-        )
-    return result
+    return _verify_scope(
+        entry, programs, max_gossips, max_configurations, engine, reduction,
+        symmetry, cache, jobs, instrumentation, steal, spill, oversubscribe,
+        por, heartbeat,
+    )
 
 
 def standard_programs(entry: CRDTEntry) -> Dict[str, Program]:

@@ -31,9 +31,10 @@ Determinism: the merged verdicts, distinct-configuration counts, and
 deterministic metrics are identical to the serial engine's — the split
 only decides *which process* explores a subtree, never *whether* it is
 explored (visited records are per process, so a subtree is at worst
-re-explored, never skipped).  ``max_configurations`` becomes a shared
-cross-process budget (:class:`_SharedBudget`) whose three-valued claim
-protocol guarantees the merged count stops at exactly the serial cap.
+re-explored, never skipped).  ``max_configurations`` becomes one shared
+cross-process budget per scope (:class:`_SharedBudget`) whose
+three-valued claim protocol guarantees that each scope's merged count
+stops at exactly its serial cap.
 
 Termination uses id accounting rather than queue draining: every task
 has an id, every ack names one, and the coordinator sends the stop
@@ -56,14 +57,12 @@ from ..obs.progress import ProgressMonitor
 from ..runtime.explore_engine import ExploreStats, build_engine
 from ..runtime.fp_store import FingerprintStore, FPStoreStats
 from ..runtime.schedule import Program
-from ..runtime.state_system import StateBasedSystem
-from ..runtime.system import OpBasedSystem
 from .exhaustive import (
     ExhaustiveResult,
     _harvest_store,
     _make_visit,
-    exhaustive_verify,
-    exhaustive_verify_state,
+    _system_factory,
+    _verify_scope,
 )
 from .parallel import (
     _obs_envelope,
@@ -113,7 +112,7 @@ class StealStats:
 
 
 class _SharedBudget:
-    """Exact cross-worker ``max_configurations`` cutoff.
+    """Exact cross-worker ``max_configurations`` cutoff of one scope.
 
     ``claim(fp)`` is three-valued (the engine's ``_report`` contract):
 
@@ -126,9 +125,9 @@ class _SharedBudget:
       NOT enter any visited set, or the merged union would exceed the
       cap.
 
-    The claimed set is the *merged* visited set by construction, so the
-    merged count equals ``min(cap, serial distinct count)`` — exactly
-    where the serial engine stops.
+    The claimed set is the scope's *merged* visited set by
+    construction, so the merged count equals ``min(cap, serial distinct
+    count)`` — exactly where the serial engine stops.
     """
 
     def __init__(self, cap: int, manager) -> None:
@@ -216,24 +215,10 @@ class _Session:
         if spill_dir is not None:
             self.store = FingerprintStore(spill_dir=spill_dir)
             self.fps = self.store.visited_set()
-        persistent = por == "source"
-        if entry.kind == "OB":
-            kind = "op"
-
-            def make_system():
-                return OpBasedSystem(entry.make_crdt(),
-                                     replicas=sorted(programs),
-                                     persistent=persistent)
-        else:
-            kind = "state"
-
-            def make_system():
-                return StateBasedSystem(entry.make_crdt(),
-                                        replicas=sorted(programs),
-                                        persistent=persistent)
-        self.kind = kind
+        self.kind = "op" if entry.kind == "OB" else "state"
         self.engine = build_engine(
-            kind, make_system, programs, visit,
+            self.kind, _system_factory(entry, programs, por == "source"),
+            programs, visit,
             max_gossips=max_gossips or 0,
             reduction=entry.reduction if reduction is None else reduction,
             symmetry=entry.symmetry if symmetry is None else symmetry,
@@ -283,7 +268,7 @@ class _Session:
 
 
 def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
-                       task_q, ack_q, stop, budget,
+                       task_q, ack_q, stop, budgets: List[Any],
                        obs: Optional[Dict[str, Any]],
                        spill_dir: Optional[str],
                        hb_q=None, hb_interval: Optional[float] = None) -> None:
@@ -294,6 +279,7 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
     the coordinator can fail loudly instead of hanging.  With ``hb_q``
     the worker owns a :class:`HeartbeatEmitter` whose records travel to
     the coordinator's :class:`ProgressMonitor` through that queue.
+    ``budgets`` holds each scope's :class:`_SharedBudget`, or None.
     """
     ins = _worker_instrumentation(obs)
     emitter: Optional[HeartbeatEmitter] = None
@@ -311,6 +297,7 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
             if task is None:
                 break
             task_id, scope_index, path, sleep = task
+            budget = budgets[scope_index]
             session = sessions.get(scope_index)
             if session is None:
                 session = _Session(scope_table[scope_index], budget,
@@ -383,25 +370,15 @@ def _verify_scopes_inline(
     The serial engine *is* the semantics the pool must reproduce, which
     makes this fallback trivially exact.
     """
-    results: List[ExhaustiveResult] = []
-    for entry, programs, max_gossips in scopes:
-        if entry.kind == "OB":
-            result = exhaustive_verify(
-                entry, programs, max_configurations=max_configurations,
-                reduction=reduction, symmetry=symmetry, cache=cache,
-                spill=spill, instrumentation=ins, por=por,
-                heartbeat=heartbeat,
-            )
-        else:
-            result = exhaustive_verify_state(
-                entry, programs, max_gossips=max_gossips or 0,
-                max_configurations=max_configurations,
-                reduction=reduction, symmetry=symmetry, cache=cache,
-                spill=spill, instrumentation=ins, por=por,
-                heartbeat=heartbeat,
-            )
-        results.append(result)
-    return results
+    return [
+        _verify_scope(
+            entry, programs, max_gossips or 0, max_configurations,
+            engine="fast", reduction=reduction, symmetry=symmetry,
+            cache=cache, jobs=1, instrumentation=ins, steal=True,
+            spill=spill, oversubscribe=False, por=por, heartbeat=heartbeat,
+        )
+        for entry, programs, max_gossips in scopes
+    ]
 
 
 def _merge_sessions(
@@ -523,7 +500,8 @@ def verify_scopes_steal(
     * ``steal=False`` splits every scope at its root branches only (a
       depth-1 frontier) instead of deepening until each worker has
       :data:`TASKS_PER_WORKER` tasks.
-    * ``max_configurations`` is honored exactly via the shared budget.
+    * ``max_configurations`` caps each scope exactly, via one shared
+      budget per scope.
     * ``spill`` puts every session's visited/expanded records behind a
       disk-spilling fingerprint store; without it sessions keep raw
       fingerprints in memory, as serial runs do.
@@ -567,11 +545,14 @@ def verify_scopes_steal(
             stats_sink["steal"] = StealStats(workers=1)
         return merged
 
+    # One budget per scope: a configuration another scope already
+    # claimed must still count (and be checked) in this one.
     manager = mp.Manager() if max_configurations is not None else None
-    budget = (
+    budgets = [
         _SharedBudget(max_configurations, manager)
         if manager is not None else None
-    )
+        for _ in scope_table
+    ]
     task_q: Any = mp.Queue()
     ack_q: Any = mp.Queue()
     stop = mp.Event()
@@ -594,7 +575,7 @@ def verify_scopes_steal(
     procs = [
         mp.Process(
             target=_steal_worker_main,
-            args=(worker_id, scope_table, task_q, ack_q, stop, budget,
+            args=(worker_id, scope_table, task_q, ack_q, stop, budgets,
                   obs, spill, hb_q, progress),
             daemon=True,
         )
@@ -614,7 +595,7 @@ def verify_scopes_steal(
     sent_sentinels = False
     try:
         for scope_index, spec in enumerate(scope_table):
-            session = _Session(spec, budget, spill, ins)
+            session = _Session(spec, budgets[scope_index], spill, ins)
             coordinator[scope_index] = session
             with ins.span("steal.frontier", scope=scope_index):
                 depth, tasks = session.frontier(target)

@@ -235,22 +235,41 @@ def _logical_ids(generation_order: Sequence) -> Dict[int, Lid]:
 # ----------------------------------------------------------------------
 
 
-class _OpDomain:
-    """Op-based semantics: invoke / causal-delivery transitions."""
+class _Domain:
+    """The bookkeeping both semantics share, over one live system.
+
+    A domain mirrors the configuration the DFS stands on: program
+    counters and returns, logical label ids, lid-valued seen-sets and
+    visibility, and the incremental fingerprint parts.  It branches by
+    :meth:`push`/:meth:`pop` tokens.  Subclasses supply the semantics:
+    the propagation transitions (causal delivery in :class:`_OpDomain`,
+    gossip in :class:`_StateDomain`) and their ``apply`` arm, the
+    independence relation with its commutativity probe, the source-DPOR
+    relations, the replica-indexed fingerprint part and the replica-free
+    fingerprint component.
+    """
+
+    #: Name of the one semantics-specific field the push/pop token
+    #: carries; its value is never mutated in place, so the token holds
+    #: it by reference.
+    _TAIL: str
+
+    #: Whether any transition needs forcing (see ``must_schedule``);
+    #: False lets the engine skip the per-node seeding scan entirely.
+    forces_schedule = False
 
     def __init__(
         self,
-        system: OpBasedSystem,
+        system: Any,
         programs: Dict[str, Program],
-        require_quiescence: bool,
         reduction: bool,
         stats: ExploreStats,
-        symmetry: bool = False,
+        symmetry: bool,
+        extra_names: Tuple[str, ...] = (),
     ) -> None:
         self.system = system
         self.programs = programs
         self.replicas = list(programs)
-        self.require_quiescence = require_quiescence
         self.reduction = reduction
         self.stats = stats
         self.use_snapshots = system.snapshot_safe
@@ -260,10 +279,11 @@ class _OpDomain:
         # invoke, saved/restored with the DFS tokens.  transitions() and
         # fingerprint() are called several times per DFS node, so the maps
         # must not be rebuilt from the whole generation order every time.
+        # ``_lid_to_label`` is insertion-ordered: its keys are the lids in
+        # generation order.
         self._lids: Dict[int, Lid] = {}
         self._per_origin: Dict[Any, int] = {}
         self._lid_to_label: Dict[Lid, Any] = {}
-        self._lid_order: List[Lid] = []
         #: Label content keyed by logical id, maintained with the lid maps
         #: so fingerprint() does not re-collect the whole order per DFS
         #: node.  A *set*, not a sequence: the generation order of
@@ -277,21 +297,21 @@ class _OpDomain:
         # Lid-valued mirrors of the system's seen-sets and visibility,
         # updated alongside apply() (the system's update discipline is
         # small: invoke adds vis edges from the origin's seen labels plus
-        # the label itself; deliver only adds to seen).  fingerprint()
+        # the label itself; propagation only adds to seen).  fingerprint()
         # then reads them directly instead of re-translating every label
         # per DFS node.  The naive-vs-engine differential oracle guards
         # the mirrors: a divergence changes the deduplicated visit set.
-        self._rebuild_mirrors()
+        lids = self._lids
+        self._seen_lids: Dict[str, FrozenSet[Lid]] = {
+            r: frozenset(lids[l.uid] for l in system._seen[r])
+            for r in self.replicas
+        }
+        self._vis_lids: FrozenSet[Tuple[Lid, Lid]] = frozenset(
+            (lids[a.uid], lids[b.uid]) for a, b in system._vis
+        )
         # Per-state fingerprint cache: id(state) -> (state, fingerprint).
         # Holding the state reference pins the id against reuse.
         self._state_fps: Dict[int, Tuple[Any, Any]] = {}
-        # The object and generator tables never change shape mid-search.
-        self._objs = sorted(system.objects.items())
-        self._gen_names = sorted(system._generators)
-        self._state_keys = [
-            ((r, name), crdt)
-            for r in self.replicas for name, crdt in self._objs
-        ]
         # Incremental fingerprint parts: one entry of replica-indexed
         # components per replica, None = dirty (recomputed lazily by
         # fingerprint()).  apply() dirties only the touched replica;
@@ -300,14 +320,14 @@ class _OpDomain:
         # symmetry on, entries hold the part's *fragment vector* (its
         # canonical images under every group element) instead of the raw
         # part; _glob_frags is the analogous vector of the replica-free
-        # component, dirtied only when labels/visibility change.
+        # component, dirtied only when that component changes.
         self._parts: Dict[str, Optional[Tuple]] = {
             r: None for r in self.replicas
         }
         self._glob_frags: Optional[Tuple] = None
         self.sym: Optional[SymmetryReducer] = None
         if symmetry and len(self.replicas) > 1:
-            group = build_group(programs, extra_names=tuple(system.objects))
+            group = build_group(programs, extra_names=extra_names)
             stats.symmetry_group = group.order
             stats.pinned_replicas = len(group.pinned)
             if group.enabled:
@@ -322,85 +342,32 @@ class _OpDomain:
             lid = (label.origin, seq)
             self._lids[label.uid] = lid
             self._lid_to_label[lid] = label
-            self._lid_order.append(lid)
             self._labels_data |= {
                 (lid, label.obj, label.method, label.args,
                  label.ret, label.ts),
             }
 
-    def _rebuild_mirrors(self) -> None:
-        lids = self._lids
-        self._seen_lids: Dict[str, FrozenSet[Lid]] = {
-            r: frozenset(lids[l.uid] for l in self.system._seen[r])
-            for r in self.replicas
-        }
-        self._vis_lids: FrozenSet[Tuple[Lid, Lid]] = frozenset(
-            (lids[a.uid], lids[b.uid]) for a, b in self.system._vis
-        )
-        self._causal_lids: Dict[Lid, FrozenSet[Lid]] = {
-            lids[label.uid]: frozenset(lids[p.uid] for p in preds)
-            for label, preds in self.system._causal_preds.items()
-        }
+    def _invoke(self, replica: str, index: int) -> Any:
+        """The ``inv`` arm of ``apply``: run step ``index`` of
+        ``replica``'s program and extend the lid maps and mirrors.
 
-    # -- transitions ----------------------------------------------------
-
-    def transitions(self) -> List[Transition]:
-        trans: List[Transition] = []
-        for replica in self.replicas:
-            if self.counters[replica] < len(self.programs[replica]):
-                trans.append(("inv", replica, self.counters[replica]))
-        # Causal delivery over the lid mirrors (same condition as
-        # ``system.deliverable``; apply() passes ``prechecked=True`` so
-        # the system does not re-derive it — the naive differential
-        # oracle pins the mirrors against mis-scheduling).
-        causal = self._causal_lids
-        for replica in self.replicas:
-            seen = self._seen_lids[replica]
-            for lid in self._lid_order:
-                if lid not in seen and causal[lid] <= seen:
-                    trans.append(("del", replica, lid))
-        return trans
-
-    def should_visit(self, transitions: List[Transition]) -> bool:
-        if not transitions:
-            return True
-        if self.require_quiescence:
-            return False
-        return all(
-            self.counters[r] == len(p) for r, p in self.programs.items()
-        )
-
-    def apply(self, transition: Transition) -> bool:
-        kind, replica, payload = transition
-        if kind == "inv":
-            step_spec = self.programs[replica][payload]
-            method, args = step_spec[0], step_spec[1]
-            obj = step_spec[2] if len(step_spec) > 2 else None
-            try:
-                label = self.system.invoke(replica, method, args, obj=obj)
-            except PreconditionViolation:
-                return False  # this interleaving cannot run the op yet
-            self.counters[replica] += 1
-            self.returns[replica].append(label.ret)
-            self._sync_lids()
-            lid = self._lids[label.uid]
-            seen = self._seen_lids[replica]
-            self._vis_lids |= {(prior, lid) for prior in seen}
-            self._seen_lids[replica] = seen | {lid}
-            lids = self._lids
-            self._causal_lids[lid] = frozenset(
-                lids[p.uid] for p in self.system._causal_preds[label]
-            )
-            self._parts[replica] = None
-            self._glob_frags = None
-            return True
-        label = self._lid_to_label[payload]
-        # prechecked: transitions() established deliverability from the
-        # lid mirrors at this exact configuration.
-        self.system.deliver(replica, label, prechecked=True)
-        self._seen_lids[replica] = self._seen_lids[replica] | {payload}
+        Returns the new label, or None when the step's precondition
+        fails in this configuration.
+        """
+        try:
+            label = self.system.invoke(replica, *self.programs[replica][index])
+        except PreconditionViolation:
+            return None  # this interleaving cannot run the op yet
+        self.counters[replica] += 1
+        self.returns[replica].append(label.ret)
+        self._sync_lids()
+        lid = self._lids[label.uid]
+        seen = self._seen_lids[replica]
+        self._vis_lids |= {(prior, lid) for prior in seen}
+        self._seen_lids[replica] = seen | {lid}
         self._parts[replica] = None
-        return True
+        self._glob_frags = None
+        return label
 
     # -- branching ------------------------------------------------------
 
@@ -418,52 +385,177 @@ class _OpDomain:
             dict(self._lids),
             dict(self._per_origin),
             dict(self._lid_to_label),
-            tuple(self._lid_order),
-            dict(self._causal_lids),
             self._labels_data,
             dict(self._seen_lids),
             self._vis_lids,
             dict(self._parts),
             self._glob_frags,
+            getattr(self, self._TAIL),
         )
 
     def pop(self, token: Tuple) -> None:
         (system_token, counters, returns, lids, per_origin, lid_to_label,
-         lid_order, causal_lids, labels_data, seen_lids, vis_lids,
-         parts, glob_frags) = token
+         labels_data, seen_lids, vis_lids, parts, glob_frags, tail) = token
+        if self.use_snapshots:
+            self.system.restore(system_token)
+            self._lid_to_label = dict(lid_to_label)
+        else:
+            # The deepcopy fallback replaces every label object, so the
+            # lids are resolved against the fresh copy (uids survive it).
+            self.stats.deepcopies += 1
+            self.system = copy.deepcopy(system_token)
+            self._lid_to_label = {
+                lids[label.uid]: label
+                for label in self.system.generation_order
+            }
+        self._lids = dict(lids)
+        self._per_origin = dict(per_origin)
+        self._labels_data = labels_data
+        self._seen_lids = dict(seen_lids)
+        self._vis_lids = vis_lids
         # Part entries are immutable values: restoring the shallow copy
         # re-marks exactly the replicas that were dirty at push time.
         self._parts = dict(parts)
         self._glob_frags = glob_frags
-        if self.use_snapshots:
-            self.system.restore(system_token)
-            self._lids = dict(lids)
-            self._per_origin = dict(per_origin)
-            self._lid_to_label = dict(lid_to_label)
-            self._lid_order = list(lid_order)
-            self._causal_lids = dict(causal_lids)
-            self._labels_data = labels_data
-            self._seen_lids = dict(seen_lids)
-            self._vis_lids = vis_lids
-        else:
-            # The deepcopy fallback replaces every label object, so the
-            # lid resolution maps must be rebuilt from the fresh copy.
-            self.stats.deepcopies += 1
-            self.system = copy.deepcopy(system_token)
-            self._lids = {}
-            self._per_origin = {}
-            self._lid_to_label = {}
-            self._lid_order = []
-            self._labels_data = frozenset()
-            self._sync_lids()
-            self._rebuild_mirrors()
-            self._objs = sorted(self.system.objects.items())
-            self._state_keys = [
-                ((r, name), crdt)
-                for r in self.replicas for name, crdt in self._objs
-            ]
         self.counters = dict(counters)
         self.returns = {r: list(v) for r, v in returns.items()}
+        setattr(self, self._TAIL, tail)
+
+    # -- fingerprinting -------------------------------------------------
+
+    def _state_fp(self, crdt, state) -> Any:
+        cache = self._state_fps
+        cached = cache.get(id(state))
+        if cached is not None and cached[0] is state:
+            return cached[1]
+        fp = crdt.fingerprint(state)
+        if len(cache) >= _STATE_FP_CACHE_LIMIT:
+            cache.clear()
+        cache[id(state)] = (state, fp)
+        if len(cache) > self.stats.state_fp_cache_peak:
+            self.stats.state_fp_cache_peak = len(cache)
+        return fp
+
+    def fingerprint(self) -> Any:
+        parts = self._parts
+        sym = self.sym
+        if sym is None:
+            for replica in self.replicas:
+                if parts[replica] is None:
+                    parts[replica] = self._compute_part(replica)
+            return tuple(parts[r] for r in self.replicas), self._glob()
+        for replica in self.replicas:
+            if parts[replica] is None:
+                parts[replica] = sym.part_fragments(
+                    self._compute_part(replica)
+                )
+        if self._glob_frags is None:
+            self._glob_frags = sym.glob_fragments(self._glob())
+        return sym.canonical(parts, self._glob_frags)
+
+    def canon_sleep(self, sleep: FrozenSet[Transition]) -> Any:
+        """Translate a sleep set into the frame of the latest fingerprint.
+
+        With symmetry on, the fingerprint is the image of the
+        configuration under the minimizing permutation π*; sleep sets
+        recorded against it must live in the same frame, so subsumption
+        compares schedules of the *canonical* configuration, not of
+        whichever orbit member happened to arrive.
+        """
+        sym = self.sym
+        if sym is None or not sleep:
+            return sleep
+        return sym.rename_transitions(sleep)
+
+    def uncanon_transitions(
+        self, transitions: FrozenSet[Transition]
+    ) -> FrozenSet[Transition]:
+        """Inverse of :meth:`canon_sleep` under the latest fingerprint."""
+        sym = self.sym
+        if sym is None or not transitions:
+            return transitions
+        return sym.unrename_transitions(transitions)
+
+    def visit_args(self) -> Tuple[Any, Dict[str, List[Any]]]:
+        return self.system, self.returns
+
+
+class _OpDomain(_Domain):
+    """Op-based semantics: invoke / causal-delivery transitions."""
+
+    _TAIL = "_causal_lids"
+
+    def __init__(
+        self,
+        system: OpBasedSystem,
+        programs: Dict[str, Program],
+        require_quiescence: bool,
+        reduction: bool,
+        stats: ExploreStats,
+        symmetry: bool = False,
+    ) -> None:
+        super().__init__(system, programs, reduction, stats, symmetry,
+                         extra_names=tuple(system.objects))
+        self.require_quiescence = require_quiescence
+        lids = self._lids
+        #: Each label's causal predecessors, as lids.  Replaced, never
+        #: mutated, by apply(), so push/pop tokens share it.
+        self._causal_lids: Dict[Lid, FrozenSet[Lid]] = {
+            lids[label.uid]: frozenset(lids[p.uid] for p in preds)
+            for label, preds in system._causal_preds.items()
+        }
+        # The object and generator tables never change shape mid-search.
+        self._obj_names = sorted(system.objects)
+        self._gen_names = sorted(system._generators)
+
+    # -- transitions ----------------------------------------------------
+
+    def transitions(self) -> List[Transition]:
+        trans: List[Transition] = []
+        for replica in self.replicas:
+            if self.counters[replica] < len(self.programs[replica]):
+                trans.append(("inv", replica, self.counters[replica]))
+        # Causal delivery over the lid mirrors (same condition as
+        # ``system.deliverable``; apply() passes ``prechecked=True`` so
+        # the system does not re-derive it — the naive differential
+        # oracle pins the mirrors against mis-scheduling).
+        causal = self._causal_lids
+        for replica in self.replicas:
+            seen = self._seen_lids[replica]
+            for lid in self._lid_to_label:
+                if lid not in seen and causal[lid] <= seen:
+                    trans.append(("del", replica, lid))
+        return trans
+
+    def should_visit(self, transitions: List[Transition]) -> bool:
+        if not transitions:
+            return True
+        if self.require_quiescence:
+            return False
+        return all(
+            self.counters[r] == len(p) for r, p in self.programs.items()
+        )
+
+    def apply(self, transition: Transition) -> bool:
+        kind, replica, payload = transition
+        if kind == "inv":
+            label = self._invoke(replica, payload)
+            if label is None:
+                return False
+            lids = self._lids
+            causal = dict(self._causal_lids)
+            causal[lids[label.uid]] = frozenset(
+                lids[p.uid] for p in self.system._causal_preds[label]
+            )
+            self._causal_lids = causal
+            return True
+        label = self._lid_to_label[payload]
+        # prechecked: transitions() established deliverability from the
+        # lid mirrors at this exact configuration.
+        self.system.deliver(replica, label, prechecked=True)
+        self._seen_lids[replica] = self._seen_lids[replica] | {payload}
+        self._parts[replica] = None
+        return True
 
     # -- independence (the DPOR relation) -------------------------------
 
@@ -543,10 +635,6 @@ class _OpDomain:
         hence nothing needs forced scheduling.
         """
         return False
-
-    #: No transition ever needs forcing (see :meth:`must_schedule`): the
-    #: engine skips the per-node seeding scan entirely.
-    forces_schedule = False
 
     def residual_transitions(self) -> List[Transition]:
         """Every event that can still occur from this configuration.
@@ -630,23 +718,11 @@ class _OpDomain:
 
     # -- fingerprinting -------------------------------------------------
 
-    def _state_fp(self, crdt, state) -> Any:
-        cache = self._state_fps
-        cached = cache.get(id(state))
-        if cached is not None and cached[0] is state:
-            return cached[1]
-        fp = crdt.fingerprint(state)
-        if len(cache) >= _STATE_FP_CACHE_LIMIT:
-            cache.clear()
-        cache[id(state)] = (state, fp)
-        if len(cache) > self.stats.state_fp_cache_peak:
-            self.stats.state_fp_cache_peak = len(cache)
-        return fp
-
     def _compute_part(self, replica: str) -> Tuple:
         """The replica-indexed fingerprint components of one replica."""
         system = self.system
         states = system._states
+        objects = system.objects
         generators = system._generators
         state_fp = self._state_fp
         return (
@@ -657,62 +733,20 @@ class _OpDomain:
                 generators[name].clock(replica) for name in self._gen_names
             ),
             tuple(
-                state_fp(crdt, states[(replica, name)])
-                for name, crdt in self._objs
+                state_fp(objects[name], states[(replica, name)])
+                for name in self._obj_names
             ),
         )
 
-    def fingerprint(self) -> Any:
-        parts = self._parts
-        sym = self.sym
-        if sym is None:
-            for replica in self.replicas:
-                if parts[replica] is None:
-                    parts[replica] = self._compute_part(replica)
-            return (
-                tuple(parts[r] for r in self.replicas),
-                (self._labels_data, self._vis_lids),
-            )
-        for replica in self.replicas:
-            if parts[replica] is None:
-                parts[replica] = sym.part_fragments(
-                    self._compute_part(replica)
-                )
-        if self._glob_frags is None:
-            self._glob_frags = sym.glob_fragments(
-                (self._labels_data, self._vis_lids)
-            )
-        return sym.canonical(parts, self._glob_frags)
-
-    def canon_sleep(self, sleep: FrozenSet[Transition]) -> Any:
-        """Translate a sleep set into the frame of the latest fingerprint.
-
-        With symmetry on, the fingerprint is the image of the
-        configuration under the minimizing permutation π*; sleep sets
-        recorded against it must live in the same frame, so subsumption
-        compares schedules of the *canonical* configuration, not of
-        whichever orbit member happened to arrive.
-        """
-        sym = self.sym
-        if sym is None or not sleep:
-            return sleep
-        return sym.rename_transitions(sleep)
-
-    def uncanon_transitions(
-        self, transitions: FrozenSet[Transition]
-    ) -> FrozenSet[Transition]:
-        """Inverse of :meth:`canon_sleep` under the latest fingerprint."""
-        sym = self.sym
-        if sym is None or not transitions:
-            return transitions
-        return sym.unrename_transitions(transitions)
-
-    def visit_args(self) -> Tuple[Any, Dict[str, List[Any]]]:
-        return self.system, self.returns
+    def _glob(self) -> Tuple:
+        """The replica-free fingerprint component."""
+        return self._labels_data, self._vis_lids
 
 
-class _StateDomain:
+class _StateDomain(_Domain):
     """State-based semantics: invoke / bounded-gossip transitions."""
+
+    _TAIL = "budget"
 
     def __init__(
         self,
@@ -723,56 +757,8 @@ class _StateDomain:
         stats: ExploreStats,
         symmetry: bool = False,
     ) -> None:
-        self.system = system
-        self.programs = programs
-        self.replicas = list(programs)
+        super().__init__(system, programs, reduction, stats, symmetry)
         self.budget = max_gossips
-        self.reduction = reduction
-        self.stats = stats
-        self.use_snapshots = system.snapshot_safe
-        self.counters: Dict[str, int] = {r: 0 for r in programs}
-        self.returns: Dict[str, List[Any]] = {r: [] for r in programs}
-        self._lids: Dict[int, Lid] = {}
-        self._per_origin: Dict[Any, int] = {}
-        self._labels_data: FrozenSet[Tuple] = frozenset()
-        self._sync_lids()
-        self._rebuild_mirrors()
-        self._state_fps: Dict[int, Tuple[Any, Any]] = {}
-        # Incremental fingerprint parts — same discipline as _OpDomain.
-        self._parts: Dict[str, Optional[Tuple]] = {
-            r: None for r in self.replicas
-        }
-        self._glob_frags: Optional[Tuple] = None
-        self.sym: Optional[SymmetryReducer] = None
-        if symmetry and len(self.replicas) > 1:
-            group = build_group(programs)
-            stats.symmetry_group = group.order
-            stats.pinned_replicas = len(group.pinned)
-            if group.enabled:
-                self.sym = SymmetryReducer(self.replicas, group)
-
-    def _sync_lids(self) -> None:
-        """Extend the lid map with labels generated since the last sync."""
-        order = self.system.generation_order
-        for label in order[len(self._lids):]:
-            seq = self._per_origin.get(label.origin, 0)
-            self._per_origin[label.origin] = seq + 1
-            lid = (label.origin, seq)
-            self._lids[label.uid] = lid
-            self._labels_data |= {
-                (lid, label.method, label.args, label.ret, label.ts),
-            }
-
-    def _rebuild_mirrors(self) -> None:
-        """Recompute the lid-based seen/vis mirrors from the system."""
-        lids = self._lids
-        self._seen_lids: Dict[str, FrozenSet[Lid]] = {
-            r: frozenset(lids[l.uid] for l in self.system._seen[r])
-            for r in self.replicas
-        }
-        self._vis_lids: FrozenSet[Tuple[Lid, Lid]] = frozenset(
-            (lids[a.uid], lids[b.uid]) for a, b in self.system._vis
-        )
 
     # -- transitions ----------------------------------------------------
 
@@ -796,21 +782,7 @@ class _StateDomain:
     def apply(self, transition: Transition) -> bool:
         kind, first, second = transition
         if kind == "inv":
-            method, args = self.programs[first][second]
-            try:
-                label = self.system.invoke(first, method, args)
-            except PreconditionViolation:
-                return False
-            self.counters[first] += 1
-            self.returns[first].append(label.ret)
-            self._sync_lids()
-            lid = self._lids[label.uid]
-            seen = self._seen_lids[first]
-            self._vis_lids |= {(prior, lid) for prior in seen}
-            self._seen_lids[first] = seen | {lid}
-            self._parts[first] = None
-            self._glob_frags = None
-            return True
+            return self._invoke(first, second) is not None
         self.system.gossip(first, second)
         self._seen_lids[second] = self._seen_lids[second] | self._seen_lids[first]
         self.budget -= 1
@@ -820,59 +792,7 @@ class _StateDomain:
         self._glob_frags = None
         return True
 
-    # -- branching ------------------------------------------------------
-
-    def push(self) -> Tuple:
-        if self.use_snapshots:
-            self.stats.snapshots += 1
-            system_token: Any = self.system.snapshot()
-        else:
-            self.stats.deepcopies += 1
-            system_token = copy.deepcopy(self.system)
-        return (
-            system_token,
-            dict(self.counters),
-            {r: list(v) for r, v in self.returns.items()},
-            self.budget,
-            dict(self._lids),
-            dict(self._per_origin),
-            self._labels_data,
-            dict(self._seen_lids),
-            self._vis_lids,
-            dict(self._parts),
-            self._glob_frags,
-        )
-
-    def pop(self, token: Tuple) -> None:
-        (system_token, counters, returns, budget, lids, per_origin,
-         labels_data, seen_lids, vis_lids, parts, glob_frags) = token
-        self._parts = dict(parts)
-        self._glob_frags = glob_frags
-        if self.use_snapshots:
-            self.system.restore(system_token)
-            self._lids = dict(lids)
-            self._per_origin = dict(per_origin)
-            self._labels_data = labels_data
-            self._seen_lids = dict(seen_lids)
-            self._vis_lids = vis_lids
-        else:
-            self.stats.deepcopies += 1
-            self.system = copy.deepcopy(system_token)
-            self._lids = {}
-            self._per_origin = {}
-            self._labels_data = frozenset()
-            self._sync_lids()
-            self._rebuild_mirrors()
-        self.counters = dict(counters)
-        self.returns = {r: list(v) for r, v in returns.items()}
-        self.budget = budget
-
     # -- independence ---------------------------------------------------
-
-    def _replicas_of(self, transition: Transition) -> Tuple[str, ...]:
-        if transition[0] == "inv":
-            return (transition[1],)
-        return (transition[1], transition[2])
 
     def independent(self, a: Transition, b: Transition) -> bool:
         if not self.reduction:
@@ -1000,19 +920,6 @@ class _StateDomain:
 
     # -- fingerprinting -------------------------------------------------
 
-    def _state_fp(self, state) -> Any:
-        cache = self._state_fps
-        cached = cache.get(id(state))
-        if cached is not None and cached[0] is state:
-            return cached[1]
-        fp = self.system.crdt.fingerprint(state)
-        if len(cache) >= _STATE_FP_CACHE_LIMIT:
-            cache.clear()
-        cache[id(state)] = (state, fp)
-        if len(cache) > self.stats.state_fp_cache_peak:
-            self.stats.state_fp_cache_peak = len(cache)
-        return fp
-
     def _compute_part(self, replica: str) -> Tuple:
         """The replica-indexed fingerprint components of one replica."""
         system = self.system
@@ -1021,52 +928,17 @@ class _StateDomain:
             tuple(self.returns[replica]),
             self._seen_lids[replica],
             system._generator.clock(replica),
-            self._state_fp(system._states[replica]),
+            self._state_fp(system.crdt, system._states[replica]),
         )
 
-    def fingerprint(self) -> Any:
-        parts = self._parts
-        sym = self.sym
-        # The message/event logs are excluded deliberately: exploration
-        # never re-reads old messages (gossip snapshots afresh), and the
-        # visit callbacks observe history/states only.
-        if sym is None:
-            for replica in self.replicas:
-                if parts[replica] is None:
-                    parts[replica] = self._compute_part(replica)
-            return (
-                tuple(parts[r] for r in self.replicas),
-                (self._labels_data, self._vis_lids, self.budget),
-            )
-        for replica in self.replicas:
-            if parts[replica] is None:
-                parts[replica] = sym.part_fragments(
-                    self._compute_part(replica)
-                )
-        if self._glob_frags is None:
-            self._glob_frags = sym.glob_fragments(
-                (self._labels_data, self._vis_lids, self.budget)
-            )
-        return sym.canonical(parts, self._glob_frags)
+    def _glob(self) -> Tuple:
+        """The replica-free fingerprint component.
 
-    def canon_sleep(self, sleep: FrozenSet[Transition]) -> Any:
-        """See :meth:`_OpDomain.canon_sleep`."""
-        sym = self.sym
-        if sym is None or not sleep:
-            return sleep
-        return sym.rename_transitions(sleep)
-
-    def uncanon_transitions(
-        self, transitions: FrozenSet[Transition]
-    ) -> FrozenSet[Transition]:
-        """See :meth:`_OpDomain.uncanon_transitions`."""
-        sym = self.sym
-        if sym is None or not transitions:
-            return transitions
-        return sym.unrename_transitions(transitions)
-
-    def visit_args(self) -> Tuple[Any, Dict[str, List[Any]]]:
-        return self.system, self.returns
+        The message/event logs are excluded deliberately: exploration
+        never re-reads old messages (gossip snapshots afresh), and the
+        visit callbacks observe history/states only.
+        """
+        return self._labels_data, self._vis_lids, self.budget
 
 
 # ----------------------------------------------------------------------
@@ -1146,83 +1018,41 @@ class _ProfiledDomain:
     is only ever paid on profiled runs.
     """
 
-    __slots__ = ("_domain", "_profile")
+    #: The timed domain calls and the phase each one is charged to.
+    PHASES = {
+        "push": "snapshot",
+        "pop": "restore",
+        "apply": "apply",
+        "independent": "commute",
+        "race_reversible": "commute",
+        "fingerprint": "fingerprint",
+        "canon_sleep": "fingerprint",
+        "uncanon_transitions": "fingerprint",
+        "hb_dep_mask": "hb",
+        "hb_note": "hb",
+        "hb_unnote": "hb",
+        "residual_transitions": "hb",
+    }
 
     def __init__(self, domain, profile) -> None:
         self._domain = domain
-        self._profile = profile
+        for name, phase in self.PHASES.items():
+            setattr(self, name, _timed(getattr(domain, name), profile, phase))
 
     def __getattr__(self, name):
         return getattr(self._domain, name)
 
-    def push(self):
-        start = time.perf_counter()
-        token = self._domain.push()
-        self._profile.add("snapshot", time.perf_counter() - start)
-        return token
 
-    def pop(self, token) -> None:
-        start = time.perf_counter()
-        self._domain.pop(token)
-        self._profile.add("restore", time.perf_counter() - start)
+def _timed(method: Callable, profile, phase: str) -> Callable:
+    """``method``, adding the wall time of each call to ``phase``."""
 
-    def apply(self, transition) -> bool:
+    def timed(*args):
         start = time.perf_counter()
-        ok = self._domain.apply(transition)
-        self._profile.add("apply", time.perf_counter() - start)
-        return ok
-
-    def independent(self, a, b) -> bool:
-        start = time.perf_counter()
-        result = self._domain.independent(a, b)
-        self._profile.add("commute", time.perf_counter() - start)
+        result = method(*args)
+        profile.add(phase, time.perf_counter() - start)
         return result
 
-    def race_reversible(self, a, b) -> bool:
-        start = time.perf_counter()
-        result = self._domain.race_reversible(a, b)
-        self._profile.add("commute", time.perf_counter() - start)
-        return result
-
-    def fingerprint(self):
-        start = time.perf_counter()
-        fp = self._domain.fingerprint()
-        self._profile.add("fingerprint", time.perf_counter() - start)
-        return fp
-
-    def canon_sleep(self, sleep):
-        start = time.perf_counter()
-        result = self._domain.canon_sleep(sleep)
-        self._profile.add("fingerprint", time.perf_counter() - start)
-        return result
-
-    def uncanon_transitions(self, transitions):
-        start = time.perf_counter()
-        result = self._domain.uncanon_transitions(transitions)
-        self._profile.add("fingerprint", time.perf_counter() - start)
-        return result
-
-    def hb_dep_mask(self, transition, index):
-        start = time.perf_counter()
-        mask = self._domain.hb_dep_mask(transition, index)
-        self._profile.add("hb", time.perf_counter() - start)
-        return mask
-
-    def hb_note(self, transition, index) -> None:
-        start = time.perf_counter()
-        self._domain.hb_note(transition, index)
-        self._profile.add("hb", time.perf_counter() - start)
-
-    def hb_unnote(self, transition, index) -> None:
-        start = time.perf_counter()
-        self._domain.hb_unnote(transition, index)
-        self._profile.add("hb", time.perf_counter() - start)
-
-    def residual_transitions(self):
-        start = time.perf_counter()
-        result = self._domain.residual_transitions()
-        self._profile.add("hb", time.perf_counter() - start)
-        return result
+    return timed
 
 
 class _Engine:
@@ -1946,7 +1776,7 @@ def build_engine(
     """
     stats = stats if stats is not None else ExploreStats()
     if kind == "op":
-        domain: Any = _OpDomain(
+        domain: _Domain = _OpDomain(
             make_system(), programs, require_quiescence, reduction, stats,
             symmetry=symmetry,
         )
@@ -1967,6 +1797,35 @@ def build_engine(
 # ----------------------------------------------------------------------
 # Public entry points (signatures of the historical explorers)
 # ----------------------------------------------------------------------
+
+
+def _explore(
+    kind: str,
+    make_system: Callable[[], Any],
+    programs: Dict[str, Program],
+    visit: Callable[[Any, Dict[str, List[Any]]], None],
+    stats: Optional[ExploreStats],
+    instrumentation: Optional[Instrumentation],
+    span_fields: Dict[str, Any],
+    **options: Any,
+) -> int:
+    """One whole run of a ``kind`` engine inside an ``explore.<kind>``
+    span: the body of both public explorers."""
+    stats = stats if stats is not None else ExploreStats()
+    ins = instrumentation if instrumentation is not None \
+        else NULL_INSTRUMENTATION
+    engine = build_engine(
+        kind, make_system, programs, visit, stats=stats,
+        profile=ins.profile, journal=ins.journal, **options,
+    )
+    with ins.span(f"explore.{kind}", replicas=len(programs),
+                  **span_fields) as span:
+        engine.run()
+        span.set(configurations=stats.configurations,
+                 states_visited=stats.states_visited)
+    if ins.enabled:
+        ins.record_explore(stats, kind=kind)
+    return stats.configurations
 
 
 def explore_op_programs(
@@ -2004,25 +1863,14 @@ def explore_op_programs(
     the final :class:`ExploreStats` into metrics; the DFS hot path is
     untouched, so disabled instrumentation costs one attribute check.
     """
-    stats = stats if stats is not None else ExploreStats()
-    ins = instrumentation if instrumentation is not None \
-        else NULL_INSTRUMENTATION
-    domain = _OpDomain(
-        make_system(), programs, require_quiescence, reduction, stats,
-        symmetry=symmetry,
+    return _explore(
+        "op", make_system, programs, visit, stats, instrumentation,
+        dict(symmetry=symmetry, por=por),
+        require_quiescence=require_quiescence,
+        max_configurations=max_configurations, reduction=reduction,
+        dedup=dedup, symmetry=symmetry, store=store, por=por,
+        heartbeat=heartbeat,
     )
-    with ins.span("explore.op", replicas=len(programs),
-                  symmetry=symmetry, por=por) as span:
-        _Engine(
-            domain, visit, max_configurations, dedup, stats,
-            store=store, por=por,
-            profile=ins.profile, journal=ins.journal, heartbeat=heartbeat,
-        ).run()
-        span.set(configurations=stats.configurations,
-                 states_visited=stats.states_visited)
-    if ins.enabled:
-        ins.record_explore(stats, kind="op")
-    return stats.configurations
 
 
 def explore_state_programs(
@@ -2047,31 +1895,35 @@ def explore_state_programs(
     on every configuration whose programs have finished, including ones
     with leftover gossip budget (partial propagation).
     """
-    stats = stats if stats is not None else ExploreStats()
-    ins = instrumentation if instrumentation is not None \
-        else NULL_INSTRUMENTATION
-    domain = _StateDomain(
-        make_system(), programs, max_gossips, reduction, stats,
-        symmetry=symmetry,
+    return _explore(
+        "state", make_system, programs, visit, stats, instrumentation,
+        dict(max_gossips=max_gossips, symmetry=symmetry, por=por),
+        max_gossips=max_gossips, max_configurations=max_configurations,
+        reduction=reduction, dedup=dedup, symmetry=symmetry, store=store,
+        por=por, heartbeat=heartbeat,
     )
-    with ins.span("explore.state", replicas=len(programs),
-                  max_gossips=max_gossips, symmetry=symmetry,
-                  por=por) as span:
-        _Engine(
-            domain, visit, max_configurations, dedup, stats,
-            store=store, por=por,
-            profile=ins.profile, journal=ins.journal, heartbeat=heartbeat,
-        ).run()
-        span.set(configurations=stats.configurations,
-                 states_visited=stats.states_visited)
-    if ins.enabled:
-        ins.record_explore(stats, kind="state")
-    return stats.configurations
 
 
 # ----------------------------------------------------------------------
 # Canonical configuration keys (the differential-oracle equivalence)
 # ----------------------------------------------------------------------
+
+
+def _config_key(
+    system: Any, returns: Dict[str, List[Any]], states: Tuple
+) -> Tuple:
+    lids = _logical_ids(system.generation_order)
+    labels = frozenset(
+        (lids[l.uid], l.obj, l.method, l.args, l.ret, l.ts)
+        for l in system.generation_order
+    )
+    vis = frozenset((lids[a.uid], lids[b.uid]) for a, b in system._vis)
+    seen = tuple(
+        (r, frozenset(lids[l.uid] for l in system._seen[r]))
+        for r in system.replicas
+    )
+    rets = tuple(sorted((r, tuple(v)) for r, v in returns.items()))
+    return (labels, vis, seen, states, rets)
 
 
 def op_config_key(
@@ -2085,50 +1937,36 @@ def op_config_key(
     ``Label.uid`` draws or the order interleavings were enumerated in —
     get equal keys.  Used by the naive-vs-engine differential tests.
     """
-    lids = _logical_ids(system.generation_order)
-    labels = frozenset(
-        (lids[l.uid], l.obj, l.method, l.args, l.ret, l.ts)
-        for l in system.generation_order
-    )
-    vis = frozenset((lids[a.uid], lids[b.uid]) for a, b in system._vis)
-    seen = tuple(
-        (r, frozenset(lids[l.uid] for l in system._seen[r]))
-        for r in system.replicas
-    )
-    states = tuple(
+    return _config_key(system, returns, tuple(
         (r, name, crdt.fingerprint(system._states[(r, name)]))
         for r in system.replicas
         for name, crdt in sorted(system.objects.items())
-    )
-    rets = tuple(sorted((r, tuple(v)) for r, v in returns.items()))
-    return (labels, vis, seen, states, rets)
+    ))
 
 
 def state_config_key(
     system: StateBasedSystem, returns: Dict[str, List[Any]]
 ) -> Tuple:
     """State-based analogue of :func:`op_config_key`."""
-    lids = _logical_ids(system.generation_order)
-    labels = frozenset(
-        (lids[l.uid], l.method, l.args, l.ret, l.ts)
-        for l in system.generation_order
-    )
-    vis = frozenset((lids[a.uid], lids[b.uid]) for a, b in system._vis)
-    seen = tuple(
-        (r, frozenset(lids[l.uid] for l in system._seen[r]))
-        for r in system.replicas
-    )
-    states = tuple(
+    return _config_key(system, returns, tuple(
         (r, system.crdt.fingerprint(system._states[r]))
         for r in system.replicas
-    )
-    rets = tuple(sorted((r, tuple(v)) for r, v in returns.items()))
-    return (labels, vis, seen, states, rets)
+    ))
 
 
 # ----------------------------------------------------------------------
 # Orbit keys (the symmetry-differential-oracle equivalence)
 # ----------------------------------------------------------------------
+
+
+def _orbit_key(config_key: Tuple, group: Any) -> Tuple:
+    labels, vis, seen, states, rets = config_key
+    # The per-replica components are tuples *ordered by replica name*;
+    # renaming inside an ordered tuple would not reorder the slots, so
+    # turn them into sets first (entries stay unique — each is keyed by
+    # its replica name) and let canon_key sort them after renaming.
+    key = (labels, vis, frozenset(seen), frozenset(states), frozenset(rets))
+    return min(canon_key(key, mapping) for mapping in group.maps)
 
 
 def op_orbit_key(
@@ -2149,14 +1987,10 @@ def op_orbit_key(
     by this key — a partition — and check the fast engine visited a
     representative of every part and nothing outside.
     """
-    group = build_group(programs, extra_names=tuple(system.objects))
-    labels, vis, seen, states, rets = op_config_key(system, returns)
-    # The per-replica components are tuples *ordered by replica name*;
-    # renaming inside an ordered tuple would not reorder the slots, so
-    # turn them into sets first (entries stay unique — each is keyed by
-    # its replica name) and let canon_key sort them after renaming.
-    key = (labels, vis, frozenset(seen), frozenset(states), frozenset(rets))
-    return min(canon_key(key, mapping) for mapping in group.maps)
+    return _orbit_key(
+        op_config_key(system, returns),
+        build_group(programs, extra_names=tuple(system.objects)),
+    )
 
 
 def state_orbit_key(
@@ -2167,7 +2001,4 @@ def state_orbit_key(
     """State-based analogue of :func:`op_orbit_key` (over
     :func:`state_config_key`, which already collapses leftover-budget
     duplicates identically on the naive and engine sides)."""
-    group = build_group(programs)
-    labels, vis, seen, states, rets = state_config_key(system, returns)
-    key = (labels, vis, frozenset(seen), frozenset(states), frozenset(rets))
-    return min(canon_key(key, mapping) for mapping in group.maps)
+    return _orbit_key(state_config_key(system, returns), build_group(programs))

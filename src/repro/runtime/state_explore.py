@@ -19,9 +19,8 @@ and is re-exported here under its historical name; the unoptimized
 baseline survives as
 :func:`repro.runtime.explore_naive.explore_state_programs_naive`.
 
-The module stays because
-:func:`repro.proofs.exhaustive.exhaustive_verify_state` looks
-``explore_state_programs`` up here, and the benchmark's layer tracer
+The module stays because :mod:`repro.proofs.exhaustive` imports
+``explore_state_programs`` from here, and the benchmark's layer tracer
 (``perfbench/layertrace.py``) imports this module so that it can rebind
 that name when it wraps the engine.
 """

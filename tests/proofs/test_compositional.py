@@ -132,6 +132,17 @@ class TestVerifyStore:
         }
         assert parallel.side_condition_checks == serial.side_condition_checks
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_max_configurations_caps_each_object(self, jobs):
+        # The cap reaches the per-object runs and bounds each object
+        # group, as it bounds each scope of a batch.
+        store = parse_store_spec("counter:1,orset:1")
+        result = verify_store(store, max_configurations=5, jobs=jobs)
+        assert {
+            obj: r.configurations for obj, r in result.objects.items()
+        } == {"counter": 5, "or_set": 5}
+        assert result.configurations == 10
+
     def test_product_fallback_for_independent_clocks(self):
         store = parse_store_spec("counter:1", shared_timestamps=False)
         result = verify_store(store)

@@ -42,8 +42,9 @@ PLAIN_SOURCE_STATES = 16925
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-def _counter_3r():
-    entry = next(e for e in ALL_ENTRIES if e.name == "Counter")
+def _three_replica(name):
+    """The symmetric 3-replica ``inc; read`` scope of a counter entry."""
+    entry = next(e for e in ALL_ENTRIES if e.name == name)
     programs = {r: [("inc", ()), ("read", ())] for r in ("r1", "r2", "r3")}
     return entry, programs
 
@@ -82,7 +83,7 @@ class TestSerialDifferential:
         ), entry.name
 
     def test_unknown_flavor_rejected(self):
-        entry, programs = _counter_3r()
+        entry, programs = _three_replica("Counter")
         with pytest.raises(ValueError, match="unknown por mode"):
             exhaustive_verify(entry, programs, por="optimal")
 
@@ -95,7 +96,7 @@ class TestReductionPin:
 
     @pytest.fixture(scope="class")
     def three_replica(self):
-        entry, programs = _counter_3r()
+        entry, programs = _three_replica("Counter")
         return {
             por: exhaustive_verify(entry, programs, por=por)
             for por in ("sleep", "source")
@@ -118,31 +119,78 @@ class TestReductionPin:
         assert stats.dpor_wakeup_branches > 0
 
 
-_HASH_SEED_PROBE = """
-import json
+class TestStateWalkPin:
+    """The state-based walk, pinned exactly: the symmetric 3-replica
+    G-Counter scope under two gossips, as ``dpor_3r`` in
+    ``BENCH_explore.json`` pins the op-based ones.  Any change to the
+    gossip transitions, their independence or the shared domain
+    bookkeeping that moves the walk shows up here."""
+
+    @pytest.mark.parametrize(
+        "por, symmetry, states, races, configurations",
+        [
+            ("source", None, 927, 2639, 122),
+            ("source", False, 4028, 7378, 675),
+            ("sleep", None, 1164, 0, 122),
+            ("sleep", False, 5188, 0, 675),
+        ],
+        ids=["source-sym", "source-nosym", "sleep-sym", "sleep-nosym"],
+    )
+    def test_walk(self, por, symmetry, states, races, configurations):
+        entry, programs = _three_replica("G-Counter")
+        result = exhaustive_verify_state(
+            entry, programs, max_gossips=MAX_GOSSIPS, symmetry=symmetry,
+            por=por,
+        )
+        assert result.ok, result.failures
+        stats = result.stats
+        assert (stats.states_visited, stats.dpor_races,
+                result.configurations) == (states, races, configurations)
+
+
+_HASH_SEED_PROBE = f"""
+import json, sys
 from repro.__main__ import build_parser
-from repro.proofs.exhaustive import exhaustive_verify
+from repro.proofs.exhaustive import exhaustive_verify, exhaustive_verify_state
 from repro.proofs.registry import entry_by_name
 
 por = build_parser().parse_args(["exhaustive"]).por
-programs = {r: [("inc", ()), ("read", ())] for r in ("r1", "r2", "r3")}
-stats = exhaustive_verify(entry_by_name("Counter"), programs, por=por).stats
-print(json.dumps([stats.states_visited, stats.dpor_races]))
+programs = {{r: [("inc", ()), ("read", ())] for r in ("r1", "r2", "r3")}}
+entry = entry_by_name(sys.argv[1])
+if entry.kind == "SB":
+    result = exhaustive_verify_state(
+        entry, programs, max_gossips={MAX_GOSSIPS}, por=por
+    )
+else:
+    result = exhaustive_verify(entry, programs, por=por)
+print(json.dumps([result.stats.states_visited, result.stats.dpor_races]))
 """
+
+
+def _hash_seed_walks(name):
+    walks = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE, name], env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout
+        walks.append(json.loads(out))
+    return walks
 
 
 def test_default_walk_independent_of_hash_seed():
     """The walk ``repro exhaustive`` runs by default schedules no branch
     by set iteration order: two interpreters with different string
     hashing walk the same states and detect the same races."""
-    walks = []
-    for seed in ("0", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
-        out = subprocess.run(
-            [sys.executable, "-c", _HASH_SEED_PROBE], env=env,
-            capture_output=True, text=True, check=True,
-        ).stdout
-        walks.append(json.loads(out))
+    walks = _hash_seed_walks("Counter")
+    assert walks[0] == walks[1]
+
+
+def test_default_state_walk_independent_of_hash_seed():
+    """The same for the gossip semantics, on the pinned G-Counter
+    scope."""
+    walks = _hash_seed_walks("G-Counter")
     assert walks[0] == walks[1]
 
 

@@ -64,9 +64,15 @@ class TestStealMatchesSerial:
             assert result.ok == serial.ok, entry.name
             assert result.configurations == serial.configurations, entry.name
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_one_result_per_scope(self, jobs):
-        # Two scopes of one entry stay two results, in input order.
+    @pytest.mark.parametrize(
+        "jobs, max_configurations",
+        [(1, None), (2, None), (1, 8), (2, 8)],
+        ids=["1", "2", "1-cap8", "2-cap8"],
+    )
+    def test_one_result_per_scope(self, jobs, max_configurations):
+        # Two scopes of one entry stay two results, in input order, and
+        # a cap bounds each scope on its own: configurations the first
+        # scope claimed still count and are checked in the second.
         entry = entry_by_name("Counter")
         scopes = [
             (entry, {"r1": [("inc", ()), ("read", ())],
@@ -77,8 +83,19 @@ class TestStealMatchesSerial:
         serial = [exhaustive_verify(e, programs).configurations
                   for e, programs, _ in scopes]
         assert serial == [11, 10]
-        merged = verify_scopes_steal(scopes, jobs=jobs, **FORCE)
-        assert [result.configurations for result in merged] == serial
+        expected = serial if max_configurations is None else [8, 8]
+        merged = verify_scopes_steal(
+            scopes, jobs=jobs, max_configurations=max_configurations,
+            **FORCE,
+        )
+        assert [result.configurations for result in merged] == expected
+        checks = [result.check_stats.checks for result in merged]
+        if max_configurations is None:
+            # Sessions may re-check what another process also reached.
+            assert all(c >= n for c, n in zip(checks, expected))
+        else:
+            # A budget claim is checked exactly once, in its own scope.
+            assert checks == expected
 
     def test_forced_splitting_op_based(self):
         entry = entry_by_name("Counter")

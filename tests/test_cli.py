@@ -248,6 +248,28 @@ class TestStealCLI:
         assert all(record["task"].startswith("Counter:")
                    for record in records)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--store", "counter:1", "--jobs", "2"],
+         ["--store", "counter:1,orset:1"]],
+        ids=["one-group-pool", "serial-store"],
+    )
+    def test_store_heartbeat_log(self, capsys, tmp_path, argv):
+        # The store's per-object runs take the heartbeat flags at every
+        # --jobs value and object count, not only in a multi-group pool.
+        from repro.obs.heartbeat import HEARTBEAT_SCHEMA
+
+        hb_log = tmp_path / "heartbeat.jsonl"
+        assert main(["exhaustive", *argv,
+                     "--heartbeat-log", str(hb_log)]) == 0
+        capsys.readouterr()
+        header, *records = [json.loads(line)
+                            for line in hb_log.read_text().splitlines()]
+        assert header["schema"] == HEARTBEAT_SCHEMA
+        assert records
+        assert {record["task"].split(":")[0] for record in records} \
+            <= {"Counter", "OR-Set"}
+
     def test_no_steal_store_batch_matches_serial(self, capsys):
         def rows(out):
             return [line.split()[:3] for line in out.splitlines()
