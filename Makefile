@@ -19,8 +19,8 @@ bench:
 bench-explore:
 	$(PYTHON) -m pytest benchmarks/test_bench_explore_engine.py --benchmark-only -s
 
-# Source-DPOR + persistent snapshots vs. the sleep-set engine on
-# 3-replica scopes; merges the dpor_3r section into BENCH_explore.json.
+# Source-DPOR vs. the sleep-set engine on 3-replica scopes; merges the
+# dpor_3r section into BENCH_explore.json.
 bench-dpor:
 	$(PYTHON) -m pytest benchmarks/test_bench_dpor.py --benchmark-only -s
 

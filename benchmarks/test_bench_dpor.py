@@ -1,10 +1,9 @@
-"""Source-DPOR + persistent snapshots vs. sleep sets (our measurement).
+"""Source-DPOR vs. sleep sets (our measurement).
 
 On symmetric 3-replica scopes, run ``exhaustive_verify`` with both POR
-flavors — the classic sleep-set explorer over copy-on-write snapshots
-(the PR-6 engine) and source-DPOR over persistent structural-sharing
-hash-trie systems — and record wall speedups, interleaving reductions,
-and the structural-sharing ratio in the ``dpor_3r`` section of
+flavors — the classic sleep-set explorer and source-DPOR, both over
+the same copy-on-write snapshots — and record wall speedups and
+interleaving reductions in the ``dpor_3r`` section of
 ``BENCH_explore.json``.  Wall clocks are the min over interleaved runs
 so a noisy neighbour does not sink either side, and every cell asserts
 the two flavors agree bit-for-bit on verdicts and
@@ -72,8 +71,6 @@ def test_source_dpor_speedup(benchmark, name):
     # ... and real in the walk.
     assert source.stats.states_visited < sleep.stats.states_visited
     assert source.stats.dpor_redundant_avoided > 0
-    shared = source.stats.pstate_shared
-    copied = source.stats.pstate_copied
     RESULTS[name] = {
         "sleep_seconds": round(sleep.stats.wall_time, 4),
         "source_seconds": round(source.stats.wall_time, 4),
@@ -88,9 +85,6 @@ def test_source_dpor_speedup(benchmark, name):
         ),
         "dpor_races": source.stats.dpor_races,
         "dpor_redundant_avoided": source.stats.dpor_redundant_avoided,
-        "pstate_sharing_ratio": round(
-            shared / (copied + shared), 3
-        ) if copied + shared else 0.0,
     }
 
 
@@ -117,15 +111,13 @@ def test_steal_parity(benchmark):
 
 def test_dpor_table(benchmark):
     benchmark(lambda: None)
-    emit("Source-DPOR + persistent snapshots vs. sleep sets, 3-replica "
-         "scopes",
+    emit("Source-DPOR vs. sleep sets, 3-replica scopes",
          "\n".join(
              f"{name:<20} sleep {r['sleep_seconds']:7.2f}s "
              f"({r['sleep_states']:>6} states)   source "
              f"{r['source_seconds']:7.2f}s ({r['source_states']:>6} "
              f"states)   {r['speedup']:>5.2f}x wall, "
-             f"{r['state_reduction']:>5.2f}x states, sharing "
-             f"{r['pstate_sharing_ratio']:.3f}"
+             f"{r['state_reduction']:>5.2f}x states"
              for name, r in RESULTS.items()
          ))
     artifact = json.loads(JSON_PATH.read_text()) if JSON_PATH.exists() \

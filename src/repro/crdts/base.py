@@ -57,7 +57,7 @@ class OpBasedCRDT(ABC):
     #: Methods whose generator samples a timestamp.
     timestamped_methods: FrozenSet[str] = frozenset()
     #: Whether replica states are immutable values that may be *shared*
-    #: between configuration snapshots.  All in-tree CRDTs use persistent
+    #: between configuration snapshots.  All in-tree CRDTs use immutable
     #: tuples / frozensets / FrozenDicts, so sharing is safe; a CRDT with
     #: mutable states must set this to False, and the exploration engine
     #: falls back to ``copy.deepcopy`` branching for it.

@@ -214,14 +214,6 @@ class Instrumentation:
             m.counter("explore.dpor.patch_cuts", **labels).inc(
                 stats.dpor_patch_cuts
             )
-        if stats.pstate_copied:
-            m.counter("explore.pstate.nodes_copied", **labels).inc(
-                stats.pstate_copied
-            )
-        if stats.pstate_shared:
-            m.counter("explore.pstate.nodes_shared", **labels).inc(
-                stats.pstate_shared
-            )
 
     def record_steal(self, stats: Any) -> None:
         """Record one frontier-split pool run's scheduler counters.

@@ -331,7 +331,6 @@ def chaos_soak(
                             "queue": total - done,
                             "dedup_ratio": None,
                             "spill": None,
-                            "pstate_ratio": None,
                         })
     finally:
         if monitor is not None:

@@ -177,7 +177,7 @@ def _harvest_store(store: FingerprintStore, result: ExhaustiveResult,
 
 
 def _system_factory(
-    entry: CRDTEntry, programs: Dict[str, Program], persistent: bool
+    entry: CRDTEntry, programs: Dict[str, Program]
 ) -> Callable[[], Any]:
     """The runtime system constructor of one scope: op- or state-based
     by the entry's kind, over the programs' replicas."""
@@ -185,8 +185,7 @@ def _system_factory(
     replicas = sorted(programs)
 
     def make_system():
-        return system_class(entry.make_crdt(), replicas=replicas,
-                            persistent=persistent)
+        return system_class(entry.make_crdt(), replicas=replicas)
 
     return make_system
 
@@ -236,12 +235,7 @@ def _verify_scope(
     ins.journal_event("scope.start", entry=entry.name, family=entry.kind)
     if heartbeat is not None:
         heartbeat.begin_task(entry.name)
-    # Source-DPOR branches orders of magnitude more often than it
-    # mutates; the persistent (hash-trie) containers make each branch
-    # point O(delta) instead of O(configuration).  The naive oracle keeps
-    # the plain containers.
-    make_system = _system_factory(entry, programs,
-                                  persistent=(por == "source" and fast))
+    make_system = _system_factory(entry, programs)
     if entry.kind == "OB":
         explore, explore_naive = explore_op_programs, explore_op_programs_naive
         options = {}
@@ -337,8 +331,7 @@ def exhaustive_verify(
 
     ``por`` selects the partial-order-reduction flavor: ``"source"``
     (the default: source-DPOR — race-driven source sets over the sleep
-    sets with wakeup-tree continuations and patch cuts, plus persistent
-    structural-sharing snapshots in the runtime systems) or ``"sleep"``
+    sets with wakeup-tree continuations and patch cuts) or ``"sleep"``
     (classic sleep sets, the differential oracle).  Both visit the same
     configuration set; source explores fewer interleavings to get
     there.

@@ -415,7 +415,7 @@ def format_metrics(artifact: Mapping[str, Any]) -> str:
     for key in instruments:
         name = key.split("{", 1)[0]
         if name.startswith(("explore.steal.", "explore.fp_store.",
-                            "explore.dpor.", "explore.pstate.")):
+                            "explore.dpor.")):
             value = instruments[key].get("value")
             if value is not None:
                 totals[name] = totals.get(name, 0.0) + value
@@ -442,8 +442,6 @@ def format_metrics(artifact: Mapping[str, Any]) -> str:
             ("dpor full expansions", total("explore.dpor.full_expansions")),
             ("dpor wakeup branches", total("explore.dpor.wakeup_branches")),
             ("dpor patch cuts", total("explore.dpor.patch_cuts")),
-            ("pstate nodes copied", total("explore.pstate.nodes_copied")),
-            ("pstate nodes shared", total("explore.pstate.nodes_shared")),
         ]
         for label, value in rows:
             if value:
@@ -452,13 +450,6 @@ def format_metrics(artifact: Mapping[str, Any]) -> str:
         if lookups:
             ratio = total("explore.fp_store.hits") / lookups
             lines.append(f"  {'fp-store hit ratio':<52} {ratio:>12.4f}")
-        copied = total("explore.pstate.nodes_copied")
-        shared = total("explore.pstate.nodes_shared")
-        if copied or shared:
-            # The observable O(delta) claim: how many trie nodes each
-            # branch point reused instead of copying.
-            ratio = shared / (copied + shared) if copied + shared else 0.0
-            lines.append(f"  {'pstate sharing ratio':<52} {ratio:>12.4f}")
         # Metric families this artifact predates (or whose machinery was
         # off) are named explicitly — "(absent)" distinguishes "not
         # recorded" from "recorded zero" when reading old snapshots.
@@ -466,7 +457,6 @@ def format_metrics(artifact: Mapping[str, Any]) -> str:
             ("parallel pool", "explore.steal."),
             ("fingerprint store", "explore.fp_store."),
             ("source-DPOR", "explore.dpor."),
-            ("persistent state", "explore.pstate."),
         ]
         for label, prefix in families:
             if not any(name.startswith(prefix) for name in totals):

@@ -187,7 +187,7 @@ _ScopeSpec = Tuple[str, Dict[str, Program], Optional[int], Optional[bool],
 
 
 class _Session:
-    """One process's persistent engine session for one scope.
+    """One process's long-lived engine session for one scope.
 
     A worker creates it lazily on the first task of the scope and reuses
     it for every later one: the domain, visited/expanded records, the
@@ -211,19 +211,15 @@ class _Session:
         self.result.stats = self.stats
         visit = _make_visit(entry, self.result, cache, ins)
         self.store: Optional[FingerprintStore] = None
-        self.fps: Any = set()
         if spill_dir is not None:
             self.store = FingerprintStore(spill_dir=spill_dir)
-            self.fps = self.store.visited_set()
         self.kind = "op" if entry.kind == "OB" else "state"
         self.engine = build_engine(
-            self.kind, _system_factory(entry, programs, por == "source"),
-            programs, visit,
+            self.kind, _system_factory(entry, programs), programs, visit,
             max_gossips=max_gossips or 0,
             reduction=entry.reduction if reduction is None else reduction,
             symmetry=entry.symmetry if symmetry is None else symmetry,
             stats=self.stats,
-            fingerprints=self.fps,
             store=self.store,
             budget=budget,
             por=por,
@@ -256,7 +252,7 @@ class _Session:
 
     def harvest(self, scope_index: int, ins: Instrumentation):
         """Close out the session: ``(scope_index, result, fingerprints)``."""
-        fps = set(self.fps)
+        fps = set(self.engine.visited_fps)
         if self.store is not None:
             _harvest_store(self.store, self.result, ins)
         if ins.enabled:
@@ -437,8 +433,6 @@ def _merge_sessions(
             merged.stats.dpor_full_expansions += stats.dpor_full_expansions
             merged.stats.dpor_wakeup_branches += stats.dpor_wakeup_branches
             merged.stats.dpor_patch_cuts += stats.dpor_patch_cuts
-            merged.stats.pstate_copied += stats.pstate_copied
-            merged.stats.pstate_shared += stats.pstate_shared
         if result.fp_store is not None:
             if merged.fp_store is None:
                 merged.fp_store = FPStoreStats()
@@ -521,16 +515,17 @@ def verify_scopes_steal(
     jobs = jobs or default_jobs()
     workers = _worker_count(jobs, oversubscribe=oversubscribe)
     scope_table = _scope_table(scopes, reduction, symmetry, cache, por)
-    observe = progress is not None or heartbeat_log is not None
+    monitor = None
+    if progress is not None or heartbeat_log is not None:
+        monitor = ProgressMonitor(
+            interval=progress,
+            stream=(progress_stream if progress is not None
+                    else io.StringIO()),
+            log_path=heartbeat_log,
+        )
     if workers <= 1 or not scope_table:
-        monitor = emitter = None
-        if observe:
-            monitor = ProgressMonitor(
-                interval=progress,
-                stream=(progress_stream if progress is not None
-                        else io.StringIO()),
-                log_path=heartbeat_log,
-            )
+        emitter = None
+        if monitor is not None:
             emitter = HeartbeatEmitter(worker="w0", sink=monitor.ingest,
                                        interval=progress)
         try:
@@ -557,16 +552,7 @@ def verify_scopes_steal(
     ack_q: Any = mp.Queue()
     stop = mp.Event()
     obs = _obs_envelope(ins)
-    hb_q: Any = mp.Queue() if observe else None
-    monitor = (
-        ProgressMonitor(
-            interval=progress,
-            stream=(progress_stream if progress is not None
-                    else io.StringIO()),
-            log_path=heartbeat_log,
-        )
-        if observe else None
-    )
+    hb_q: Any = mp.Queue() if monitor is not None else None
     started = time.perf_counter()
     for spec in scope_table:
         ins.journal_event("scope.start", entry=spec[0], workers=workers)

@@ -4,7 +4,7 @@ The naive explorers (:mod:`repro.runtime.explore_naive`) enumerate raw
 interleavings and branch by deep-copying the whole system — cost explodes
 factorially in the number of operations and deliveries.  This engine ports
 both :func:`explore_op_programs` and :func:`explore_state_programs` onto a
-single DFS core with three stacked optimizations:
+single DFS core with four stacked optimizations:
 
 1. **Commutativity-based sleep sets (DPOR).**  The paper's Commutativity
    property (Fig. 11, checked by :mod:`repro.proofs.commutativity`) proves
@@ -30,11 +30,12 @@ single DFS core with three stacked optimizations:
    broken) CRDTs.
 
 3. **Copy-on-write branching.**  Instead of ``copy.deepcopy`` per branch,
-   the engine uses the O(|configuration|) ``snapshot``/``restore``
-   protocol of :class:`~repro.runtime.system.OpBasedSystem` and
-   :class:`~repro.runtime.state_system.StateBasedSystem`, which shares the
-   immutable CRDT states between snapshots.  CRDTs with mutable states opt
-   out via ``snapshot_safe = False`` and get the deepcopy fallback.
+   the engine uses the O(#replicas) ``snapshot``/``restore`` protocol of
+   :class:`~repro.runtime.system.OpBasedSystem` and
+   :class:`~repro.runtime.state_system.StateBasedSystem`: immutable CRDT
+   states and frozenset seen-sets are shared by reference, the append-only
+   logs are rewound by truncation.  CRDTs with mutable states opt out via
+   ``snapshot_safe = False`` and get the deepcopy fallback.
 
 4. **Replica-symmetry reduction** (``symmetry=True``, off by default at
    this layer).  Replicas running identical programs are interchangeable;
@@ -80,7 +81,6 @@ from typing import (
 
 from ..core.errors import PreconditionViolation
 from ..obs.instrument import Instrumentation, NULL_INSTRUMENTATION
-from . import pstate
 from .state_system import StateBasedSystem
 from .symmetry import (
     SymmetryReducer,
@@ -173,10 +173,10 @@ class ExploreStats:
     #: Source-DPOR only: re-converged states cut by exploring just the
     #: recorded-sleep difference instead of the whole subtree.
     dpor_patch_cuts: int = 0
-    #: Persistent-snapshot mode: hash-trie nodes allocated (path copies).
+    #: Always 0.  The counters of a retired structural-sharing snapshot
+    #: container, kept only for readers that still sum them (the
+    #: perfbench layer trace).
     pstate_copied: int = 0
-    #: Persistent-snapshot mode: child pointers reused by those copies —
-    #: structure shared instead of duplicated.
     pstate_shared: int = 0
 
     @property
@@ -206,8 +206,6 @@ class ExploreStats:
             "dpor_full_expansions": self.dpor_full_expansions,
             "dpor_wakeup_branches": self.dpor_wakeup_branches,
             "dpor_patch_cuts": self.dpor_patch_cuts,
-            "pstate_copied": self.pstate_copied,
-            "pstate_shared": self.pstate_shared,
         }
 
 
@@ -908,8 +906,7 @@ class _StateDomain(_Domain):
         (invocation-only commutations never change a program-complete
         prefix's configuration set), so the visited set stays exactly
         the sleep-set engine's.  The reduction then prunes invocation
-        interleavings between gossips — and the persistent snapshots
-        carry the rest.
+        interleavings between gossips.
         """
         if transition[0] == "gos":
             return (1 << length) - 1  # the global ordering barrier
@@ -1064,9 +1061,7 @@ class _Engine:
         domain,
         visit: Callable[[Any, Dict[str, List[Any]]], None],
         max_configurations: Optional[int],
-        dedup: bool,
         stats: ExploreStats,
-        fingerprints: Optional[set] = None,
         store: Optional[Any] = None,
         budget: Optional[Any] = None,
         por: str = "source",
@@ -1084,7 +1079,6 @@ class _Engine:
         self.domain = domain
         self.visit = visit
         self.max_configurations = max_configurations
-        self.dedup = dedup
         self.stats = stats
         #: The ``--spill`` :class:`~repro.runtime.fp_store.FingerprintStore`,
         #: or None: when set, the visited/expanded records are keyed by its
@@ -1104,13 +1098,12 @@ class _Engine:
         #: The ``(path, sleep)`` tasks of the last frontier walk.
         self.frontier: List[Tuple[Tuple[Transition, ...],
                                   FrozenSet[Transition]]] = []
-        #: Fingerprints of configurations already reported to ``visit``.
-        #: A caller-provided set is used in place (and thus observable
-        #: afterwards) — the pool's merge unions the per-session sets to
-        #: count distinct configurations globally.
-        if fingerprints is None:
-            fingerprints = store.visited_set() if store is not None else set()
-        self._visited_fps: Any = fingerprints
+        #: Fingerprints of configurations already reported to ``visit``;
+        #: the pool's merge unions the per-session sets to count distinct
+        #: configurations globally.
+        self.visited_fps: Any = (
+            store.visited_set() if store is not None else set()
+        )
         #: fingerprint -> sleep sets the subtree was explored under.  A new
         #: arrival is subsumed if some recorded sleep set is contained in
         #: the current one (then every schedule allowed now was allowed —
@@ -1171,7 +1164,6 @@ class _Engine:
         across tasks reports its total exploration time.
         """
         started = time.perf_counter()
-        pstate_mark = pstate.STATS.snapshot()
         try:
             if cap is not None:
                 self._run_frontier(cap)
@@ -1188,9 +1180,6 @@ class _Engine:
                     "budget.exhausted",
                     configurations=self.stats.configurations,
                 )
-        copied, shared = pstate.STATS.snapshot()
-        self.stats.pstate_copied += copied - pstate_mark[0]
-        self.stats.pstate_shared += shared - pstate_mark[1]
         self.stats.wall_time += time.perf_counter() - started
         return self.stats
 
@@ -1275,24 +1264,23 @@ class _Engine:
             domain.pop(token)
 
     def _report(self, fingerprint: Any) -> None:
-        if self.dedup:
-            if fingerprint in self._visited_fps:
+        if fingerprint in self.visited_fps:
+            return
+        if self.budget is not None:
+            # claim() is three-valued: 1 = newly claimed (count and check
+            # it here), 0 = another worker already counted it (keep it in
+            # our visited set — the merged union then still counts it
+            # exactly once), -1 = the shared cap was reached before this
+            # configuration (do NOT record it: nobody counted it, so it
+            # must not survive the union).
+            claim = self.budget.claim(fingerprint)
+            if claim < 0:
+                raise _SearchCapped
+            self.visited_fps.add(fingerprint)
+            if claim == 0:
                 return
-            if self.budget is not None:
-                # claim() is three-valued: 1 = newly claimed (count and
-                # check it here), 0 = another worker already counted it
-                # (keep it in our visited set — the merged union then
-                # still counts it exactly once), -1 = the shared cap was
-                # reached before this configuration (do NOT record it:
-                # nobody counted it, so it must not survive the union).
-                claim = self.budget.claim(fingerprint)
-                if claim < 0:
-                    raise _SearchCapped
-                self._visited_fps.add(fingerprint)
-                if claim == 0:
-                    return
-            else:
-                self._visited_fps.add(fingerprint)
+        else:
+            self.visited_fps.add(fingerprint)
         self.stats.configurations += 1
         self.visit(*self.domain.visit_args())
         if (
@@ -1313,25 +1301,24 @@ class _Engine:
         if self.budget is not None and self.budget.exhausted():
             raise _SearchCapped
         transitions = domain.transitions()
-        fingerprint = self.dedup and self._fingerprint()
+        fingerprint = self._fingerprint()
         if domain.should_visit(transitions):
             self._report(fingerprint)
         if not transitions:
             return
-        if self.dedup:
-            # Sleep sets are compared in the canonical frame: under
-            # symmetry, orbit members arriving with differently-named
-            # schedules must subsume each other iff their canonical
-            # images do (canon_sleep is the identity with symmetry off).
-            sleep_key = domain.canon_sleep(sleep)
-            # One setdefault = one hash of the (large, nested) fingerprint
-            # tuple; a get-then-setdefault pair would hash it twice.
-            recorded_sets = self._expanded.setdefault(fingerprint, [])
-            for recorded in recorded_sets:
-                if recorded <= sleep_key:
-                    stats.states_deduped += 1
-                    return
-            recorded_sets.append(sleep_key)
+        # Sleep sets are compared in the canonical frame: under symmetry,
+        # orbit members arriving with differently-named schedules must
+        # subsume each other iff their canonical images do (canon_sleep
+        # is the identity with symmetry off).
+        sleep_key = domain.canon_sleep(sleep)
+        # One setdefault = one hash of the (large, nested) fingerprint
+        # tuple; a get-then-setdefault pair would hash it twice.
+        recorded_sets = self._expanded.setdefault(fingerprint, [])
+        for recorded in recorded_sets:
+            if recorded <= sleep_key:
+                stats.states_deduped += 1
+                return
+        recorded_sets.append(sleep_key)
         cap = self._cap
         if cap is not None and depth > cap:
             self.frontier.append((tuple(self._path), sleep))
@@ -1400,50 +1387,47 @@ class _Engine:
         if self.budget is not None and self.budget.exhausted():
             raise _SearchCapped
         transitions = domain.transitions()
-        fingerprint = self.dedup and self._fingerprint()
+        fingerprint = self._fingerprint()
         if domain.should_visit(transitions):
             self._report(fingerprint)
         if not transitions:
             return
         patch: Optional[FrozenSet[Transition]] = None
-        if self.dedup:
-            sleep_key = domain.canon_sleep(sleep)
-            recorded_sets = self._expanded.setdefault(fingerprint, [])
-            patch_base = None
-            patch_missing = None
-            for recorded in recorded_sets:
-                if recorded <= sleep_key:
-                    stats.states_deduped += 1
-                    # The subtree below an equivalent node is not run
-                    # again — but its events can still race with *this*
-                    # path's prefix, so replay the residual alphabet
-                    # against the open frames.
-                    self._replay_residual()
-                    return
-                missing = recorded - sleep_key
-                if patch_missing is None or \
-                        len(missing) < len(patch_missing):
-                    patch_base, patch_missing = recorded, missing
-            if patch_missing is not None and \
-                    len(patch_missing) <= _PATCH_LIMIT:
-                # Partial cut at a re-converged state: a prior visit with
-                # recorded sleep R covered every execution from here not
-                # starting in R; this arrival (sleep S, R ⊄ S) only owes
-                # the executions starting in R \ S.  Explore exactly
-                # those branches — races they demand land on the live
-                # frames as usual — replay the residual alphabet for the
-                # covered remainder, and record R ∩ S: the union of both
-                # visits covers everything not starting in the
-                # intersection, so the records weaken monotonically and
-                # later arrivals full-cut.  ``R \ S`` lives in the
-                # canonical frame; pull it back through the latest
-                # minimizing permutation before scheduling.
-                stats.dpor_patch_cuts += 1
-                patch = domain.uncanon_transitions(patch_missing)
+        sleep_key = domain.canon_sleep(sleep)
+        recorded_sets = self._expanded.setdefault(fingerprint, [])
+        patch_base = None
+        patch_missing = None
+        for recorded in recorded_sets:
+            if recorded <= sleep_key:
+                stats.states_deduped += 1
+                # The subtree below an equivalent node is not run again —
+                # but its events can still race with *this* path's
+                # prefix, so replay the residual alphabet against the
+                # open frames.
                 self._replay_residual()
-                recorded_sets.append(patch_base & sleep_key)
-            else:
-                recorded_sets.append(sleep_key)
+                return
+            missing = recorded - sleep_key
+            if patch_missing is None or len(missing) < len(patch_missing):
+                patch_base, patch_missing = recorded, missing
+        if patch_missing is not None and len(patch_missing) <= _PATCH_LIMIT:
+            # Partial cut at a re-converged state: a prior visit with
+            # recorded sleep R covered every execution from here not
+            # starting in R; this arrival (sleep S, R ⊄ S) only owes the
+            # executions starting in R \ S.  Explore exactly those
+            # branches — races they demand land on the live frames as
+            # usual — replay the residual alphabet for the covered
+            # remainder, and record R ∩ S: the union of both visits
+            # covers everything not starting in the intersection, so the
+            # records weaken monotonically and later arrivals full-cut.
+            # ``R \ S`` lives in the canonical frame; pull it back
+            # through the latest minimizing permutation before
+            # scheduling.
+            stats.dpor_patch_cuts += 1
+            patch = domain.uncanon_transitions(patch_missing)
+            self._replay_residual()
+            recorded_sets.append(patch_base & sleep_key)
+        else:
+            recorded_sets.append(sleep_key)
         frame = _Frame("real", transitions, sleep)
         self._frames.append(frame)
         token = domain.push()
@@ -1754,9 +1738,7 @@ def build_engine(
     max_gossips: int = 3,
     max_configurations: Optional[int] = None,
     reduction: bool = True,
-    dedup: bool = True,
     stats: Optional[ExploreStats] = None,
-    fingerprints: Optional[set] = None,
     store: Optional[Any] = None,
     budget: Optional[Any] = None,
     symmetry: bool = False,
@@ -1788,9 +1770,9 @@ def build_engine(
     else:  # pragma: no cover - caller bug
         raise ValueError(f"unknown exploration kind {kind!r}")
     return _Engine(
-        domain, visit, max_configurations, dedup, stats,
-        fingerprints=fingerprints, store=store, budget=budget, por=por,
-        profile=profile, journal=journal, heartbeat=heartbeat,
+        domain, visit, max_configurations, stats, store=store,
+        budget=budget, por=por, profile=profile, journal=journal,
+        heartbeat=heartbeat,
     )
 
 
@@ -1835,7 +1817,6 @@ def explore_op_programs(
     require_quiescence: bool = True,
     max_configurations: Optional[int] = None,
     reduction: bool = True,
-    dedup: bool = True,
     stats: Optional[ExploreStats] = None,
     instrumentation: Optional[Instrumentation] = None,
     symmetry: bool = False,
@@ -1852,8 +1833,7 @@ def explore_op_programs(
     Returns the number of configurations visited.
 
     ``reduction=False`` disables the commutativity-based sleep sets (the
-    per-entry escape hatch); ``dedup=False`` additionally disables
-    fingerprint deduplication, recovering the naive enumeration order.
+    per-entry escape hatch).
     ``symmetry=True`` dedups on orbit representatives under replica
     permutation (see :mod:`repro.runtime.symmetry`): ``visit`` then fires
     once per orbit and ``max_configurations`` caps the *orbit* count.
@@ -1868,8 +1848,7 @@ def explore_op_programs(
         dict(symmetry=symmetry, por=por),
         require_quiescence=require_quiescence,
         max_configurations=max_configurations, reduction=reduction,
-        dedup=dedup, symmetry=symmetry, store=store, por=por,
-        heartbeat=heartbeat,
+        symmetry=symmetry, store=store, por=por, heartbeat=heartbeat,
     )
 
 
@@ -1880,7 +1859,6 @@ def explore_state_programs(
     max_gossips: int = 3,
     max_configurations: Optional[int] = None,
     reduction: bool = True,
-    dedup: bool = True,
     stats: Optional[ExploreStats] = None,
     instrumentation: Optional[Instrumentation] = None,
     symmetry: bool = False,
@@ -1899,8 +1877,8 @@ def explore_state_programs(
         "state", make_system, programs, visit, stats, instrumentation,
         dict(max_gossips=max_gossips, symmetry=symmetry, por=por),
         max_gossips=max_gossips, max_configurations=max_configurations,
-        reduction=reduction, dedup=dedup, symmetry=symmetry, store=store,
-        por=por, heartbeat=heartbeat,
+        reduction=reduction, symmetry=symmetry, store=store, por=por,
+        heartbeat=heartbeat,
     )
 
 

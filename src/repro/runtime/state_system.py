@@ -18,14 +18,13 @@ with visibility.
 """
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.errors import PreconditionViolation, SchedulingError
 from ..core.history import History
 from ..core.label import Label
 from ..core.timestamp import BOTTOM, TimestampGenerator
 from ..crdts.base import StateBasedCRDT
-from .pstate import EMPTY_SET
 
 
 @dataclass(frozen=True)
@@ -41,10 +40,10 @@ class Message:
 class StateBasedSystem:
     """A replicated system running one state-based CRDT object.
 
-    ``persistent=True`` mirrors :class:`~repro.runtime.system.OpBasedSystem`:
-    label sets and the visibility relation become persistent hash tries,
-    the generator's clock table copy-on-write, and the append-only logs
-    (messages, generation order, events) are snapshotted by length mark
+    The containers follow :class:`~repro.runtime.system.OpBasedSystem`:
+    label sets are frozensets replaced on write, the generator's clock
+    table is copy-on-write, and the append-only logs (visibility,
+    messages, generation order, events) are snapshotted by length mark
     and rewound by truncation — sound under the explorers' DFS discipline
     (tokens are only restored along the current execution path).
     """
@@ -54,22 +53,20 @@ class StateBasedSystem:
         crdt: StateBasedCRDT,
         replicas: Sequence[str] = ("r1", "r2", "r3"),
         obj: Optional[str] = None,
-        persistent: bool = False,
     ) -> None:
         self.crdt = crdt
         self.replicas = list(replicas)
         self.obj = obj
-        self.persistent = persistent
-        self._generator = TimestampGenerator(persistent=persistent)
+        self._generator = TimestampGenerator()
         self._states: Dict[str, Any] = {
             r: crdt.initial_state() for r in self.replicas
         }
-        if persistent:
-            self._seen = {r: EMPTY_SET for r in self.replicas}
-            self._vis = EMPTY_SET
-        else:
-            self._seen = {r: set() for r in self.replicas}
-            self._vis = set()
+        self._seen: Dict[str, FrozenSet[Label]] = {
+            r: frozenset() for r in self.replicas
+        }
+        # Append-only: an invoke's edges are always new (its label is
+        # fresh), so the log never holds a duplicate edge.
+        self._vis: List[Tuple[Label, Label]] = []
         self.messages: List[Message] = []
         self.generation_order: List[Label] = []
         #: Event log: ("op", replica, label, pre, post) and
@@ -98,15 +95,8 @@ class StateBasedSystem:
             method, tuple(args), ret=ret, ts=ts, obj=self.obj, origin=replica
         )
         seen_here = self._seen[replica]
-        if self.persistent:
-            self._vis = self._vis.update(
-                (prior, label) for prior in seen_here
-            )
-            self._seen[replica] = seen_here.add(label)
-        else:
-            for prior in seen_here:
-                self._vis.add((prior, label))
-            seen_here.add(label)
+        self._vis.extend([(prior, label) for prior in seen_here])
+        self._seen[replica] = seen_here | {label}
         self._states[replica] = new_state
         self.generation_order.append(label)
         self.events.append(("op", replica, label, state, new_state))
@@ -121,7 +111,7 @@ class StateBasedSystem:
         message = Message(
             msg_id=len(self.messages),
             sender=replica,
-            labels=frozenset(self._seen[replica]),
+            labels=self._seen[replica],
             state=self._states[replica],
         )
         self.messages.append(message)
@@ -138,10 +128,7 @@ class StateBasedSystem:
         pre = self._states[replica]
         post = self.crdt.merge(pre, message.state)
         self._states[replica] = post
-        if self.persistent:
-            self._seen[replica] = self._seen[replica].update(message.labels)
-        else:
-            self._seen[replica] |= set(message.labels)
+        self._seen[replica] = self._seen[replica] | message.labels
         for ts in self.crdt.timestamps_in_state(message.state):
             self._generator.observe(replica, ts)
         self.events.append(("apply", replica, message, pre, post))
@@ -169,51 +156,32 @@ class StateBasedSystem:
         return self.crdt.snapshot_safe
 
     def snapshot(self) -> Tuple:
-        """An O(|configuration|) snapshot token for :meth:`restore`.
+        """An O(#replicas) snapshot token for :meth:`restore`.
 
-        Shallow copies only — messages, labels, and CRDT states are
-        immutable values shared between the live system and the token.
-        Under ``persistent=True`` the token is O(#replicas): trie roots by
-        reference, append-only logs by length mark.
+        Replica states and label sets by reference (messages, labels and
+        CRDT states are immutable values shared between the live system
+        and the token), append-only logs by length mark.
         """
-        if self.persistent:
-            return (
-                dict(self._states),
-                dict(self._seen),
-                self._vis,
-                len(self.messages),
-                len(self.generation_order),
-                len(self.events),
-                self._generator.snapshot(),
-            )
         return (
             dict(self._states),
-            {r: set(s) for r, s in self._seen.items()},
-            set(self._vis),
-            list(self.messages),
-            list(self.generation_order),
-            list(self.events),
+            dict(self._seen),
+            len(self._vis),
+            len(self.messages),
+            len(self.generation_order),
+            len(self.events),
             self._generator.snapshot(),
         )
 
     def restore(self, token: Tuple) -> None:
         """Rewind to a :meth:`snapshot` token (reusable any number of times
-        along the explorers' DFS discipline under ``persistent=True``)."""
+        along the explorers' DFS discipline)."""
         states, seen, vis, messages, order, events, clocks = token
-        if self.persistent:
-            self._states = dict(states)
-            self._seen = dict(seen)
-            self._vis = vis
-            del self.messages[messages:]
-            del self.generation_order[order:]
-            del self.events[events:]
-        else:
-            self._states = dict(states)
-            self._seen = {r: set(s) for r, s in seen.items()}
-            self._vis = set(vis)
-            self.messages = list(messages)
-            self.generation_order = list(order)
-            self.events = list(events)
+        self._states = dict(states)
+        self._seen = dict(seen)
+        del self._vis[vis:]
+        del self.messages[messages:]
+        del self.generation_order[order:]
+        del self.events[events:]
         self._generator.restore(clocks)
 
     # ------------------------------------------------------------------
@@ -224,7 +192,7 @@ class StateBasedSystem:
         return self._states[replica]
 
     def seen(self, replica: str) -> FrozenSet[Label]:
-        return frozenset(self._seen[replica])
+        return self._seen[replica]
 
     def history(self) -> History:
         return History(self.generation_order, self._vis, check=False,
@@ -232,10 +200,7 @@ class StateBasedSystem:
 
     def replica_views(self) -> Dict[str, Tuple[FrozenSet[Label], Any]]:
         """Per-replica (visible labels, state) for the convergence oracle."""
-        return {
-            r: (frozenset(self._seen[r]), self._states[r])
-            for r in self.replicas
-        }
+        return {r: (self._seen[r], self._states[r]) for r in self.replicas}
 
     def outstanding_count(self) -> int:
         """Number of (label, replica) visibilities still outstanding.

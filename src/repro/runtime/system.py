@@ -25,14 +25,13 @@ may interleave inconsistently — which is exactly what enables the Fig. 10
 counterexample.
 """
 
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import PreconditionViolation, SchedulingError
 from ..core.history import History
 from ..core.label import Label
 from ..core.timestamp import BOTTOM, TimestampGenerator
 from ..crdts.base import Effector, OpBasedCRDT
-from .pstate import EMPTY_SET
 
 DEFAULT_OBJECT = "o"
 
@@ -40,17 +39,15 @@ DEFAULT_OBJECT = "o"
 class OpBasedSystem:
     """A replicated system running one or more op-based CRDT objects.
 
-    ``persistent=True`` switches the label-indexed containers (seen-sets,
-    visibility, causal predecessors, effector table) to the persistent hash
-    tries of :mod:`repro.runtime.pstate` and the timestamp generators to
-    copy-on-write clocks.  Mutation becomes O(log n) path-copying, and
-    :meth:`snapshot` becomes O(#replicas) — just root pointers plus length
-    marks for the append-only logs — instead of O(|configuration|).  The
-    exploration engine's source-DPOR mode turns this on; the semantics are
-    identical either way (pinned by the differential suites).
+    Every container is shaped so that :meth:`snapshot` is O(#replicas):
+    seen-sets are frozensets replaced on write, the generator clocks are
+    copy-on-write tables, visibility is an append-only edge log (an
+    invoke's edges are always new: its label is fresh), and the
+    label-keyed tables (causal predecessors, effectors, origin clocks)
+    are grow-only.
 
-    Restore discipline under ``persistent=True``: the append-only logs
-    (``generation_order``, ``trace``) are rewound by *truncation to the
+    Restore discipline: the append-only logs (visibility,
+    ``generation_order``, ``trace``) are rewound by *truncation to the
     recorded length*.  That is sound for any snapshot/restore pattern that
     only restores tokens taken on the current execution path (the
     explorers' DFS discipline): entries below the mark are never mutated,
@@ -62,7 +59,6 @@ class OpBasedSystem:
         objects: "Mapping[str, OpBasedCRDT] | OpBasedCRDT",
         replicas: Sequence[str] = ("r1", "r2", "r3"),
         shared_timestamps: bool = True,
-        persistent: bool = False,
     ) -> None:
         if isinstance(objects, OpBasedCRDT):
             objects = {DEFAULT_OBJECT: objects}
@@ -71,36 +67,36 @@ class OpBasedSystem:
         self.objects: Dict[str, OpBasedCRDT] = dict(objects)
         self.replicas: List[str] = list(replicas)
         self.shared_timestamps = shared_timestamps
-        self.persistent = persistent
         if shared_timestamps:
-            shared = TimestampGenerator(persistent=persistent)
+            shared = TimestampGenerator()
             self._generators = {name: shared for name in self.objects}
         else:
             self._generators = {
-                name: TimestampGenerator(persistent=persistent)
-                for name in self.objects
+                name: TimestampGenerator() for name in self.objects
             }
+        #: The distinct generators, in the order snapshot tokens list
+        #: their clock tables.
+        self._clock_sources = tuple(
+            {id(g): g for g in self._generators.values()}.values()
+        )
         self._states: Dict[Tuple[str, str], Any] = {
             (r, name): crdt.initial_state()
             for r in self.replicas
             for name, crdt in self.objects.items()
         }
-        if persistent:
-            self._seen = {r: EMPTY_SET for r in self.replicas}
-            # Visibility is only ever *appended to* and iterated (the
-            # checker's history view) — never membership-tested — so the
-            # persistent branch keeps it as an append-only log whose
-            # snapshot is a length mark, not a hash trie.
-            self._vis: Any = []
-        else:
-            self._seen = {r: set() for r in self.replicas}
-            self._vis = set()
+        self._seen: Dict[str, FrozenSet[Label]] = {
+            r: frozenset() for r in self.replicas
+        }
+        # Visibility is only ever *appended to* and iterated (the
+        # checker's history view) — never membership-tested — so it is
+        # an append-only log whose snapshot is a length mark.
+        self._vis: List[Tuple[Label, Label]] = []
         # Same-object visible predecessors (for causal-delivery checks)
-        # and effector payloads, keyed by label.  Under ``persistent=True``
-        # these are *grow-only*: label uids are freshly drawn on every
-        # invoke, so entries for labels dropped by a restore are keyed by
-        # dead uids that no later lookup can mention — snapshots carry
-        # nothing and restores delete nothing.
+        # and effector payloads, keyed by label.  These are *grow-only*:
+        # label uids are freshly drawn on every invoke, so entries for
+        # labels dropped by a restore are keyed by dead uids that no later
+        # lookup can mention — snapshots carry nothing and restores
+        # delete nothing.
         self._causal_preds: Dict[Label, Any] = {}
         self._effectors: Dict[Label, Any] = {}
         # Origin clock value at generation time, keyed by label: the
@@ -109,9 +105,8 @@ class OpBasedSystem:
         # timestamp dominate *transitively* visible operations even when
         # the visibility path runs through timestamp-less operations of
         # another object (Fig. 11); for single objects and ⊗ the value is
-        # already implied by per-object causal delivery.  Grow-only in
-        # both snapshot modes — restores drop labels with fresh uids, so
-        # stale entries are keyed by dead uids no lookup can mention.
+        # already implied by per-object causal delivery.  Grow-only, like
+        # the tables above.
         self._origin_clock: Dict[Label, int] = {}
         self.generation_order: List[Label] = []
         #: Action trace: ("gen"|"eff", replica, label).
@@ -147,25 +142,11 @@ class OpBasedSystem:
             origin=replica,
         )
         seen_here = self._seen[replica]
-        if self.persistent:
-            # One pass over the (trie-backed) seen set builds both the
-            # visibility edges and the same-object causal predecessors.
-            vis = self._vis
-            causal_list = []
-            for prior in seen_here:
-                vis.append((prior, label))
-                if prior.obj == obj:
-                    causal_list.append(prior)
-            causal = frozenset(causal_list)
-            self._seen[replica] = seen_here.add(label)
-        else:
-            causal = frozenset(
-                prior for prior in seen_here if prior.obj == obj
-            )
-            for prior in seen_here:
-                self._vis.add((prior, label))
-            seen_here.add(label)
-        self._causal_preds[label] = causal
+        self._vis.extend([(prior, label) for prior in seen_here])
+        self._seen[replica] = seen_here | {label}
+        self._causal_preds[label] = frozenset(
+            prior for prior in seen_here if prior.obj == obj
+        )
         self._effectors[label] = result.effector
         self._origin_clock[label] = self._generators[obj].clock(replica)
         if result.effector is not None:
@@ -216,8 +197,8 @@ class OpBasedSystem:
         application, unknown label, causal delivery): the exploration
         engine enumerates deliverable labels from its lid mirrors
         immediately before applying one, so the guards would re-derive
-        facts the caller just established — at a persistent-trie lookup
-        apiece on the DFS hot path.  Semantics are unchanged; the
+        facts the caller just established — a set lookup apiece on the
+        DFS hot path.  Semantics are unchanged; the
         naive-engine differential suite pins the mirrors against
         mis-scheduling.
         """
@@ -241,10 +222,7 @@ class OpBasedSystem:
             self._states[(replica, obj)] = crdt.apply_effector(
                 self._states[(replica, obj)], effector
             )
-        if self.persistent:
-            self._seen[replica] = self._seen[replica].add(label)
-        else:
-            self._seen[replica].add(label)
+        self._seen[replica] = self._seen[replica] | {label}
         # With a shared generator (⊗ts) this advances the one global clock;
         # with independent generators (⊗) only the label's own object's.
         # The origin-clock advance carries the sender's cross-object
@@ -284,72 +262,39 @@ class OpBasedSystem:
         return all(crdt.snapshot_safe for crdt in self.objects.values())
 
     def snapshot(self) -> Tuple:
-        """An O(|configuration|) snapshot token for :meth:`restore`.
+        """An O(#replicas) snapshot token for :meth:`restore`.
 
-        Containers are copied *shallowly*: labels, effectors, and CRDT
-        states are immutable values, so sharing them between the live
-        system and the token is safe (checked via :attr:`snapshot_safe` by
-        callers that host custom CRDTs).  This replaces whole-system
-        ``copy.deepcopy`` in the exploration engine — the deep structure of
-        replica states is never traversed.
-
-        Under ``persistent=True`` the token is O(#replicas): the hash-trie
-        seen sets are captured by reference (they are immutable), the
+        Replica states and seen-sets are captured by reference (states,
+        labels and effectors are immutable values — checked via
+        :attr:`snapshot_safe` by callers that host custom CRDTs), the
         append-only logs by length mark, the generator clocks by
-        reference to their copy-on-write tables — and the label tables
-        not at all (grow-only; see ``__init__``).
+        reference to their copy-on-write tables, and the label tables not
+        at all (grow-only; see ``__init__``).  This replaces whole-system
+        ``copy.deepcopy`` in the exploration engine.
         """
-        distinct = {id(g): g for g in self._generators.values()}
-        if self.persistent:
-            return (
-                dict(self._states),
-                dict(self._seen),
-                len(self._vis),
-                len(self.generation_order),
-                len(self.trace),
-                {key: g.snapshot() for key, g in distinct.items()},
-            )
         return (
             dict(self._states),
-            {r: set(s) for r, s in self._seen.items()},
-            set(self._vis),
-            dict(self._causal_preds),
-            dict(self._effectors),
-            list(self.generation_order),
-            list(self.trace),
-            {key: g.snapshot() for key, g in distinct.items()},
+            dict(self._seen),
+            len(self._vis),
+            len(self.generation_order),
+            len(self.trace),
+            tuple(g.snapshot() for g in self._clock_sources),
         )
 
     def restore(self, token: Tuple) -> None:
         """Rewind the system to a :meth:`snapshot` token.
 
         The token stays valid: it may be restored any number of times
-        (under ``persistent=True``, any number of times along the DFS
-        discipline described in the class docstring).
+        along the DFS discipline described in the class docstring.
         """
-        if self.persistent:
-            (states, seen, vis, order, trace, clocks) = token
-            self._states = dict(states)
-            self._seen = dict(seen)
-            del self._vis[vis:]
-            # _causal_preds/_effectors are grow-only (see __init__): the
-            # labels the truncations drop are keyed by dead uids.
-            del self.generation_order[order:]
-            del self.trace[trace:]
-        else:
-            (states, seen, vis, preds, effectors, order, trace,
-             clocks) = token
-            self._states = dict(states)
-            self._seen = {r: set(s) for r, s in seen.items()}
-            self._vis = set(vis)
-            self._causal_preds = dict(preds)
-            self._effectors = dict(effectors)
-            self.generation_order = list(order)
-            self.trace = list(trace)
-        for key, generator in {
-            id(g): g for g in self._generators.values()
-        }.items():
-            generator.restore(clocks[key])
+        states, seen, vis, order, trace, clocks = token
+        self._states = dict(states)
+        self._seen = dict(seen)
+        del self._vis[vis:]
+        del self.generation_order[order:]
+        del self.trace[trace:]
+        for generator, clock in zip(self._clock_sources, clocks):
+            generator.restore(clock)
 
     # ------------------------------------------------------------------
     # Observation
@@ -363,7 +308,7 @@ class OpBasedSystem:
         return self._effectors[label]
 
     def seen(self, replica: str) -> FrozenSet[Label]:
-        return frozenset(self._seen[replica])
+        return self._seen[replica]
 
     def history(self) -> History:
         labels = list(self.generation_order)

@@ -10,21 +10,32 @@ the runtime's structural guarantees after *every* step:
 * timestamps are consistent with visibility;
 * read-your-writes holds;
 * any two replicas with equal label sets have equal states.
+
+Two more machines drive the snapshot discipline the explorers rely on,
+op-based (a ⊗ product with two clock tables) and state-based (with
+gossip): rules push a ``snapshot()`` token, restore the top token (so
+one token is restored any number of times) and pop it.  Every restore
+is checked against a deepcopy of what the system showed when the token
+was taken — states, ``seen()``, the ``history()`` edges, the generation
+order, the action logs and the clocks.
 """
+
+import copy
 
 from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
+    precondition,
     rule,
 )
 from hypothesis import strategies as st
 
 from repro.core.convergence import check_convergence
 from repro.core.sessions import check_session_guarantees
-from repro.crdts import OpORSet
-from repro.runtime import OpBasedSystem
+from repro.crdts import OpLWWRegister, OpORSet, SBLWWElementSet
+from repro.runtime import OpBasedSystem, StateBasedSystem
 
 REPLICAS = ("r1", "r2")
 VALUES = ("a", "b")
@@ -105,3 +116,124 @@ ORSetMachine.TestCase.settings = settings(
     max_examples=25, stateful_step_count=12, deadline=None
 )
 TestORSetMachine = ORSetMachine.TestCase
+
+
+# ----------------------------------------------------------------------
+# Snapshot / restore under the explorers' stack discipline
+# ----------------------------------------------------------------------
+
+#: ``(object, method, args)`` steps of the op-based product.
+PRODUCT_STEPS = (
+    ("set", "add", ("a",)),
+    ("set", "remove", ("a",)),
+    ("set", "read", ()),
+    ("reg", "write", ("x",)),
+    ("reg", "read", ()),
+)
+
+
+class _SnapshotStack(RuleBasedStateMachine):
+    """Token stack rules shared by both semantics; subclasses build the
+    system and say what a restore must bring back (:meth:`view`)."""
+
+    def view(self):
+        raise NotImplementedError
+
+    @rule()
+    def push(self):
+        self.tokens.append(
+            (self.system.snapshot(), copy.deepcopy(self.view()))
+        )
+
+    @precondition(lambda self: self.tokens)
+    @rule()
+    def restore(self):
+        token, expected = self.tokens[-1]
+        self.system.restore(token)
+        assert self.view() == expected
+
+    @precondition(lambda self: self.tokens)
+    @rule()
+    def pop(self):
+        self.tokens.pop()
+
+
+class OpSnapshotMachine(_SnapshotStack):
+    @initialize()
+    def setup(self):
+        # Independent generators (⊗): the token carries two clock tables.
+        self.system = OpBasedSystem(
+            {"set": OpORSet(), "reg": OpLWWRegister()},
+            replicas=REPLICAS, shared_timestamps=False,
+        )
+        self.tokens = []
+
+    @rule(replica=st.sampled_from(REPLICAS),
+          step=st.sampled_from(PRODUCT_STEPS))
+    def invoke(self, replica, step):
+        obj, method, args = step
+        self.system.invoke(replica, method, args, obj=obj)
+
+    @rule(replica=st.sampled_from(REPLICAS), pick=st.integers(0, 10 ** 6))
+    def deliver(self, replica, pick):
+        pending = self.system.deliverable(replica)
+        if pending:
+            self.system.deliver(replica, pending[pick % len(pending)])
+
+    def view(self):
+        system = self.system
+        return (
+            {(r, o): system.state(r, o)
+             for r in REPLICAS for o in system.objects},
+            {r: system.seen(r) for r in REPLICAS},
+            system.history().vis,
+            list(system.generation_order),
+            list(system.trace),
+            {o: [g.clock(r) for r in REPLICAS]
+             for o, g in system._generators.items()},
+        )
+
+
+class StateSnapshotMachine(_SnapshotStack):
+    @initialize()
+    def setup(self):
+        self.system = StateBasedSystem(SBLWWElementSet(), replicas=REPLICAS)
+        self.tokens = []
+
+    @rule(replica=st.sampled_from(REPLICAS),
+          method=st.sampled_from(("add", "remove")),
+          value=st.sampled_from(VALUES))
+    def invoke(self, replica, method, value):
+        self.system.invoke(replica, method, (value,))
+
+    @rule(sender=st.sampled_from(REPLICAS),
+          receiver=st.sampled_from(REPLICAS))
+    def gossip(self, sender, receiver):
+        self.system.gossip(sender, receiver)
+
+    @rule(replica=st.sampled_from(REPLICAS), pick=st.integers(0, 10 ** 6))
+    def receive_again(self, replica, pick):
+        messages = self.system.messages
+        if messages:
+            self.system.receive(replica, messages[pick % len(messages)])
+
+    def view(self):
+        system = self.system
+        return (
+            {r: system.state(r) for r in REPLICAS},
+            {r: system.seen(r) for r in REPLICAS},
+            system.history().vis,
+            list(system.generation_order),
+            list(system.messages),
+            list(system.events),
+            [system._generator.clock(r) for r in REPLICAS],
+        )
+
+
+SNAPSHOT_SETTINGS = settings(
+    max_examples=50, stateful_step_count=25, deadline=None
+)
+OpSnapshotMachine.TestCase.settings = SNAPSHOT_SETTINGS
+StateSnapshotMachine.TestCase.settings = SNAPSHOT_SETTINGS
+TestOpSnapshotMachine = OpSnapshotMachine.TestCase
+TestStateSnapshotMachine = StateSnapshotMachine.TestCase

@@ -12,13 +12,10 @@ from repro.obs.progress import ProgressMonitor
 
 
 class FakeStats:
-    def __init__(self, configurations=0, states_visited=0, states_deduped=0,
-                 pstate_copied=0, pstate_shared=0):
+    def __init__(self, configurations=0, states_visited=0, states_deduped=0):
         self.configurations = configurations
         self.states_visited = states_visited
         self.states_deduped = states_deduped
-        self.pstate_copied = pstate_copied
-        self.pstate_shared = pstate_shared
 
 
 class FakeStore:
@@ -32,7 +29,7 @@ class TestEmitter:
         emitter = HeartbeatEmitter(worker="w0", sink=records.append,
                                    interval=0.0)
         stats = FakeStats(configurations=10, states_visited=6,
-                          states_deduped=2, pstate_copied=1, pstate_shared=3)
+                          states_deduped=2)
         emitter.begin_task("Counter:s:0:1", stats, FakeStore())
         record = emitter.emit(depth=4)
         assert records == [record]
@@ -41,7 +38,6 @@ class TestEmitter:
         assert record["configs"] == 10
         assert record["frontier"] == 4
         assert record["dedup_ratio"] == 2 / 8
-        assert record["pstate_ratio"] == 3 / 4
         assert record["spill"] == 7
         assert record["configs_per_sec"] is not None
 
@@ -94,10 +90,10 @@ class TestProgressMonitor:
         monitor = ProgressMonitor(interval=0.0, stream=io.StringIO())
         monitor.feed({"worker": "w0", "configs": 30, "configs_per_sec": 10.0,
                       "frontier": 3, "queue": 1, "dedup_ratio": 0.5,
-                      "spill": 2, "pstate_ratio": None, "task": "a"})
+                      "spill": 2, "task": "a"})
         monitor.feed({"worker": "w1", "configs": 20, "configs_per_sec": 5.0,
                       "frontier": 5, "queue": 2, "dedup_ratio": 0.25,
-                      "spill": None, "pstate_ratio": None, "task": "b"})
+                      "spill": None, "task": "b"})
         line = monitor.status_line()
         assert line.startswith("[progress] 2w · 50 cfg · 15 cfg/s")
         assert "depth 5" in line

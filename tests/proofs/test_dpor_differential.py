@@ -9,7 +9,7 @@ sleep-set explorer on every registry entry, serially and through both
 parallel front doors, with replica symmetry on and off.  A
 registry-level pin of the ``snapshot_safe=False`` deepcopy fallback
 rides along: a CRDT that mutates its state in place must bypass
-persistent snapshots and still verify identically under both flavors.
+snapshot tokens and still verify identically under both flavors.
 """
 
 import dataclasses

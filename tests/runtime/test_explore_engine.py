@@ -99,15 +99,11 @@ def test_state_engine_matches_naive(entry):
 
 
 def test_escape_hatch_modes_agree():
-    """reduction/dedup toggles change cost, never the configuration set."""
+    """The reduction toggle changes cost, never the configuration set."""
     entry = next(e for e in OB_ENTRIES if e.name == "OR-Set")
     programs = standard_programs(entry)
     reference = _op_keys_engine(entry, programs)
     assert _op_keys_engine(entry, programs, reduction=False) == reference
-    assert (
-        _op_keys_engine(entry, programs, reduction=False, dedup=False)
-        == reference
-    )
 
 
 def test_state_escape_hatch_modes_agree():

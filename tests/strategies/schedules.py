@@ -79,5 +79,5 @@ def run_split(entry, programs, schedule: SplitSchedule, por: str = "source",
             worker = workers[number % len(workers)]
         worker.run(path, sleep)
     everyone = [coordinator] + workers
-    fingerprints = set().union(*(s.fps for s in everyone))
+    fingerprints = set().union(*(s.engine.visited_fps for s in everyone))
     return all(s.result.ok for s in everyone), len(fingerprints), len(tasks)
