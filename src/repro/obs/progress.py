@@ -19,12 +19,13 @@ Everything here is presentation: no record influences metrics, results,
 or the deterministic totals.
 """
 
+import io
 import json
 import sys
 import time
 from typing import Any, Dict, List, Mapping, Optional, TextIO
 
-from .heartbeat import DEFAULT_INTERVAL, HEARTBEAT_SCHEMA
+from .heartbeat import DEFAULT_INTERVAL, HEARTBEAT_SCHEMA, HeartbeatEmitter
 
 
 def _fmt(value: Any, spec: str = "") -> str:
@@ -75,6 +76,12 @@ class ProgressMonitor:
         """Feed + render if due — the sink for serial (in-process) runs."""
         self.feed(record)
         self.maybe_render()
+
+    def local_emitter(self) -> HeartbeatEmitter:
+        """An emitter beating straight into :meth:`ingest`: the
+        heartbeat source of an in-process run."""
+        return HeartbeatEmitter(worker="w0", sink=self.ingest,
+                                interval=self.interval)
 
     def drain(self, queue: Any) -> int:
         """Non-blocking drain of a multiprocessing heartbeat queue."""
@@ -155,4 +162,23 @@ class ProgressMonitor:
             self._log = None
 
 
-__all__ = ["ProgressMonitor"]
+def progress_monitor(progress: Optional[float],
+                     heartbeat_log: Optional[str],
+                     stream: Optional[TextIO] = None
+                     ) -> Optional[ProgressMonitor]:
+    """The monitor behind ``--progress [SECS]`` and ``--heartbeat-log
+    PATH``, or None when both are off.
+
+    With only a log path the monitor still records every heartbeat but
+    renders its status lines into a discarded buffer.
+    """
+    if progress is None and heartbeat_log is None:
+        return None
+    return ProgressMonitor(
+        interval=progress,
+        stream=stream if progress is not None else io.StringIO(),
+        log_path=heartbeat_log,
+    )
+
+
+__all__ = ["ProgressMonitor", "progress_monitor"]

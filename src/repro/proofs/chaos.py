@@ -19,7 +19,6 @@ through the PR-3 :class:`~repro.obs.Instrumentation` handle as
 ``chaos.*`` instruments.
 """
 
-import io
 import json
 import random
 import time
@@ -29,7 +28,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 from ..core.convergence import check_convergence
 from ..core.errors import PreconditionViolation
 from ..core.ralin import RACheckContext
-from ..obs import Instrumentation, NULL_INSTRUMENTATION, ProgressMonitor
+from ..obs import Instrumentation, NULL_INSTRUMENTATION
+from ..obs.progress import progress_monitor
 from ..runtime.faults import (
     AdversaryTrace,
     CrashSpec,
@@ -295,14 +295,7 @@ def chaos_soak(
     """
     if plans is None:
         plans = default_plans(replicas)
-    monitor = None
-    if progress is not None or heartbeat_log is not None:
-        monitor = ProgressMonitor(
-            interval=progress,
-            stream=(progress_stream if progress is not None
-                    else io.StringIO()),
-            log_path=heartbeat_log,
-        )
+    monitor = progress_monitor(progress, heartbeat_log, progress_stream)
     total = len(entries) * len(plans) * soak
     done = 0
     total_operations = 0

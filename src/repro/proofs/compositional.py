@@ -37,7 +37,9 @@ from ..core.history import History
 from ..core.ralin import execution_order_check, timestamp_order_check
 from ..core.rewriting import rewrite_history
 from ..core.timestamp import BOTTOM
+from ..obs.heartbeat import HeartbeatEmitter
 from ..obs.instrument import Instrumentation, NULL_INSTRUMENTATION
+from ..obs.progress import progress_monitor
 from ..runtime.composition import (
     check_composed_ra_linearizable,
     combine_per_object,
@@ -238,9 +240,9 @@ def product_verify_store(
     store: Store,
     programs: Optional[StoreProgram] = None,
     max_configurations: Optional[int] = None,
-    reduction: bool = True,
     por: str = "source",
     instrumentation: Optional[Instrumentation] = None,
+    heartbeat: Optional[HeartbeatEmitter] = None,
 ) -> ExhaustiveResult:
     """Explore the whole product store and check every configuration.
 
@@ -248,21 +250,14 @@ def product_verify_store(
     specification (``Spec₁ ⊗ … ⊗ Specₙ``) with the per-object rewritings
     applied — the monolithic baseline the compositional rule replaces,
     kept as the escape hatch for non-⊗ts stores and as the differential
-    oracle for the test suite.
+    oracle for the test suite.  ``heartbeat`` threads an emitter into
+    the exploration, as in :func:`~repro.proofs.exhaustive.exhaustive_verify`.
     """
     ins = instrumentation if instrumentation is not None \
         else NULL_INSTRUMENTATION
     programs = programs if programs is not None else store_programs(store)
     specs, gammas = _store_ingredients(store)
     replicas = tuple(programs)
-
-    def make_system() -> OpBasedSystem:
-        return OpBasedSystem(
-            {obj: entry.make_crdt() for obj, entry in store.objects},
-            replicas=replicas,
-            shared_timestamps=store.shared_timestamps,
-        )
-
     result = ExhaustiveResult(entry_name=f"store[{store.spec_string()}]")
     stats = ExploreStats()
 
@@ -275,15 +270,18 @@ def product_verify_store(
                 f"product configuration not RA-linearizable: {check.reason}"
             )
 
+    if heartbeat is not None:
+        heartbeat.begin_task(result.entry_name)
     started = time.perf_counter()
     result.configurations = explore_op_programs(
-        make_system, programs, visit,
-        max_configurations=max_configurations,
-        reduction=reduction, stats=stats, por=por,
-        instrumentation=ins,
+        lambda: make_store_system(store, replicas), programs, visit,
+        max_configurations=max_configurations, stats=stats, por=por,
+        instrumentation=ins, heartbeat=heartbeat,
     )
     stats.wall_time = time.perf_counter() - started
     result.stats = stats
+    if heartbeat is not None:
+        heartbeat.emit()  # final beat: short runs get at least one
     return result
 
 
@@ -384,13 +382,6 @@ def check_side_condition(
     counterexample: Optional[CombineCounterexample] = None
     messages: List[str] = []
 
-    def make_system() -> OpBasedSystem:
-        return OpBasedSystem(
-            {obj: entry.make_crdt() for obj, entry in store.objects},
-            replicas=replicas,
-            shared_timestamps=store.shared_timestamps,
-        )
-
     def visit(system: OpBasedSystem, returns) -> None:
         nonlocal checks, combine_failures, counterexample
         checks += 1
@@ -416,8 +407,8 @@ def check_side_condition(
         # Sleep sets: the sample is the first ``limit`` configurations
         # in the full sleep-set DFS order.
         explore_op_programs(
-            make_system, programs, visit, max_configurations=limit,
-            instrumentation=ins, por="sleep",
+            lambda: make_store_system(store, replicas), programs, visit,
+            max_configurations=limit, instrumentation=ins, por="sleep",
         )
     return (not messages, checks, combine_failures, counterexample,
             messages)
@@ -453,9 +444,7 @@ def verify_store(
     store: Store,
     programs: Optional[StoreProgram] = None,
     jobs: int = 1,
-    reduction: Optional[bool] = None,
     symmetry: Optional[bool] = None,
-    cache: bool = True,
     steal: bool = True,
     spill: Optional[str] = None,
     por: str = "source",
@@ -472,14 +461,16 @@ def verify_store(
     sweep (phase b): the existing exhaustive engine runs on each object's
     projected programs — one scope per object group of one
     :func:`~repro.proofs.steal.verify_scopes_steal` batch, which reaches
-    the work pool when ``jobs > 1`` and takes ``max_configurations`` and
-    the heartbeat options at every ``jobs`` value — and a bounded sample
-    of product executions is checked for timestamp dominance and witness
-    mergeability.  Stores with independent generators (⊗) opt out of the
-    rule's soundness premise, so they take the escape hatch (phase c):
-    whole-store product exploration via :func:`product_verify_store`
-    (disable with ``product_fallback=False`` to *force* the per-object
-    rule, as the differential tests do when demonstrating unsoundness).
+    the work pool when ``jobs > 1`` or ``jobs=0`` (every core) and
+    takes ``max_configurations`` and the heartbeat options at every
+    ``jobs`` value — and a bounded sample of product executions is
+    checked for timestamp dominance and witness mergeability.  Stores with
+    independent generators (⊗) opt out of the rule's soundness premise,
+    so they take the escape hatch (phase c): serial whole-store product
+    exploration via :func:`product_verify_store`, which takes
+    ``max_configurations``, ``por`` and the heartbeat options (disable
+    with ``product_fallback=False`` to *force* the per-object rule, as
+    the differential tests do when demonstrating unsoundness).
     """
     ins = instrumentation if instrumentation is not None \
         else NULL_INSTRUMENTATION
@@ -489,10 +480,17 @@ def verify_store(
 
     if not store.shared_timestamps and product_fallback:
         result.mode = "product"
-        product = product_verify_store(
-            store, programs, max_configurations=max_configurations,
-            por=por, instrumentation=ins,
-        )
+        monitor = progress_monitor(progress, heartbeat_log)
+        try:
+            product = product_verify_store(
+                store, programs, max_configurations=max_configurations,
+                por=por, instrumentation=ins,
+                heartbeat=(monitor.local_emitter()
+                           if monitor is not None else None),
+            )
+        finally:
+            if monitor is not None:
+                monitor.close()
         result.product = product
         result.configurations = product.configurations
         if not product.ok:
@@ -508,10 +506,9 @@ def verify_store(
     groups = _object_groups(store, programs)
     group_results = verify_scopes_steal(
         [(entry, projected, None) for entry, projected, _ in groups],
-        jobs=jobs, reduction=reduction, symmetry=symmetry, cache=cache,
-        max_configurations=max_configurations, steal=steal, spill=spill,
-        por=por, instrumentation=ins, progress=progress,
-        heartbeat_log=heartbeat_log,
+        jobs=jobs, symmetry=symmetry, max_configurations=max_configurations,
+        steal=steal, spill=spill, por=por, instrumentation=ins,
+        progress=progress, heartbeat_log=heartbeat_log,
     )
     for (entry, projected, names), obj_result in zip(groups, group_results):
         for obj in names:

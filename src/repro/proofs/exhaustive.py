@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.convergence import check_convergence
-from ..core.ralin import (
-    CheckStats,
-    RACheckContext,
-    execution_order_check,
-    timestamp_order_check,
-)
+from ..core.ralin import CheckStats, RACheckContext
 from ..obs.instrument import Instrumentation, NULL_INSTRUMENTATION
 from ..runtime.explore_engine import ExploreStats
 from ..runtime.explore_naive import (
@@ -51,8 +46,9 @@ class ExhaustiveResult:
     #: Exploration counters (dedup hits, prunes, wall time, …); None when
     #: the naive baseline engine ran.
     stats: Optional[ExploreStats] = None
-    #: Verification-cache counters (verdict memo, frontier trie); None
-    #: when caching was disabled (``cache=False``).
+    #: Verification-cache counters (verdict memo, frontier trie) of the
+    #: run's shared :class:`RACheckContext`; None for a whole-store
+    #: product run, which checks the composed specification instead.
     check_stats: Optional[CheckStats] = None
     #: Fingerprint-store counters when the run spilled (``spill`` set);
     #: None otherwise.
@@ -67,16 +63,15 @@ class ExhaustiveResult:
 def _make_visit(
     entry: CRDTEntry,
     result: ExhaustiveResult,
-    cache: bool,
     instrumentation: Instrumentation = NULL_INSTRUMENTATION,
 ):
     """The per-configuration verification callback.
 
-    With ``cache=True`` (default) one spec, one γ, one frontier trie and
-    one verdict memo are shared across every visited configuration
-    (:class:`RACheckContext`); ``cache=False`` reproduces the PR-1
-    baseline, rebuilding spec and γ per configuration and replaying from
-    scratch — kept for benchmarking and differential testing.
+    One spec, one γ, one frontier trie and one verdict memo are shared
+    across every visited configuration (:class:`RACheckContext`);
+    ``tests/proofs/test_exhaustive_cache.py`` pins its verdicts against
+    fresh :func:`~repro.core.ralin.execution_order_check` /
+    :func:`~repro.core.ralin.timestamp_order_check` calls.
 
     When instrumentation is enabled the check context runs ``timed``
     (per-condition wall time in ``CheckStats.cond_seconds``), failing
@@ -109,33 +104,17 @@ def _make_visit(
                 condition=getattr(outcome, "condition", None),
             )
 
-    if cache:
-        context = RACheckContext(
-            entry.make_spec(), entry.make_gamma(), entry.lin_class,
-            timed=ins.enabled,
-        )
-        result.check_stats = context.stats
+    context = RACheckContext(
+        entry.make_spec(), entry.make_gamma(), entry.lin_class,
+        timed=ins.enabled,
+    )
+    result.check_stats = context.stats
 
-        def check(system) -> None:
-            outcome = context.check(system.history(), system.generation_order)
-            observe(outcome)
-            if not outcome.ok:
-                report(system, outcome)
-    else:
-        checker = (
-            execution_order_check if entry.lin_class == "EO"
-            else timestamp_order_check
-        )
-
-        def check(system) -> None:
-            spec = entry.make_spec()
-            gamma = entry.make_gamma()
-            outcome = checker(
-                system.history(), spec, system.generation_order, gamma
-            )
-            observe(outcome)
-            if not outcome.ok:
-                report(system, outcome)
+    def check(system) -> None:
+        outcome = context.check(system.history(), system.generation_order)
+        observe(outcome)
+        if not outcome.ok:
+            report(system, outcome)
 
     profile = ins.profile
 
@@ -196,9 +175,7 @@ def _verify_scope(
     max_gossips: Optional[int],
     max_configurations: Optional[int],
     engine: str,
-    reduction: Optional[bool],
     symmetry: Optional[bool],
-    cache: bool,
     jobs: int,
     instrumentation: Optional[Instrumentation],
     steal: bool,
@@ -209,26 +186,27 @@ def _verify_scope(
 ) -> ExhaustiveResult:
     """The one driver behind :func:`exhaustive_verify` and
     :func:`exhaustive_verify_state`; ``max_gossips`` only applies to
-    state-based entries."""
+    state-based entries.  Every ``jobs`` other than 1 goes through the
+    pool, which reads 0 as every core and runs a one-worker pool
+    inline."""
     if engine not in ("fast", "naive"):
         raise ValueError(f"unknown engine {engine!r}: use 'fast' or 'naive'")
     ins = instrumentation if instrumentation is not None \
         else NULL_INSTRUMENTATION
-    if jobs > 1:
+    if jobs != 1:
         if engine == "naive":
-            raise ValueError("jobs > 1 requires the fast engine")
+            raise ValueError("the naive engine runs with jobs=1 only")
         from .steal import exhaustive_verify_steal
 
         return exhaustive_verify_steal(
             entry, programs, jobs=jobs, max_gossips=max_gossips,
-            reduction=reduction, symmetry=symmetry, cache=cache,
-            instrumentation=ins, steal=steal, spill=spill,
+            symmetry=symmetry, instrumentation=ins, steal=steal, spill=spill,
             max_configurations=max_configurations,
             oversubscribe=oversubscribe, por=por,
         )
     fast = engine == "fast"
     result = ExhaustiveResult(entry.name)
-    visit = _make_visit(entry, result, cache and fast, ins)
+    visit = _make_visit(entry, result, ins)
     store: Optional[FingerprintStore] = None
     if spill is not None and fast:
         store = FingerprintStore(spill_dir=spill)
@@ -249,7 +227,6 @@ def _verify_scope(
             result.configurations = explore(
                 make_system, programs, visit,
                 max_configurations=max_configurations,
-                reduction=entry.reduction if reduction is None else reduction,
                 symmetry=entry.symmetry if symmetry is None else symmetry,
                 stats=result.stats,
                 instrumentation=ins,
@@ -268,8 +245,7 @@ def _verify_scope(
     if store is not None:
         _harvest_store(store, result, ins)
     if ins.enabled:
-        if result.check_stats is not None:
-            ins.record_check(result.check_stats, entry=entry.name)
+        ins.record_check(result.check_stats, entry=entry.name)
         ins.record_result(entry.name, result)
         ins.journal_event(
             "scope.end", entry=entry.name, ok=result.ok,
@@ -283,9 +259,7 @@ def exhaustive_verify(
     programs: Dict[str, Program],
     max_configurations: Optional[int] = None,
     engine: str = "fast",
-    reduction: Optional[bool] = None,
     symmetry: Optional[bool] = None,
-    cache: bool = True,
     jobs: int = 1,
     instrumentation: Optional[Instrumentation] = None,
     steal: bool = True,
@@ -302,20 +276,19 @@ def exhaustive_verify(
 
     ``engine`` selects ``"fast"`` (the default: partial-order reduction
     + dedup + copy-on-write snapshots) or ``"naive"`` (the raw-interleaving
-    baseline, for differential testing and benchmarking).  ``reduction``
-    overrides the entry's escape hatch (``CRDTEntry.reduction``);
-    ``symmetry`` likewise overrides ``CRDTEntry.symmetry`` (replica-orbit
-    dedup — with it on, ``configurations`` counts orbits, not raw
+    baseline, for differential testing and benchmarking); both check
+    every configuration through one shared :class:`RACheckContext`.
+    ``symmetry`` overrides ``CRDTEntry.symmetry`` (replica-orbit dedup —
+    with it on, ``configurations`` counts orbits, not raw
     configurations).
 
-    ``cache=False`` disables the shared verification caches (see
-    :func:`_make_visit`).  ``jobs > 1`` fans the exploration out over
-    worker processes through the frontier-split pool
-    (:func:`repro.proofs.steal.exhaustive_verify_steal`); ``steal=False``
-    splits there at the root branches only.  The pool shares
-    ``max_configurations`` as a cross-worker budget so the parallel
-    cutoff lands on exactly the serial count.  It does not run the naive
-    engine.
+    ``jobs > 1`` fans the exploration out over worker processes through
+    the frontier-split pool
+    (:func:`repro.proofs.steal.exhaustive_verify_steal`), and ``jobs=0``
+    uses every core; ``steal=False`` splits there at the root branches
+    only.  The pool shares ``max_configurations`` as a cross-worker
+    budget so the parallel cutoff lands on exactly the serial count.  It
+    does not run the naive engine.
 
     Without ``spill`` the visited/expanded records hold raw canonical
     fingerprints in memory.  ``spill DIR`` interns them as fixed-width
@@ -347,9 +320,8 @@ def exhaustive_verify(
             "op-based entries only"
         )
     return _verify_scope(
-        entry, programs, None, max_configurations, engine, reduction,
-        symmetry, cache, jobs, instrumentation, steal, spill, oversubscribe,
-        por, heartbeat,
+        entry, programs, None, max_configurations, engine, symmetry, jobs,
+        instrumentation, steal, spill, oversubscribe, por, heartbeat,
     )
 
 
@@ -359,9 +331,7 @@ def exhaustive_verify_state(
     max_gossips: int = 3,
     max_configurations: Optional[int] = None,
     engine: str = "fast",
-    reduction: Optional[bool] = None,
     symmetry: Optional[bool] = None,
-    cache: bool = True,
     jobs: int = 1,
     instrumentation: Optional[Instrumentation] = None,
     steal: bool = True,
@@ -375,16 +345,14 @@ def exhaustive_verify_state(
     Explores every interleaving of the programs with up to ``max_gossips``
     gossip steps (see :mod:`repro.runtime.state_explore`) and checks the
     EO/TO candidate linearization plus convergence on each.  ``engine``,
-    ``reduction``, ``symmetry``, ``cache``, ``jobs``, ``steal``,
-    ``spill``, ``por`` and ``instrumentation`` behave as in
-    :func:`exhaustive_verify`.
+    ``symmetry``, ``jobs``, ``steal``, ``spill``, ``por`` and
+    ``instrumentation`` behave as in :func:`exhaustive_verify`.
     """
     if entry.kind != "SB":
         raise ValueError(f"{entry.name} is op-based; use exhaustive_verify")
     return _verify_scope(
-        entry, programs, max_gossips, max_configurations, engine, reduction,
-        symmetry, cache, jobs, instrumentation, steal, spill, oversubscribe,
-        por, heartbeat,
+        entry, programs, max_gossips, max_configurations, engine, symmetry,
+        jobs, instrumentation, steal, spill, oversubscribe, por, heartbeat,
     )
 
 

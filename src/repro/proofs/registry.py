@@ -82,14 +82,6 @@ class CRDTEntry:
     state_timestamps: Optional[Callable[[Any], Any]] = None
     in_figure_12: bool = True
     source: str = ""
-    #: Whether the exhaustive explorer may apply its commutativity-based
-    #: partial-order reduction to this entry (see ``docs/exploration.md``).
-    #: The engine additionally re-probes effector/merge commutativity
-    #: dynamically before pruning, so leaving this True is safe even for
-    #: mutants; set False to force exploration of every raw interleaving
-    #: modulo state dedup (the escape hatch for entries whose
-    #: Commutativity property (Fig. 11) is known to fail).
-    reduction: bool = True
     #: Whether the exhaustive explorer may dedup configurations modulo
     #: replica permutation (see ``runtime/symmetry.py``).  Sound whenever
     #: the CRDT never *orders* timestamps minted by concurrent operations

@@ -42,7 +42,6 @@ sentinels once the acked set equals the set of queued ids.  A worker
 that dies aborts the run loudly.
 """
 
-import io
 import multiprocessing as mp
 import queue
 import time
@@ -53,7 +52,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..core.ralin import CheckStats
 from ..obs.heartbeat import HeartbeatEmitter
 from ..obs.instrument import Instrumentation, NULL_INSTRUMENTATION
-from ..obs.progress import ProgressMonitor
+from ..obs.progress import progress_monitor
 from ..runtime.explore_engine import ExploreStats, build_engine
 from ..runtime.fp_store import FingerprintStore, FPStoreStats
 from ..runtime.schedule import Program
@@ -181,9 +180,9 @@ def _take(task_q, stop, idle_box: List[float]):
 
 
 #: One scope's picklable build spec: ``(entry name, programs,
-#: max_gossips, reduction, symmetry, cache, por)``.
+#: max_gossips, symmetry, por)``.
 _ScopeSpec = Tuple[str, Dict[str, Program], Optional[int], Optional[bool],
-                   Optional[bool], bool, str]
+                   str]
 
 
 class _Session:
@@ -203,13 +202,13 @@ class _Session:
     def __init__(self, spec: _ScopeSpec, budget,
                  spill_dir: Optional[str], ins: Instrumentation,
                  heartbeat: Optional[HeartbeatEmitter] = None) -> None:
-        name, programs, max_gossips, reduction, symmetry, cache, por = spec
+        name, programs, max_gossips, symmetry, por = spec
         entry = entry_by_name(name)
         self.entry = entry
         self.result = ExhaustiveResult(name)
         self.stats = ExploreStats()
         self.result.stats = self.stats
-        visit = _make_visit(entry, self.result, cache, ins)
+        visit = _make_visit(entry, self.result, ins)
         self.store: Optional[FingerprintStore] = None
         if spill_dir is not None:
             self.store = FingerprintStore(spill_dir=spill_dir)
@@ -217,7 +216,6 @@ class _Session:
         self.engine = build_engine(
             self.kind, _system_factory(entry, programs), programs, visit,
             max_gossips=max_gossips or 0,
-            reduction=entry.reduction if reduction is None else reduction,
             symmetry=entry.symmetry if symmetry is None else symmetry,
             stats=self.stats,
             store=self.store,
@@ -257,9 +255,7 @@ class _Session:
             _harvest_store(self.store, self.result, ins)
         if ins.enabled:
             ins.record_explore(self.stats, kind=self.kind)
-            if self.result.check_stats is not None:
-                ins.record_check(self.result.check_stats,
-                                 entry=self.entry.name)
+            ins.record_check(self.result.check_stats, entry=self.entry.name)
         return scope_index, self.result, fps
 
 
@@ -332,9 +328,7 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
 
 def _scope_table(
     scopes: Sequence[Tuple[CRDTEntry, Dict[str, Program], Optional[int]]],
-    reduction: Optional[bool],
     symmetry: Optional[bool],
-    cache: bool,
     por: str = "source",
 ) -> List[_ScopeSpec]:
     """The picklable build spec of every scope, in input order."""
@@ -342,17 +336,13 @@ def _scope_table(
     for entry, programs, max_gossips in scopes:
         _require_registered(entry)
         gossips = max_gossips if entry.kind == "SB" else None
-        table.append(
-            (entry.name, programs, gossips, reduction, symmetry, cache, por)
-        )
+        table.append((entry.name, programs, gossips, symmetry, por))
     return table
 
 
 def _verify_scopes_inline(
     scopes: Sequence[Tuple[CRDTEntry, Dict[str, Program], Optional[int]]],
-    reduction: Optional[bool],
     symmetry: Optional[bool],
-    cache: bool,
     max_configurations: Optional[int],
     spill: Optional[str],
     ins: Instrumentation,
@@ -369,9 +359,9 @@ def _verify_scopes_inline(
     return [
         _verify_scope(
             entry, programs, max_gossips or 0, max_configurations,
-            engine="fast", reduction=reduction, symmetry=symmetry,
-            cache=cache, jobs=1, instrumentation=ins, steal=True,
-            spill=spill, oversubscribe=False, por=por, heartbeat=heartbeat,
+            engine="fast", symmetry=symmetry, jobs=1, instrumentation=ins,
+            steal=True, spill=spill, oversubscribe=False, por=por,
+            heartbeat=heartbeat,
         )
         for entry, programs, max_gossips in scopes
     ]
@@ -392,8 +382,7 @@ def _merge_sessions(
     """
     merged = ExhaustiveResult(entry_name)
     merged.stats = ExploreStats()
-    check_stats = CheckStats()
-    saw_check_stats = False
+    check_stats = merged.check_stats = CheckStats()
     fingerprints: set = set()
     for _, result, session_fps in sorted(outcomes, key=lambda item: item[0]):
         fingerprints |= session_fps
@@ -437,40 +426,34 @@ def _merge_sessions(
             if merged.fp_store is None:
                 merged.fp_store = FPStoreStats()
             merged.fp_store.merge(result.fp_store)
-        if result.check_stats is not None:
-            saw_check_stats = True
-            check_stats.checks += result.check_stats.checks
-            check_stats.verdict_hits += result.check_stats.verdict_hits
-            check_stats.unkeyed += result.check_stats.unkeyed
-            check_stats.frontier_hits += result.check_stats.frontier_hits
-            check_stats.frontier_misses += result.check_stats.frontier_misses
-            check_stats.frontier_unattached += (
-                result.check_stats.frontier_unattached
+        # Every session checks through a shared context of its own.
+        session_checks = result.check_stats
+        check_stats.checks += session_checks.checks
+        check_stats.verdict_hits += session_checks.verdict_hits
+        check_stats.unkeyed += session_checks.unkeyed
+        check_stats.frontier_hits += session_checks.frontier_hits
+        check_stats.frontier_misses += session_checks.frontier_misses
+        check_stats.frontier_unattached += session_checks.frontier_unattached
+        check_stats.frontier_nodes = max(
+            check_stats.frontier_nodes, session_checks.frontier_nodes
+        )
+        for cond, seconds in session_checks.cond_seconds.items():
+            check_stats.cond_seconds[cond] = (
+                check_stats.cond_seconds.get(cond, 0.0) + seconds
             )
-            check_stats.frontier_nodes = max(
-                check_stats.frontier_nodes, result.check_stats.frontier_nodes
+        for cond, count in session_checks.failed_conditions.items():
+            check_stats.failed_conditions[cond] = (
+                check_stats.failed_conditions.get(cond, 0) + count
             )
-            for cond, seconds in result.check_stats.cond_seconds.items():
-                check_stats.cond_seconds[cond] = (
-                    check_stats.cond_seconds.get(cond, 0.0) + seconds
-                )
-            for cond, count in result.check_stats.failed_conditions.items():
-                check_stats.failed_conditions[cond] = (
-                    check_stats.failed_conditions.get(cond, 0) + count
-                )
     merged.configurations = len(fingerprints)
     merged.stats.configurations = merged.configurations
-    if saw_check_stats:
-        merged.check_stats = check_stats
     return merged
 
 
 def verify_scopes_steal(
     scopes: Sequence[Tuple[CRDTEntry, Dict[str, Program], Optional[int]]],
     jobs: Optional[int] = None,
-    reduction: Optional[bool] = None,
     symmetry: Optional[bool] = None,
-    cache: bool = True,
     max_configurations: Optional[int] = None,
     spill: Optional[str] = None,
     instrumentation: Optional[Instrumentation] = None,
@@ -491,6 +474,7 @@ def verify_scopes_steal(
     to serial.  All scopes' tasks share one pool, so late scopes keep
     early workers busy.  Options:
 
+    * ``jobs`` None or 0 means every core, as ``--jobs 0`` does.
     * ``steal=False`` splits every scope at its root branches only (a
       depth-1 frontier) instead of deepening until each worker has
       :data:`TASKS_PER_WORKER` tasks.
@@ -514,24 +498,14 @@ def verify_scopes_steal(
         else NULL_INSTRUMENTATION
     jobs = jobs or default_jobs()
     workers = _worker_count(jobs, oversubscribe=oversubscribe)
-    scope_table = _scope_table(scopes, reduction, symmetry, cache, por)
-    monitor = None
-    if progress is not None or heartbeat_log is not None:
-        monitor = ProgressMonitor(
-            interval=progress,
-            stream=(progress_stream if progress is not None
-                    else io.StringIO()),
-            log_path=heartbeat_log,
-        )
+    scope_table = _scope_table(scopes, symmetry, por)
+    monitor = progress_monitor(progress, heartbeat_log, progress_stream)
     if workers <= 1 or not scope_table:
-        emitter = None
-        if monitor is not None:
-            emitter = HeartbeatEmitter(worker="w0", sink=monitor.ingest,
-                                       interval=progress)
         try:
             merged = _verify_scopes_inline(
-                scopes, reduction, symmetry, cache, max_configurations,
-                spill, ins, por, heartbeat=emitter,
+                scopes, symmetry, max_configurations, spill, ins, por,
+                heartbeat=(monitor.local_emitter()
+                           if monitor is not None else None),
             )
         finally:
             if monitor is not None:
@@ -677,9 +651,7 @@ def exhaustive_verify_steal(
     programs: Dict[str, Program],
     jobs: Optional[int] = None,
     max_gossips: int = 3,
-    reduction: Optional[bool] = None,
     symmetry: Optional[bool] = None,
-    cache: bool = True,
     max_configurations: Optional[int] = None,
     spill: Optional[str] = None,
     instrumentation: Optional[Instrumentation] = None,
@@ -703,8 +675,7 @@ def exhaustive_verify_steal(
     """
     gossips = max_gossips if entry.kind == "SB" else None
     (result,) = verify_scopes_steal(
-        [(entry, programs, gossips)], jobs=jobs, reduction=reduction,
-        symmetry=symmetry, cache=cache,
+        [(entry, programs, gossips)], jobs=jobs, symmetry=symmetry,
         max_configurations=max_configurations, spill=spill,
         instrumentation=instrumentation, oversubscribe=oversubscribe,
         stats_sink=stats_sink, por=por,

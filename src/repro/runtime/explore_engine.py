@@ -17,7 +17,7 @@ single DFS core with four stacked optimizations:
    effectors are applied in both orders to the replica's current state and
    compared — so a CRDT whose commutativity fails (e.g. a mutant) is
    automatically explored without reduction on exactly the branches where
-   it matters.  ``reduction=False`` switches sleep sets off entirely.
+   it matters.
 
 2. **Visited-configuration deduplication.**  Each configuration gets a
    canonical fingerprint — program counters, per-replica CRDT state
@@ -260,7 +260,6 @@ class _Domain:
         self,
         system: Any,
         programs: Dict[str, Program],
-        reduction: bool,
         stats: ExploreStats,
         symmetry: bool,
         extra_names: Tuple[str, ...] = (),
@@ -268,7 +267,6 @@ class _Domain:
         self.system = system
         self.programs = programs
         self.replicas = list(programs)
-        self.reduction = reduction
         self.stats = stats
         self.use_snapshots = system.snapshot_safe
         self.counters: Dict[str, int] = {r: 0 for r in programs}
@@ -487,14 +485,11 @@ class _OpDomain(_Domain):
         self,
         system: OpBasedSystem,
         programs: Dict[str, Program],
-        require_quiescence: bool,
-        reduction: bool,
         stats: ExploreStats,
         symmetry: bool = False,
     ) -> None:
-        super().__init__(system, programs, reduction, stats, symmetry,
+        super().__init__(system, programs, stats, symmetry,
                          extra_names=tuple(system.objects))
-        self.require_quiescence = require_quiescence
         lids = self._lids
         #: Each label's causal predecessors, as lids.  Replaced, never
         #: mutated, by apply(), so push/pop tokens share it.
@@ -526,13 +521,7 @@ class _OpDomain(_Domain):
         return trans
 
     def should_visit(self, transitions: List[Transition]) -> bool:
-        if not transitions:
-            return True
-        if self.require_quiescence:
-            return False
-        return all(
-            self.counters[r] == len(p) for r, p in self.programs.items()
-        )
+        return not transitions  # quiescent: programs run out, all delivered
 
     def apply(self, transition: Transition) -> bool:
         kind, replica, payload = transition
@@ -558,8 +547,6 @@ class _OpDomain(_Domain):
     # -- independence (the DPOR relation) -------------------------------
 
     def independent(self, a: Transition, b: Transition) -> bool:
-        if not self.reduction:
-            return False
         if a[1] != b[1]:
             # Distinct replicas touch disjoint replica-local data: their
             # states, seen-sets, and logical clocks are per-replica, and
@@ -698,16 +685,7 @@ class _OpDomain(_Domain):
         generated its label (the k-th invocation at replica ``r`` has
         logical id ``(r, k)``, which is exactly ``("inv", r, k)``'s
         payload).
-
-        With ``require_quiescence=False`` the visit hook observes
-        interior configurations, where commuting adjacent events is not
-        prefix-preserving; the engine demotes source-DPOR to the sleep
-        path outright in that mode, and the mask answering "everything
-        is dependent" is defense-in-depth should a caller reach the
-        source machinery anyway.
         """
-        if not self.require_quiescence:
-            return (1 << length) - 1
         mask = self._hb_replica_masks.get(transition[1], 0)
         if transition[0] == "del":
             # The creation edge: the inv that generated this label.
@@ -751,11 +729,10 @@ class _StateDomain(_Domain):
         system: StateBasedSystem,
         programs: Dict[str, Program],
         max_gossips: int,
-        reduction: bool,
         stats: ExploreStats,
         symmetry: bool = False,
     ) -> None:
-        super().__init__(system, programs, reduction, stats, symmetry)
+        super().__init__(system, programs, stats, symmetry)
         self.budget = max_gossips
 
     # -- transitions ----------------------------------------------------
@@ -793,8 +770,6 @@ class _StateDomain(_Domain):
     # -- independence ---------------------------------------------------
 
     def independent(self, a: Transition, b: Transition) -> bool:
-        if not self.reduction:
-            return False
         if a[0] == "gos" and b[0] == "gos":
             if self.budget < 2:
                 return False  # taking one disables the other
@@ -1113,20 +1088,6 @@ class _Engine:
         )
         if por not in ("sleep", "source"):
             raise ValueError(f"unknown por mode {por!r}")
-        if por != "sleep" and not getattr(domain, "reduction", True):
-            # reduction=False means "explore every interleaving" (the
-            # per-entry escape hatch / naive parity mode); the sleep path
-            # with empty sleep sets is exactly that.
-            por = "sleep"
-        if por != "sleep" and not getattr(
-            domain, "require_quiescence", True
-        ):
-            # Non-quiescent op exploration visits *interior*
-            # configurations, which source-DPOR's maximal-execution
-            # guarantee does not preserve (two trace-equivalent
-            # executions pass through different interiors).  Fall back
-            # to sleep sets, which visit every non-pruned node.
-            por = "sleep"
         #: Partial-order reduction flavor: source-DPOR (sleep sets +
         #: race-driven source sets with wakeup-tree continuations and
         #: patch cuts) or classic sleep sets, the differential oracle.
@@ -1734,10 +1695,8 @@ def build_engine(
     make_system: Callable[[], Any],
     programs: Dict[str, Program],
     visit: Callable[[Any, Dict[str, List[Any]]], None],
-    require_quiescence: bool = True,
     max_gossips: int = 3,
     max_configurations: Optional[int] = None,
-    reduction: bool = True,
     stats: Optional[ExploreStats] = None,
     store: Optional[Any] = None,
     budget: Optional[Any] = None,
@@ -1759,13 +1718,11 @@ def build_engine(
     stats = stats if stats is not None else ExploreStats()
     if kind == "op":
         domain: _Domain = _OpDomain(
-            make_system(), programs, require_quiescence, reduction, stats,
-            symmetry=symmetry,
+            make_system(), programs, stats, symmetry=symmetry,
         )
     elif kind == "state":
         domain = _StateDomain(
-            make_system(), programs, max_gossips, reduction, stats,
-            symmetry=symmetry,
+            make_system(), programs, max_gossips, stats, symmetry=symmetry,
         )
     else:  # pragma: no cover - caller bug
         raise ValueError(f"unknown exploration kind {kind!r}")
@@ -1814,9 +1771,7 @@ def explore_op_programs(
     make_system: Callable[[], OpBasedSystem],
     programs: Dict[str, Program],
     visit: Callable[[OpBasedSystem, Dict[str, List[Any]]], None],
-    require_quiescence: bool = True,
     max_configurations: Optional[int] = None,
-    reduction: bool = True,
     stats: Optional[ExploreStats] = None,
     instrumentation: Optional[Instrumentation] = None,
     symmetry: bool = False,
@@ -1826,14 +1781,13 @@ def explore_op_programs(
 ) -> int:
     """Run per-replica ``programs`` under every op-based interleaving.
 
-    ``visit(system, returns)`` is called once per *distinct* final
-    configuration (deduplicated by canonical fingerprint); the system
-    object passed to ``visit`` is reused by the engine afterwards, so
-    callbacks must extract what they need rather than keep a reference.
-    Returns the number of configurations visited.
+    ``visit(system, returns)`` is called once per *distinct* quiescent
+    configuration — every program run out, every effector delivered —
+    deduplicated by canonical fingerprint; the system object passed to
+    ``visit`` is reused by the engine afterwards, so callbacks must
+    extract what they need rather than keep a reference.  Returns the
+    number of configurations visited.
 
-    ``reduction=False`` disables the commutativity-based sleep sets (the
-    per-entry escape hatch).
     ``symmetry=True`` dedups on orbit representatives under replica
     permutation (see :mod:`repro.runtime.symmetry`): ``visit`` then fires
     once per orbit and ``max_configurations`` caps the *orbit* count.
@@ -1846,8 +1800,7 @@ def explore_op_programs(
     return _explore(
         "op", make_system, programs, visit, stats, instrumentation,
         dict(symmetry=symmetry, por=por),
-        require_quiescence=require_quiescence,
-        max_configurations=max_configurations, reduction=reduction,
+        max_configurations=max_configurations,
         symmetry=symmetry, store=store, por=por, heartbeat=heartbeat,
     )
 
@@ -1858,7 +1811,6 @@ def explore_state_programs(
     visit: Callable[[StateBasedSystem, Dict[str, List[Any]]], None],
     max_gossips: int = 3,
     max_configurations: Optional[int] = None,
-    reduction: bool = True,
     stats: Optional[ExploreStats] = None,
     instrumentation: Optional[Instrumentation] = None,
     symmetry: bool = False,
@@ -1868,17 +1820,16 @@ def explore_state_programs(
 ) -> int:
     """Run ``programs`` under every bounded state-based interleaving.
 
-    Same optimization/escape-hatch knobs (``symmetry`` included) and
-    instrumentation hook as :func:`explore_op_programs`; ``visit`` fires
-    on every configuration whose programs have finished, including ones
-    with leftover gossip budget (partial propagation).
+    Same knobs (``symmetry`` included) and instrumentation hook as
+    :func:`explore_op_programs`; ``visit`` fires on every configuration
+    whose programs have finished, including ones with leftover gossip
+    budget (partial propagation).
     """
     return _explore(
         "state", make_system, programs, visit, stats, instrumentation,
         dict(max_gossips=max_gossips, symmetry=symmetry, por=por),
         max_gossips=max_gossips, max_configurations=max_configurations,
-        reduction=reduction, symmetry=symmetry, store=store, por=por,
-        heartbeat=heartbeat,
+        symmetry=symmetry, store=store, por=por, heartbeat=heartbeat,
     )
 
 

@@ -46,16 +46,15 @@ def explore_op_programs_naive(
     make_system: Callable[[], OpBasedSystem],
     programs: Dict[str, Program],
     visit: Callable[[OpBasedSystem, Dict[str, List[Any]]], None],
-    require_quiescence: bool = True,
     max_configurations: Optional[int] = None,
 ) -> int:
     """Run per-replica ``programs`` under **every** raw interleaving.
 
-    ``visit(system, returns)`` is called on each final configuration, where
+    ``visit(system, returns)`` is called on each final configuration —
+    every program run out, every effector delivered — where
     ``returns[replica]`` lists the return values of that replica's program
-    in order.  When ``require_quiescence`` is set, final configurations are
-    fully delivered before visiting.  Returns the number of final
-    configurations visited (counting revisits along distinct paths).
+    in order.  Returns the number of final configurations visited
+    (counting revisits along distinct paths).
     """
     visited = 0
 
@@ -103,13 +102,6 @@ def explore_op_programs_naive(
                 if at_cap():
                     return
         if not moved:
-            visited += 1
-            visit(system, returns)
-        elif not require_quiescence and all(
-            counters[r] == len(p) for r, p in programs.items()
-        ):
-            # Also report configurations where programs finished but
-            # deliveries are still pending.
             visited += 1
             visit(system, returns)
 

@@ -307,8 +307,9 @@ class TestPoolMechanics:
 
 
 class TestDispatch:
-    """``jobs > 1`` routes both exhaustive front doors to the pool, and
-    ``steal=False`` is the same pool with a depth-1 frontier."""
+    """``jobs > 1`` and ``jobs=0`` route both exhaustive front doors to
+    the pool, and ``steal=False`` is the same pool with a depth-1
+    frontier."""
 
     def test_default_routes_to_steal(self, monkeypatch):
         sentinel = object()
@@ -338,6 +339,30 @@ class TestDispatch:
             state, standard_programs(state), jobs=2, max_gossips=2,
         ) is sentinel
         assert seen["max_gossips"] == 2
+
+    def test_jobs_zero_routes_to_pool(self, monkeypatch):
+        # ``jobs=0`` means every core at every front door, as ``--jobs 0``
+        # does: the exhaustive front doors hand it to the pool, which
+        # sizes itself from the host's core count.
+        sentinel = object()
+        seen = []
+
+        def _fake(entry, programs, **kwargs):
+            seen.append(kwargs["jobs"])
+            return sentinel
+
+        monkeypatch.setattr(
+            "repro.proofs.steal.exhaustive_verify_steal", _fake
+        )
+        entry = entry_by_name("Counter")
+        assert exhaustive_verify(
+            entry, standard_programs(entry), jobs=0
+        ) is sentinel
+        state = entry_by_name("G-Counter")
+        assert exhaustive_verify_state(
+            state, standard_programs(state), jobs=0, max_gossips=2
+        ) is sentinel
+        assert seen == [0, 0]
 
     def test_steal_off_runs_pool_at_depth_one(self):
         entry = entry_by_name("Counter")

@@ -98,37 +98,9 @@ def test_state_engine_matches_naive(entry):
     assert fast == naive
 
 
-def test_escape_hatch_modes_agree():
-    """The reduction toggle changes cost, never the configuration set."""
-    entry = next(e for e in OB_ENTRIES if e.name == "OR-Set")
-    programs = standard_programs(entry)
-    reference = _op_keys_engine(entry, programs)
-    assert _op_keys_engine(entry, programs, reduction=False) == reference
-
-
-def test_state_escape_hatch_modes_agree():
-    entry = next(e for e in SB_ENTRIES if e.name == "PN-Counter")
-    programs = standard_programs(entry)
-    reference = _state_keys_engine(entry, programs, max_gossips=2)
-    assert (
-        _state_keys_engine(entry, programs, max_gossips=2, reduction=False)
-        == reference
-    )
-
-
-def test_non_quiescent_exploration_matches_naive():
-    entry = next(e for e in OB_ENTRIES if e.name == "Counter")
-    programs = {"r1": [("inc", ()), ("read", ())], "r2": [("inc", ())]}
-    naive = _op_keys_naive(entry, programs, require_quiescence=False)
-    fast = _op_keys_engine(entry, programs, require_quiescence=False)
-    assert fast == naive
-    # Partial-delivery configurations are strictly richer.
-    assert len(fast) > len(_op_keys_engine(entry, programs))
-
-
 # ----------------------------------------------------------------------
-# Exact max_configurations cutoff (regression: the old op explorer
-# overshot the cap on the require_quiescence=False visit path)
+# Exact max_configurations cutoff: the search stops at the cap, with no
+# sibling branch visiting past it
 # ----------------------------------------------------------------------
 
 
@@ -145,14 +117,12 @@ def test_engine_cap_exact(cap):
     assert len(visited) == cap
 
 
-@pytest.mark.parametrize("require_quiescence", [True, False])
-def test_naive_cap_exact(require_quiescence):
+def test_naive_cap_exact():
     visited = []
     count = explore_op_programs_naive(
         lambda: OpBasedSystem(OpCounter(), replicas=["r1", "r2"]),
         {"r1": [("inc", ()), ("read", ())], "r2": [("inc", ()), ("read", ())]},
         lambda s, r: visited.append(1),
-        require_quiescence=require_quiescence,
         max_configurations=5,
     )
     assert count == 5

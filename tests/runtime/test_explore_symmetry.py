@@ -277,18 +277,8 @@ def test_trivial_group_is_identity_only():
 
 
 # ----------------------------------------------------------------------
-# Interaction with the other engine toggles
+# The per-state fingerprint cache under symmetry
 # ----------------------------------------------------------------------
-
-
-def test_symmetry_composes_with_reduction_off():
-    entry = entry_by_name("OR-Set")
-    programs = symmetric_programs(entry)
-    _, _, orbits, _ = _run(entry, programs, symmetry=True)
-    _, _, orbits_no_por, _ = _run(
-        entry, programs, symmetry=True, reduction=False
-    )
-    assert orbits_no_por == orbits
 
 
 def test_state_fp_cache_peak_is_tracked_and_bounded():

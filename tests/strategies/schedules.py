@@ -58,8 +58,7 @@ def run_split(entry, programs, schedule: SplitSchedule, por: str = "source",
     ``schedule`` splits it: a coordinator session walks the frontier,
     the sessions run its tasks, and the merge unions every session's
     fingerprints, as the pool does."""
-    spec = _scope_table([(entry, programs, max_gossips)], None, symmetry,
-                        True, por)[0]
+    spec = _scope_table([(entry, programs, max_gossips)], symmetry, por)[0]
 
     def session():
         return _Session(spec, None, None, NULL_INSTRUMENTATION)

@@ -251,12 +251,15 @@ class TestStealCLI:
     @pytest.mark.parametrize(
         "argv",
         [["--store", "counter:1", "--jobs", "2"],
-         ["--store", "counter:1,orset:1"]],
-        ids=["one-group-pool", "serial-store"],
+         ["--store", "counter:1,orset:1"],
+         ["--store", "counter:1", "--independent-clocks"]],
+        ids=["one-group-pool", "serial-store", "product"],
     )
     def test_store_heartbeat_log(self, capsys, tmp_path, argv):
         # The store's per-object runs take the heartbeat flags at every
-        # --jobs value and object count, not only in a multi-group pool.
+        # --jobs value and object count, not only in a multi-group pool,
+        # and so does the whole-store product run of a store without
+        # shared timestamps.
         from repro.obs.heartbeat import HEARTBEAT_SCHEMA
 
         hb_log = tmp_path / "heartbeat.jsonl"
@@ -267,8 +270,12 @@ class TestStealCLI:
                             for line in hb_log.read_text().splitlines()]
         assert header["schema"] == HEARTBEAT_SCHEMA
         assert records
-        assert {record["task"].split(":")[0] for record in records} \
-            <= {"Counter", "OR-Set"}
+        tasks = {record["task"] for record in records}
+        if "--independent-clocks" in argv:
+            assert tasks == {"store[counter:1]"}
+        else:
+            assert {task.split(":")[0] for task in tasks} \
+                <= {"Counter", "OR-Set"}
 
     def test_no_steal_store_batch_matches_serial(self, capsys):
         def rows(out):
