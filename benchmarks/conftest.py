@@ -6,7 +6,22 @@ Every benchmark both *times* its reproduction (pytest-benchmark) and
 the regenerated tables.
 """
 
-import pytest
+import json
+from pathlib import Path
+
+#: The benchmark artifact every perf section is merged into.
+ARTIFACT_PATH = Path(__file__).resolve().parent.parent / "BENCH_explore.json"
+
+
+def update_artifact(sections: dict) -> None:
+    """Replace the given top-level keys of ``BENCH_explore.json`` and keep
+    every other section, so one bench target never drops another's."""
+    artifact = json.loads(ARTIFACT_PATH.read_text()) \
+        if ARTIFACT_PATH.exists() else {}
+    artifact.update(sections)
+    ARTIFACT_PATH.write_text(
+        json.dumps(artifact, indent=2, sort_keys=True) + "\n"
+    )
 
 
 def emit(title: str, body: str) -> None:

@@ -16,11 +16,9 @@ per object — and anything larger puts the product side out of bench
 range entirely (the point of the rule).
 """
 
-import json
 import time
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, update_artifact
 from repro.proofs.compositional import (
     parse_store_spec,
     product_verify_store,
@@ -30,7 +28,6 @@ from repro.proofs.exhaustive import standard_programs
 
 ROUNDS = 3
 RESULTS = {}
-JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_explore.json"
 
 STORE_SPEC = "counter:1,orset:1,lww_register:1"
 
@@ -98,16 +95,11 @@ def test_compose_table(benchmark):
              f"{r['speedup']:>6.2f}x wall"
              for name, r in RESULTS.items()
          ))
-    artifact = json.loads(JSON_PATH.read_text()) if JSON_PATH.exists() \
-        else {}
-    artifact["compose_3r"] = {
+    update_artifact({"compose_3r": {
         "scope": f"3-object ⊗ts store, 1 op per object per replica on 2 "
                  f"replicas, min of {ROUNDS} interleaved runs",
         "entries": RESULTS,
-    }
-    JSON_PATH.write_text(
-        json.dumps(artifact, indent=2, sort_keys=True) + "\n"
-    )
+    }})
     # Acceptance: the compositional route is >= 5x faster than product
     # exploration on the 3-object store, verdicts identical.
     assert all(r["verdicts_agree"] for r in RESULTS.values()), RESULTS

@@ -11,18 +11,14 @@ distinct-configuration counts — including through the frontier-split
 pool.
 """
 
-import json
-from pathlib import Path
-
 import pytest
 
-from conftest import emit
+from conftest import emit, update_artifact
 from repro.proofs.exhaustive import exhaustive_verify
 from repro.proofs.registry import ALL_ENTRIES
 
 ROUNDS = 3
 RESULTS = {}
-JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_explore.json"
 
 
 def _entry(name):
@@ -120,16 +116,11 @@ def test_dpor_table(benchmark):
              f"{r['state_reduction']:>5.2f}x states"
              for name, r in RESULTS.items()
          ))
-    artifact = json.loads(JSON_PATH.read_text()) if JSON_PATH.exists() \
-        else {}
-    artifact["dpor_3r"] = {
+    update_artifact({"dpor_3r": {
         "scope": f"symmetric 3-replica 2-op programs, min of {ROUNDS} "
                  "interleaved runs",
         "entries": RESULTS,
-    }
-    JSON_PATH.write_text(
-        json.dumps(artifact, indent=2, sort_keys=True) + "\n"
-    )
+    }})
     # Acceptance: >= 2x wall clock over the PR-6 engine on at least one
     # 3-replica scope.
     assert max(r["speedup"] for r in RESULTS.values()) >= 2.0, RESULTS

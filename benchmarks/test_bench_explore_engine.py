@@ -18,13 +18,11 @@ naive explorer does not finish them in reasonable time, which is the
 point.
 """
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
-from conftest import emit
+from conftest import emit, update_artifact
 from repro.core.sentinels import ROOT
 from repro.proofs.exhaustive import (
     exhaustive_verify,
@@ -36,7 +34,6 @@ from repro.proofs.registry import ALL_ENTRIES
 OB_ENTRIES = [e for e in ALL_ENTRIES if e.kind == "OB"]
 SB_ENTRIES = [e for e in ALL_ENTRIES if e.kind == "SB"]
 RESULTS = {}
-JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_explore.json"
 
 
 def _compare(entry, verify, kwargs):
@@ -117,15 +114,12 @@ def test_speedup_table(benchmark):
     )
     emit("Exploration engine: naive vs. sleep sets + dedup + snapshots",
          "\n".join(rows))
-    JSON_PATH.write_text(json.dumps(
-        {
-            "scope": "registry standard programs, 2 replicas",
-            "entries": RESULTS,
-            "overall_speedup": round(overall, 1),
-            "op_based_speedup": round(ob_overall, 1),
-        },
-        indent=2, sort_keys=True,
-    ) + "\n")
+    update_artifact({
+        "scope": "registry standard programs, 2 replicas",
+        "entries": RESULTS,
+        "overall_speedup": round(overall, 1),
+        "op_based_speedup": round(ob_overall, 1),
+    })
     # Acceptance: >= 10x wall clock on exhaustive_verify (op-based).
     assert ob_overall >= 10.0, RESULTS
 
@@ -180,15 +174,10 @@ def test_symmetry_reduction_three_replica(benchmark):
              f"orbits"
              for name, r in section.items()
          ))
-    artifact = json.loads(JSON_PATH.read_text()) if JSON_PATH.exists() \
-        else {}
-    artifact["symmetry_3r"] = {
+    update_artifact({"symmetry_3r": {
         "scope": "symmetric 3-replica programs, group order 3! = 6",
         "entries": section,
-    }
-    JSON_PATH.write_text(
-        json.dumps(artifact, indent=2, sort_keys=True) + "\n"
-    )
+    }})
     # Acceptance: >= 2x wall clock on at least one 3-replica scope.
     assert max(r["speedup"] for r in section.values()) >= 2.0, section
 

@@ -53,6 +53,7 @@ class ProgressMonitor:
         self._seen: Dict[str, float] = {}
         self._stalled: set = set()
         self._last_render = 0.0
+        self._last_line = ""
         self._log = None
         if log_path:
             self._log = open(log_path, "w", encoding="utf-8")
@@ -107,6 +108,7 @@ class ProgressMonitor:
         line = self.status_line()
         if line:
             print(line, file=self.stream)
+            self._last_line = line
 
     def status_line(self) -> str:
         if not self._workers:
@@ -154,8 +156,9 @@ class ProgressMonitor:
     # -- shutdown -------------------------------------------------------
 
     def close(self) -> None:
-        """Final render and log flush."""
-        if self._workers:
+        """Final render, unless the last line printed already shows the
+        final state, and log flush."""
+        if self._workers and self.status_line() != self._last_line:
             self.maybe_render(force=True)
         if self._log is not None:
             self._log.close()

@@ -313,14 +313,12 @@ class _Domain:
         # fingerprint()).  apply() dirties only the touched replica;
         # push()/pop() save and restore the table, so the per-node
         # fingerprint cost is O(delta), not O(configuration).  With
-        # symmetry on, entries hold the part's *fragment vector* (its
-        # canonical images under every group element) instead of the raw
-        # part; _glob_frags is the analogous vector of the replica-free
-        # component, dirtied only when that component changes.
+        # symmetry on, entries hold the part's *image vector* (its byte
+        # images under every group element) instead of the raw part; the
+        # replica-free component is imaged lazily by the reducer.
         self._parts: Dict[str, Optional[Tuple]] = {
             r: None for r in self.replicas
         }
-        self._glob_frags: Optional[Tuple] = None
         self.sym: Optional[SymmetryReducer] = None
         if symmetry and len(self.replicas) > 1:
             group = build_group(programs, extra_names=extra_names)
@@ -362,7 +360,6 @@ class _Domain:
         self._vis_lids |= {(prior, lid) for prior in seen}
         self._seen_lids[replica] = seen | {lid}
         self._parts[replica] = None
-        self._glob_frags = None
         return label
 
     # -- branching ------------------------------------------------------
@@ -385,13 +382,12 @@ class _Domain:
             dict(self._seen_lids),
             self._vis_lids,
             dict(self._parts),
-            self._glob_frags,
             getattr(self, self._TAIL),
         )
 
     def pop(self, token: Tuple) -> None:
         (system_token, counters, returns, lids, per_origin, lid_to_label,
-         labels_data, seen_lids, vis_lids, parts, glob_frags, tail) = token
+         labels_data, seen_lids, vis_lids, parts, tail) = token
         if self.use_snapshots:
             self.system.restore(system_token)
             self._lid_to_label = dict(lid_to_label)
@@ -412,7 +408,6 @@ class _Domain:
         # Part entries are immutable values: restoring the shallow copy
         # re-marks exactly the replicas that were dirty at push time.
         self._parts = dict(parts)
-        self._glob_frags = glob_frags
         self.counters = dict(counters)
         self.returns = {r: list(v) for r, v in returns.items()}
         setattr(self, self._TAIL, tail)
@@ -445,9 +440,7 @@ class _Domain:
                 parts[replica] = sym.part_fragments(
                     self._compute_part(replica)
                 )
-        if self._glob_frags is None:
-            self._glob_frags = sym.glob_fragments(self._glob())
-        return sym.canonical(parts, self._glob_frags)
+        return sym.canonical(parts, self._glob())
 
     def canon_sleep(self, sleep: FrozenSet[Transition]) -> Any:
         """Translate a sleep set into the frame of the latest fingerprint.
@@ -764,7 +757,6 @@ class _StateDomain(_Domain):
         # Gossip mutates only the target replica (the source is read) —
         # plus the global budget, which lives in the glob component.
         self._parts[second] = None
-        self._glob_frags = None
         return True
 
     # -- independence ---------------------------------------------------

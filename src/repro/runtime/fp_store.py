@@ -1,8 +1,9 @@
 """Collision-checked fingerprint digests behind a disk spill tier.
 
 The exploration engine dedups configurations on canonical fingerprints —
-large nested tuples (per-replica parts, label data, visibility) or
-:class:`~repro.runtime.symmetry.CanonFP` orbit keys.  In memory they live
+large nested tuples (per-replica parts, label data, visibility) or, under
+symmetry, small tuples of byte images
+(:class:`~repro.runtime.symmetry.SymmetryReducer`).  In memory they live
 raw in plain sets and dicts.  Holding millions of them is what makes
 4-replica scopes blow past RAM before they blow past time, so
 ``--spill DIR`` builds a :class:`FingerprintStore`, which interns each
@@ -63,7 +64,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..core.freeze import FrozenDict
 from ..core.timestamp import BOTTOM
-from .symmetry import CanonFP
 
 #: Default entry cap for each in-memory tier (ledger, spill-set hot
 #: tier, spill-map hot tier).
@@ -135,12 +135,6 @@ def stable_encode(value: Any, memo: Optional[Dict[int, Tuple[Any, bytes]]]
                 for k, v in value.items()
             )
         )
-    elif t is CanonFP:
-        cached = getattr(value, "_enc", None)
-        if cached is None:
-            cached = b"F" + stable_encode(value.key, memo)
-            value._enc = cached
-        enc = cached
     elif is_dataclass(value):
         enc = (
             b"C"

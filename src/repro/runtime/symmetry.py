@@ -33,9 +33,11 @@ differential oracle (``tests/runtime/test_explore_symmetry.py``) and
 ``CRDTEntry.symmetry`` is the per-entry escape hatch.
 """
 
+import struct
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import permutations
 from math import factorial
+from operator import itemgetter
 from typing import AbstractSet, Any, Dict, List, Mapping, Sequence, Tuple
 
 from ..core.freeze import FrozenDict, freeze
@@ -152,6 +154,10 @@ def canon_key(value: Any, mapping: Mapping[str, str]) -> Any:
     CRDT states are semantically ordered).  The key depends only on the
     value, never on hash seeds or object identity, so keys built in
     different worker processes compare and merge exactly.
+
+    The engine compares byte images that stand for these keys
+    (:func:`_images`); ``canon_key`` is their reference, and the orbit
+    oracle's key.
     """
     t = type(value)
     if t is str:
@@ -205,126 +211,178 @@ def canon_key(value: Any, mapping: Mapping[str, str]) -> Any:
     return ("o", t.__name__, repr(value))
 
 
-def _canon_keys(value: Any, maps: Sequence[Mapping[str, str]],
-                names: AbstractSet[str],
-                memo: Dict[Any, Tuple[Any, bool]]) -> Tuple[Any, bool]:
-    """:func:`canon_key` under every group element, in one traversal.
+# ----------------------------------------------------------------------
+# Byte images: canon_key's order, as flat bytes
+# ----------------------------------------------------------------------
+#
+# An image is one ``bytes`` that orders and compares exactly as the
+# canon_key tuple it stands for.  Every encoding below is self-delimiting
+# (no image is a proper prefix of another), so comparing two
+# concatenations compares their items lexicographically, and the first
+# differing byte decides as the first differing tuple element would.
+# Tags are canon_key's tags as bytes, in the same order ("⊥" sorts above
+# every ASCII letter); _END closes a sequence and sorts below every tag,
+# so a proper prefix sorts first.
 
-    Returns ``(key, True)`` when ``value`` mentions no renameable replica
-    (its key is the same under every element — computed once and shared),
-    or ``(keys, False)`` with one key per element of ``maps``.  Key
-    equality with per-map :func:`canon_key` calls is exact; sharing the
-    pure subkeys across fragment slots additionally lets downstream
-    comparisons short-circuit on object identity.  ``memo`` caches
-    container results by ``(type, value)`` — the same label ids, seen
-    sets, and timestamps recur across thousands of fingerprint parts.
+_END = b"\x00"
+#: Opens each version-vector entry: the entries are untagged pairs.
+_ENTRY = b"\x01"
+_BOTTOM_IMAGE = b"\x7f"
+_NONE_IMAGE = b"n"
+_BOOL_IMAGES = (b"b\x00", b"b\x01")
+_DOUBLE = struct.Struct(">d")
+_SIGN = 1 << 63
+_ONES = (1 << 64) - 1
+
+
+def _octets(data: bytes) -> bytes:
+    """``data`` with NUL escaped to ``00 ff``, closed by ``00 00``."""
+    return data.replace(b"\x00", b"\x00\xff") + b"\x00\x00"
+
+
+def _text(text: str) -> bytes:
+    """A string in code-point order: UTF-8 orders as code points do."""
+    return _octets(text.encode("utf-8", "surrogatepass"))
+
+
+def _integer(n: int) -> bytes:
+    """An int of any size in numeric order.
+
+    A header byte orders the sign and the byte length (0x80 + length for
+    n >= 0, 0x80 - length below; 0xff and 0x00 open a 4-byte length past
+    126 bytes), then the big-endian magnitude follows, complemented for
+    negatives so that a larger magnitude sorts lower.
+    """
+    if n >= 0:
+        size = (n.bit_length() + 7) >> 3
+        body = n.to_bytes(size, "big")
+        if size < 127:
+            return bytes((0x80 + size,)) + body
+        return b"\xff" + size.to_bytes(4, "big") + body
+    size = ((-n).bit_length() + 7) >> 3
+    body = (n + (1 << (size << 3)) - 1).to_bytes(size, "big")
+    if size < 127:
+        return bytes((0x80 - size,)) + body
+    return b"\x00" + ((1 << 32) - 1 - size).to_bytes(4, "big") + body
+
+
+def _real(x: float) -> bytes:
+    """A float in numeric order (IEEE bits, sign-flipped); -0.0 and 0.0
+    share an image, as they compare equal.  NaN has no order."""
+    bits = int.from_bytes(_DOUBLE.pack(x + 0.0), "big")
+    bits ^= _ONES if bits & _SIGN else _SIGN
+    return bits.to_bytes(8, "big")
+
+
+def _images(value: Any, maps: Sequence[Mapping[str, str]],
+            names: AbstractSet[str],
+            memo: Dict[Any, Tuple[Any, bool]]) -> Tuple[Any, bool]:
+    """The byte images of ``value`` under every group element, in one
+    traversal.
+
+    Returns ``(image, True)`` when ``value`` mentions no renameable
+    replica (one image, shared by every element), or ``(images, False)``
+    with one image per element of ``maps``.  Each image orders and
+    compares exactly as :func:`canon_key` of ``value`` under that element.
+    ``memo`` caches container results by value: the same label ids, seen
+    sets and timestamps recur across thousands of fingerprint parts, and
+    a recurring value returns the *same* image objects.  Values equal
+    under ``==`` (``(1,)`` and ``(True,)``) share the first one's images,
+    as they share a slot in the raw fingerprint sets.
     """
     t = type(value)
     if t is str:
         if value in names:
-            return [("s", m.get(value, value)) for m in maps], False
-        return ("s", value), True
+            return tuple([b"s" + _text(m.get(value, value))
+                          for m in maps]), False
+        return b"s" + _text(value), True
     if t is int:
-        return ("i", value), True
-    if t is tuple or t is frozenset:
-        mk = (t, value)
-        hit = memo.get(mk)
+        return b"i" + _integer(value), True
+    if t is tuple or t is frozenset or t is FrozenDict:
+        hit = memo.get(value)
         if hit is not None:
             return hit
-        subs = []
-        pure = True
-        for item in value:
-            ks, p = _canon_keys(item, maps, names, memo)
-            subs.append((ks, p))
-            pure = pure and p
-        tag = "t" if t is tuple else "f"
-        if pure:
-            items = [ks for ks, _ in subs]
-            if t is frozenset:
-                items.sort()
-            result: Tuple[Any, bool] = ((tag, tuple(items)), True)
-        elif t is tuple:
-            result = ([
-                (tag, tuple([ks if p else ks[i] for ks, p in subs]))
-                for i in range(len(maps))
-            ], False)
+        if t is FrozenDict:
+            # An entry's image is its key's image then its value's: the
+            # (key, value) pairs canon_key sorts.
+            subs = []
+            for k, v in value.items():
+                kimage, kpure = _images(k, maps, names, memo)
+                vimage, vpure = _images(v, maps, names, memo)
+                if kpure and vpure:
+                    subs.append((kimage + vimage, True))
+                else:
+                    subs.append((tuple([
+                        (kimage if kpure else kimage[i])
+                        + (vimage if vpure else vimage[i])
+                        for i in range(len(maps))
+                    ]), False))
+            tag = b"d"
         else:
-            result = ([
-                (tag, tuple(sorted([ks if p else ks[i] for ks, p in subs])))
-                for i in range(len(maps))
-            ], False)
+            subs = [_images(item, maps, names, memo) for item in value]
+            tag = b"t" if t is tuple else b"f"
+        ordered = t is tuple
+        if all([pure for _, pure in subs]):
+            items = [image for image, _ in subs]
+            if not ordered:
+                items.sort()
+            result: Tuple[Any, bool] = (tag + b"".join(items) + _END, True)
+        else:
+            rows = []
+            for i in range(len(maps)):
+                items = [image if pure else image[i] for image, pure in subs]
+                if not ordered:
+                    items.sort()
+                rows.append(tag + b"".join(items) + _END)
+            result = (tuple(rows), False)
         if len(memo) > _CACHE_LIMIT:
             memo.clear()
-        memo[mk] = result
+        memo[value] = result
         return result
     if t is Timestamp:
+        head = b"T" + _integer(value.counter)
         if value.replica in names:
-            return [
-                ("T", value.counter, m.get(value.replica, value.replica))
-                for m in maps
-            ], False
-        return ("T", value.counter, value.replica), True
+            return tuple([head + _text(m.get(value.replica, value.replica))
+                          for m in maps]), False
+        return head + _text(value.replica), True
     if value is BOTTOM:
-        return ("⊥",), True
+        return _BOTTOM_IMAGE, True
     if t is bool:
-        return ("b", value), True
+        return _BOOL_IMAGES[value], True
     if t is float:
-        return ("x", value), True
+        return b"x" + _real(value), True
     if value is None:
-        return ("n",), True
-    if t is FrozenDict:
-        mk = (t, value)
-        hit = memo.get(mk)
-        if hit is not None:
-            return hit
-        subs = []
-        pure = True
-        for k, v in value.items():
-            kks, kp = _canon_keys(k, maps, names, memo)
-            vks, vp = _canon_keys(v, maps, names, memo)
-            subs.append((kks, kp, vks, vp))
-            pure = pure and kp and vp
-        if pure:
-            result = (
-                ("d", tuple(sorted((kks, vks) for kks, _, vks, _ in subs))),
-                True,
-            )
-        else:
-            result = ([
-                ("d", tuple(sorted(
-                    (kks if kp else kks[i], vks if vp else vks[i])
-                    for kks, kp, vks, vp in subs
-                )))
-                for i in range(len(maps))
-            ], False)
-        if len(memo) > _CACHE_LIMIT:
-            memo.clear()
-        memo[mk] = result
-        return result
+        return _NONE_IMAGE, True
     if t is VersionVector:
         entries = value.entries
         if any(r in names for r, _ in entries):
-            return [
-                ("v", tuple(sorted((m.get(r, r), c) for r, c in entries)))
+            return tuple([
+                b"v" + b"".join(sorted(
+                    _ENTRY + _text(m.get(r, r)) + _integer(c)
+                    for r, c in entries
+                )) + _END
                 for m in maps
-            ], False
-        return ("v", tuple(sorted(entries))), True
+            ]), False
+        return b"v" + b"".join(sorted(
+            _ENTRY + _text(r) + _integer(c) for r, c in entries
+        )) + _END, True
     if t is bytes:
-        return ("y", value), True
+        return b"y" + _octets(value), True
     if is_dataclass(value):
-        subs = []
-        pure = True
-        for f in fields(value):
-            ks, p = _canon_keys(getattr(value, f.name), maps, names, memo)
-            subs.append((ks, p))
-            pure = pure and p
-        if pure:
-            return ("c", t.__name__, tuple(ks for ks, _ in subs)), True
-        return [
-            ("c", t.__name__, tuple(ks if p else ks[i] for ks, p in subs))
+        # Frozen record types (e.g. Wooki's WChar): the type name, then
+        # the fields in declaration order.
+        head = b"c" + _text(t.__name__)
+        subs = [_images(getattr(value, f.name), maps, names, memo)
+                for f in fields(value)]
+        if all([pure for _, pure in subs]):
+            return head + b"".join([image for image, _ in subs]) + _END, True
+        return tuple([
+            head + b"".join([image if pure else image[i]
+                             for image, pure in subs]) + _END
             for i in range(len(maps))
-        ], False
-    return ("o", t.__name__, repr(value)), True
+        ]), False
+    # Opaque leaf: reprs in this codebase are deterministic value renders.
+    return b"o" + _text(t.__name__) + _text(repr(value)), True
 
 
 def rename_transition(
@@ -343,129 +401,121 @@ def rename_transition(
             mapping.get(transition[2], transition[2]))
 
 
-class CanonFP:
-    """A canonical fingerprint with a cached hash.
-
-    The canonical key is a large nested tuple; plain tuples recompute
-    their hash on every dict operation, which dominated the DFS hot path.
-    Equality stays structural (with an identity fast path), so sets of
-    ``CanonFP`` built in different worker processes union correctly —
-    unpickling rebuilds the object and recomputes the hash locally, which
-    keeps it valid under per-process string-hash randomization.
-    """
-
-    __slots__ = ("key", "_hash", "_enc")
-
-    def __init__(self, key: Tuple) -> None:
-        self.key = key
-        self._hash = hash(key)
-        #: Stable byte encoding, filled lazily by the fingerprint store
-        #: (:mod:`repro.runtime.fp_store`); not pickled — digests are
-        #: recomputed locally in each process.
-        self._enc: Any = None
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, CanonFP)
-            and self._hash == other._hash
-            and self.key == other.key
-        )
-
-    def __reduce__(self):
-        return (CanonFP, (self.key,))
-
-    def __repr__(self) -> str:
-        return f"CanonFP({self.key!r})"
-
-
 class SymmetryReducer:
     """Maps fingerprints to the least image over a replica-permutation group.
 
     A fingerprint arrives split into per-replica ``parts`` (everything
     indexed by a single replica) plus a ``glob`` component (label data,
     visibility, gossip budget).  The engine converts each part into its
-    *fragment vector* — the tuple of its :func:`canon_key` images under
-    every group element — exactly once when the part is (re)computed,
-    via :meth:`part_fragments`; the vectors ride along with the domain's
-    dirty-tracked part table.  :meth:`canonical` then only permutes slots
-    and compares: it never hashes or renames configuration data on the
-    per-node path.  Fragment vectors are memoized by part value, so a
-    value recurring after a DFS pop reuses the *same* fragment objects
-    and candidate comparisons short-circuit on identity.
+    *image vector* — the part's byte images (:func:`_images`) under every
+    group element — exactly once when the part is (re)computed, via
+    :meth:`part_fragments`; the vectors ride along with the domain's
+    dirty-tracked part table.  :meth:`canonical` then renames no part:
+    it gathers, under every element, the images that element moves into
+    each replica slot (one precomputed ``itemgetter`` per slot) and takes
+    one C-level ``min`` over the rows.  The glob decides only between
+    elements tied on every slot, so its images are built lazily, per
+    element and glob value: for the tied elements and the winner.  The key is the winning row plus that glob image, a small
+    tuple of ``bytes``, which cache their hash.  Image vectors are
+    memoized by part value, so a key holds the *same* image objects as
+    every other key with that part: the visited set pays a row of
+    pointers per configuration, and equal keys compare item by item on
+    identity.
 
     :attr:`last_map` is the minimizing element of the latest
-    :meth:`canonical` call; the engine uses it to translate sleep sets
-    into the same canonical frame before recording or comparing them.
+    :meth:`canonical` call (the first in ``maps`` order, as a strict
+    ``<`` scan over candidates would pick); the engine uses it to
+    translate sleep sets into the same canonical frame before recording
+    or comparing them.
     """
 
     def __init__(self, replicas: Sequence[str], group: SymmetryGroup) -> None:
         self.replicas = list(replicas)
         self.group = group
         self.maps = group.maps
-        self._slot_sources: List[List[str]] = []
-        for mapping in self.maps:
-            inverse = {b: a for a, b in mapping.items()}
-            self._slot_sources.append(
-                [inverse.get(r, r) for r in self.replicas]
-            )
-        self._part_frags: Dict[Any, Tuple] = {}
-        self._glob_frags: Dict[Any, Tuple] = {}
+        order = len(self.maps)
+        position = {r: i for i, r in enumerate(self.replicas)}
+        inverses = [{b: a for a, b in m.items()} for m in self.maps]
+        #: The replicas' image vectors, in slot order; ``canonical``
+        #: concatenates them so that part ``p``'s image under element
+        #: ``g`` sits at ``p * order + g``.
+        self._vectors = itemgetter(*self.replicas)
+        #: Per slot: under each element, the image of the part that the
+        #: element moves into the slot.
+        self._slot_getters = [
+            itemgetter(*[
+                position[inverse.get(r, r)] * order + g
+                for g, inverse in enumerate(inverses)
+            ])
+            for r in self.replicas
+        ]
         #: Replicas moved by at least one group element — values mentioning
-        #: none of them have identical fragments under every element.
+        #: none of them have one image under every element.
         self._names: set = set()
         for mapping in self.maps:
             self._names.update(mapping)
-        #: Sub-value fragment memo shared by every part (see _canon_keys).
-        self._sub_memo: Dict[Any, Tuple[Any, bool]] = {}
+        #: Container images shared by every part and glob (see _images).
+        self._memo: Dict[Any, Tuple[Any, bool]] = {}
+        #: Glob value -> its image under each element, None until needed.
+        self._glob_images: Dict[Any, List[Any]] = {}
         self.last_map: Dict[str, str] = {}
 
     def part_fragments(self, part: Tuple) -> Tuple:
-        """The tuple of ``part``'s canonical images, one per group element."""
-        frags = self._part_frags.get(part)
-        if frags is None:
-            if len(self._part_frags) > _CACHE_LIMIT:
-                self._part_frags.clear()
-            keys, pure = _canon_keys(
-                part, self.maps, self._names, self._sub_memo
-            )
-            frags = (keys,) * len(self.maps) if pure else tuple(keys)
-            self._part_frags[part] = frags
-        return frags
-
-    def glob_fragments(self, glob: Tuple) -> Tuple:
-        """Like :meth:`part_fragments`, for the replica-free component."""
-        frags = self._glob_frags.get(glob)
-        if frags is None:
-            if len(self._glob_frags) > _CACHE_LIMIT:
-                self._glob_frags.clear()
-            keys, pure = _canon_keys(
-                glob, self.maps, self._names, self._sub_memo
-            )
-            frags = (keys,) * len(self.maps) if pure else tuple(keys)
-            self._glob_frags[glob] = frags
-        return frags
+        """``part``'s byte images, one per group element."""
+        images, pure = _images(part, self.maps, self._names, self._memo)
+        return (images,) * len(self.maps) if pure else images
 
     def canonical(
-        self, part_frags: Mapping[str, Tuple], glob_frags: Tuple
-    ) -> CanonFP:
-        """The least candidate over the group; sets :attr:`last_map`."""
-        best = None
-        best_index = 0
-        for index, sources in enumerate(self._slot_sources):
-            candidate = (
-                tuple([part_frags[source][index] for source in sources]),
-                glob_frags[index],
+        self, part_frags: Mapping[str, Tuple], glob: Tuple
+    ) -> Tuple[bytes, ...]:
+        """The least image over the group; sets :attr:`last_map`."""
+        flat = sum(self._vectors(part_frags), ())
+        rows = list(zip(*[get(flat) for get in self._slot_getters]))
+        best = min(rows)
+        index = rows.index(best)
+        images = self._glob_images.get(glob)
+        if images is None:
+            if len(self._glob_images) > _CACHE_LIMIT:
+                self._glob_images.clear()
+            images = self._glob_images[glob] = [None] * len(rows)
+        if rows.count(best) > 1:
+            # Tied on every slot: the glob decides, imaged only under the
+            # tied elements; min keeps the first of equal ones.
+            index = min(
+                [g for g in range(index, len(rows)) if rows[g] == best],
+                key=lambda g: self._glob_image(glob, images, g),
             )
-            if best is None or candidate < best:
-                best = candidate
-                best_index = index
-        self.last_map = self.maps[best_index]
-        return CanonFP(best)  # type: ignore[arg-type]
+        self.last_map = self.maps[index]
+        return best + (self._glob_image(glob, images, index),)
+
+    def _glob_image(self, glob: Tuple, images: List[Any], index: int) -> bytes:
+        """The image of the glob tuple under ``maps[index]``, memoized in
+        ``images``.
+
+        Each set component (label data, visibility) is assembled for this
+        element only; its items' images, like any other component's, come
+        from the shared all-element memo.
+        """
+        image = images[index]
+        if image is None:
+            maps, names, memo = self.maps, self._names, self._memo
+            parts = []
+            for component in glob:
+                if type(component) is frozenset:
+                    # Set members are containers: most are memo hits.
+                    items = sorted([
+                        sub if pure else sub[index]
+                        for sub, pure in [
+                            memo.get(item) or _images(item, maps, names, memo)
+                            for item in component
+                        ]
+                    ])
+                    parts.append(b"f" + b"".join(items) + _END)
+                else:
+                    sub, pure = _images(component, maps, names, memo)
+                    parts.append(sub if pure else sub[index])
+            image = images[index] = b"t" + b"".join(parts) + _END
+        return image
 
     def rename_transitions(self, transitions) -> Any:
         """Translate a sleep set by the latest minimizing permutation."""

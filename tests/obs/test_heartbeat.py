@@ -163,3 +163,13 @@ class TestProgressMonitor:
         assert stream.getvalue().count("[progress]") == 1
         monitor.close()  # force-renders the final state
         assert stream.getvalue().count("[progress]") == 2
+
+    def test_close_does_not_repeat_the_last_line(self):
+        now = [0.0]
+        stream = io.StringIO()
+        monitor = ProgressMonitor(interval=5.0, stream=stream,
+                                  clock=lambda: now[0])
+        now[0] = 6.0
+        monitor.ingest({"worker": "w0", "configs": 50})  # due: renders
+        monitor.close()  # the final state is already on screen
+        assert stream.getvalue().count("[progress]") == 1

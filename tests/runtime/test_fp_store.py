@@ -25,15 +25,25 @@ from repro.runtime.fp_store import (
     SpillSet,
     stable_encode,
 )
-from repro.runtime.symmetry import CanonFP
+from repro.runtime.symmetry import SymmetryReducer, build_group
 
 OB_ENTRIES = [e for e in ALL_ENTRIES if e.kind == "OB"]
+
+
+def _orbit_key(counter):
+    """A symmetric orbit key as the engine builds one: a small tuple of
+    byte images."""
+    programs = {"r1": [("inc", ())], "r2": [("inc", ())]}
+    reducer = SymmetryReducer(["r1", "r2"], build_group(programs))
+    parts = {r: reducer.part_fragments((r, counter)) for r in programs}
+    return reducer.canonical(parts, (frozenset(), counter))
+
 
 SAMPLE = (
     ("replica", 3, (True, 1.5, None)),
     frozenset({("a", 1), ("b", 2), BOTTOM}),
     FrozenDict({"x": Timestamp(1, "r1"), "y": (2, "z")}),
-    CanonFP((("s", "r1"), ("i", 4))),
+    _orbit_key(4),
 )
 
 
@@ -45,7 +55,7 @@ class TestStableEncode:
                 ("replica", 3, (True, 1.5, None)),
                 frozenset({BOTTOM, ("b", 2), ("a", 1)}),
                 FrozenDict({"y": (2, "z"), "x": Timestamp(1, "r1")}),
-                CanonFP((("s", "r1"), ("i", 4))),
+                _orbit_key(4),
             )
         )
         assert a == b
@@ -54,10 +64,16 @@ class TestStableEncode:
         values = [
             (), (0,), ("0",), (0, 0), ((0,),), frozenset(), frozenset({0}),
             {"a": 1}, {"a": 2}, {"b": 1}, None, BOTTOM, 0, "x", b"x", 0.5,
-            CanonFP(("k",)), ("k",),
+            _orbit_key(4), _orbit_key(5), (b"k",), ("k",),
         ]
         encodings = [stable_encode(v) for v in values]
         assert len(set(encodings)) == len(encodings)
+
+    def test_orbit_key_encoding_survives_pickle(self):
+        key = _orbit_key(4)
+        clone = pickle.loads(pickle.dumps(key))
+        assert clone == key
+        assert stable_encode(clone) == stable_encode(key)
 
     def test_numeric_equality_shares_encoding(self):
         # The plain-set dedup path treats True == 1 == 1.0; the digest
@@ -212,14 +228,6 @@ class TestStats:
         assert a.lookups == 15 and a.hits == 5 and a.unique == 10
         assert a.hit_ratio == 5 / 15
         assert a.as_dict()["spilled"] == 2
-
-    def test_canonfp_enc_cache_not_pickled(self):
-        fp = CanonFP((("s", "r1"),))
-        stable_encode(fp)
-        assert fp._enc is not None
-        clone = pickle.loads(pickle.dumps(fp))
-        assert clone == fp
-        assert clone._enc is None
 
 
 class TestEngineEquality:
