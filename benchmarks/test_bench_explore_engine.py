@@ -7,12 +7,6 @@ dedup / snapshot engine (:mod:`repro.runtime.explore_engine`) — and
 record the wall-clock speedup, configurations/second, and dedup ratio
 in ``BENCH_explore.json`` so the perf trajectory is tracked across PRs.
 
-``test_symmetry_reduction_three_replica`` additionally measures the
-replica-orbit reduction on symmetric 3-replica scopes — the engine with
-``symmetry=False`` (the PR-1 configuration) against the orbit-dedup
-engine — and records wall speedups and orbit-reduction ratios in the
-``symmetry_3r`` section of the same artifact.
-
 The deepest 3-replica scopes (``-m slow``) run the fast engine only: the
 naive explorer does not finish them in reasonable time, which is the
 point.
@@ -122,64 +116,6 @@ def test_speedup_table(benchmark):
     })
     # Acceptance: >= 10x wall clock on exhaustive_verify (op-based).
     assert ob_overall >= 10.0, RESULTS
-
-
-def test_symmetry_reduction_three_replica(benchmark):
-    """Replica-orbit dedup vs. the PR-1 engine on symmetric 3r scopes."""
-    counter = next(e for e in OB_ENTRIES if e.name == "Counter")
-    orset = next(e for e in OB_ENTRIES if e.name == "OR-Set")
-    gcounter = next(e for e in SB_ENTRIES if e.name == "G-Counter")
-    scopes = {
-        "Counter (3r)": (
-            counter, [("inc", ()), ("read", ())], exhaustive_verify, {}
-        ),
-        "OR-Set (3r)": (
-            orset, [("add", ("a",)), ("read", ())], exhaustive_verify, {}
-        ),
-        "G-Counter (3r)": (
-            gcounter, [("inc", ()), ("read", ())],
-            exhaustive_verify_state, {"max_gossips": 3},
-        ),
-    }
-
-    def run():
-        section = {}
-        for name, (entry, program, verify, kwargs) in scopes.items():
-            programs = {r: list(program) for r in ("r1", "r2", "r3")}
-            off = verify(entry, programs, symmetry=False, **kwargs)
-            on = verify(entry, programs, symmetry=True, **kwargs)
-            assert off.ok and on.ok, (off.failures, on.failures)
-            section[name] = {
-                "nosym_seconds": round(off.stats.wall_time, 4),
-                "sym_seconds": round(on.stats.wall_time, 4),
-                "speedup": round(
-                    off.stats.wall_time / on.stats.wall_time, 2
-                ),
-                "nosym_configurations": off.configurations,
-                "orbits": on.configurations,
-                "orbit_reduction": round(
-                    off.configurations / on.configurations, 2
-                ),
-                "symmetry_group": on.stats.symmetry_group,
-            }
-        return section
-
-    section = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit("Symmetry reduction: replica-orbit dedup on 3-replica scopes",
-         "\n".join(
-             f"{name:<13} nosym {r['nosym_seconds']:7.2f}s "
-             f"({r['nosym_configurations']:>5} configs)   sym "
-             f"{r['sym_seconds']:7.2f}s ({r['orbits']:>5} orbits)   "
-             f"{r['speedup']:>5.2f}x wall, {r['orbit_reduction']:>5.2f}x "
-             f"orbits"
-             for name, r in section.items()
-         ))
-    update_artifact({"symmetry_3r": {
-        "scope": "symmetric 3-replica programs, group order 3! = 6",
-        "entries": section,
-    }})
-    # Acceptance: >= 2x wall clock on at least one 3-replica scope.
-    assert max(r["speedup"] for r in section.values()) >= 2.0, section
 
 
 @pytest.mark.slow

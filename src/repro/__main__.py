@@ -15,8 +15,6 @@ Commands:
   partitions, crash+recovery), with replayable failing-trace dumps.
 * ``stats``      — render a ``--metrics`` artifact as a readable summary
   (``--phases`` breaks the engine wall into profiled phases).
-* ``bench diff`` — compare two bench JSON artifacts with per-metric
-  tolerances; nonzero exit on regression (the CI gate).
 
 The exploration commands (``exhaustive``, ``chaos``) also take
 ``--progress [SECS]`` (live per-worker heartbeat line on stderr),
@@ -39,7 +37,6 @@ from .core.render import render_history, render_linearization
 from .core.strong import check_strong_linearizable
 from .obs import (
     Instrumentation,
-    bench_diff_paths,
     read_artifact,
     write_artifact,
 )
@@ -375,21 +372,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_diff(args: argparse.Namespace) -> int:
-    sections = None
-    if args.sections:
-        sections = [s.strip() for s in args.sections.split(",") if s.strip()]
-    try:
-        report, code = bench_diff_paths(args.old, args.new,
-                                        tolerance=args.tolerance,
-                                        sections=sections)
-    except (OSError, ValueError) as error:
-        print(f"cannot diff bench artifacts: {error}", file=sys.stderr)
-        return 2
-    print(report)
-    return code
-
-
 def _add_observatory_flags(command: argparse.ArgumentParser) -> None:
     """The live-observability flags shared by the exploration commands."""
     command.add_argument(
@@ -563,29 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
              "into snapshot/restore/apply/hb/commute/fingerprint/check)",
     )
     stats.set_defaults(fn=cmd_stats)
-
-    bench = sub.add_parser(
-        "bench", help="bench artifact utilities (regression gate)"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    diff = bench_sub.add_parser(
-        "diff",
-        help="compare two bench JSON artifacts; exit 1 on regression",
-    )
-    diff.add_argument("old", help="baseline bench JSON (e.g. committed "
-                                  "BENCH_explore.json)")
-    diff.add_argument("new", help="candidate bench JSON to gate")
-    diff.add_argument(
-        "--tolerance", type=float, default=None, metavar="FRAC",
-        help="relative tolerance for time/rate metrics (default 0.30); "
-             "exact metrics (counts, verdicts) never tolerate drift",
-    )
-    diff.add_argument(
-        "--sections", default=None, metavar="NAMES",
-        help="comma-separated top-level sections to gate on (e.g. "
-             "dpor_3r,compose_3r); other sections are ignored entirely",
-    )
-    diff.set_defaults(fn=cmd_bench_diff)
 
     return parser
 

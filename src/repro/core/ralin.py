@@ -24,8 +24,8 @@ caches (see ``docs/performance.md``):
 """
 
 import time as _time
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .history import History
 from .label import Label
@@ -303,22 +303,6 @@ def check_ra_linearizable(
     return RAResult(False, reason, explored=explored, rewritten=rewritten)
 
 
-def execution_order_candidate(
-    history: History, generation_order: Sequence[Label]
-) -> List[Label]:
-    """The execution-order update linearization (Sec. 4.1).
-
-    ``generation_order`` lists the history's labels in the order their
-    generators executed (the trace order); the candidate is its restriction
-    to the labels of ``history``.
-    """
-    in_history = [l for l in generation_order if l in history.labels]
-    missing = history.labels - set(in_history)
-    if missing:
-        raise ValueError(f"generation order misses labels: {missing!r}")
-    return in_history
-
-
 def _generation_positions(
     generation_order: Sequence[Label],
     gamma: Optional[QueryUpdateRewriting],
@@ -433,20 +417,19 @@ class CheckStats:
         total = self.frontier_hits + self.frontier_misses
         return self.frontier_hits / total if total else 0.0
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "checks": self.checks,
-            "verdict_hits": self.verdict_hits,
-            "verdict_hit_ratio": self.verdict_hit_ratio,
-            "unkeyed": self.unkeyed,
-            "frontier_hits": self.frontier_hits,
-            "frontier_misses": self.frontier_misses,
-            "frontier_hit_ratio": self.frontier_hit_ratio,
-            "frontier_nodes": self.frontier_nodes,
-            "frontier_unattached": self.frontier_unattached,
-            "cond_seconds": dict(self.cond_seconds),
-            "failed_conditions": dict(self.failed_conditions),
-        }
+    def merge(self, other: "CheckStats") -> None:
+        """Fold another context's counters in (cross-worker aggregation):
+        ``frontier_nodes``, a trie size, by ``max``, the per-condition
+        dicts key by key, and every other counter summed."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if f.name == "frontier_nodes":
+                setattr(self, f.name, max(mine, theirs))
+            elif isinstance(mine, dict):
+                for key, value in theirs.items():
+                    mine[key] = mine.get(key, 0) + value
+            else:
+                setattr(self, f.name, mine + theirs)
 
 
 class RACheckContext:

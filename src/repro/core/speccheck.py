@@ -121,8 +121,3 @@ def lint_spec(
             "specs must be stateless to be shared across configurations"
         )
     return report
-
-
-def counterexample_free(report: SpecLintReport) -> bool:
-    """Convenience alias used by the tests."""
-    return report.ok

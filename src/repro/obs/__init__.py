@@ -17,14 +17,11 @@ The instrumentation substrate of the verification pipeline (see
   detection (``--progress``).
 * :mod:`repro.obs.profile` — phase-attribution timers behind the
   engine's hot loop (``repro stats --phases``).
-* :mod:`repro.obs.benchdiff` — the bench regression gate
-  (``repro bench diff``).
 
 This package is a leaf: it imports nothing from the rest of ``repro``,
 so any layer (core, runtime, proofs, CLI) may depend on it.
 """
 
-from .benchdiff import bench_diff_paths, diff_benches, format_bench_diff
 from .heartbeat import HEARTBEAT_SCHEMA, HeartbeatEmitter
 from .instrument import (
     ARTIFACT_SCHEMA,
@@ -69,10 +66,7 @@ __all__ = [
     "Span",
     "TRACE_SCHEMA",
     "Tracer",
-    "bench_diff_paths",
     "deterministic_totals",
-    "diff_benches",
-    "format_bench_diff",
     "instrument_key",
     "merge_snapshots",
     "phase_totals",

@@ -99,16 +99,6 @@ class StealStats:
     wall_time: float = 0.0
     timeline: List[Tuple] = field(default_factory=list)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "workers": self.workers,
-            "tasks": self.tasks,
-            "stolen_tasks": self.stolen_tasks,
-            "frontier_depth": self.frontier_depth,
-            "idle_seconds": self.idle_seconds,
-            "wall_time": self.wall_time,
-        }
-
 
 class _SharedBudget:
     """Exact cross-worker ``max_configurations`` cutoff of one scope.
@@ -377,12 +367,13 @@ def _merge_sessions(
     The distinct-configuration count is the size of the union of the
     sessions' fingerprint sets — a configuration reached by two
     processes is counted once, exactly as serial dedup would.  Verdicts
-    and failures are combined in key order, additive counters summed,
-    and wall times and peaks ``max``-ed (sessions run concurrently).
+    and failures are combined in key order, and the counters by each
+    record's ``merge``: additive counters summed, wall times and peaks
+    ``max``-ed (sessions run concurrently).
     """
     merged = ExhaustiveResult(entry_name)
     merged.stats = ExploreStats()
-    check_stats = merged.check_stats = CheckStats()
+    merged.check_stats = CheckStats()
     fingerprints: set = set()
     for _, result, session_fps in sorted(outcomes, key=lambda item: item[0]):
         fingerprints |= session_fps
@@ -391,60 +382,14 @@ def _merge_sessions(
         for failure in result.failures:
             if len(merged.failures) < 10:
                 merged.failures.append(failure)
-        stats = result.stats
-        if stats is not None:
-            merged.stats.states_visited += stats.states_visited
-            merged.stats.states_deduped += stats.states_deduped
-            merged.stats.branches_pruned += stats.branches_pruned
-            merged.stats.commute_checks += stats.commute_checks
-            merged.stats.snapshots += stats.snapshots
-            merged.stats.deepcopies += stats.deepcopies
-            merged.stats.peak_frontier = max(
-                merged.stats.peak_frontier, stats.peak_frontier
-            )
-            merged.stats.wall_time = max(
-                merged.stats.wall_time, stats.wall_time
-            )
-            merged.stats.capped |= stats.capped
-            merged.stats.symmetry_group = max(
-                merged.stats.symmetry_group, stats.symmetry_group
-            )
-            merged.stats.pinned_replicas = max(
-                merged.stats.pinned_replicas, stats.pinned_replicas
-            )
-            merged.stats.state_fp_cache_peak = max(
-                merged.stats.state_fp_cache_peak, stats.state_fp_cache_peak
-            )
-            merged.stats.dpor_races += stats.dpor_races
-            merged.stats.dpor_redundant_avoided += (
-                stats.dpor_redundant_avoided
-            )
-            merged.stats.dpor_full_expansions += stats.dpor_full_expansions
-            merged.stats.dpor_wakeup_branches += stats.dpor_wakeup_branches
-            merged.stats.dpor_patch_cuts += stats.dpor_patch_cuts
+        if result.stats is not None:
+            merged.stats.merge(result.stats)
         if result.fp_store is not None:
             if merged.fp_store is None:
                 merged.fp_store = FPStoreStats()
             merged.fp_store.merge(result.fp_store)
         # Every session checks through a shared context of its own.
-        session_checks = result.check_stats
-        check_stats.checks += session_checks.checks
-        check_stats.verdict_hits += session_checks.verdict_hits
-        check_stats.unkeyed += session_checks.unkeyed
-        check_stats.frontier_hits += session_checks.frontier_hits
-        check_stats.frontier_misses += session_checks.frontier_misses
-        check_stats.frontier_unattached += session_checks.frontier_unattached
-        check_stats.frontier_nodes = max(
-            check_stats.frontier_nodes, session_checks.frontier_nodes
-        )
-        for cond, seconds in session_checks.cond_seconds.items():
-            check_stats.cond_seconds[cond] = (
-                check_stats.cond_seconds.get(cond, 0.0) + seconds
-            )
-        for cond, count in session_checks.failed_conditions.items():
-            check_stats.failed_conditions[cond] = (
-                check_stats.failed_conditions.get(cond, 0) + count
-            )
+        merged.check_stats.merge(result.check_stats)
     merged.configurations = len(fingerprints)
     merged.stats.configurations = merged.configurations
     return merged

@@ -67,7 +67,7 @@ dedup hits, sleep-set prunes, peak DFS frontier, wall time) that
 
 import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import (
     Any,
     Callable,
@@ -179,34 +179,33 @@ class ExploreStats:
     pstate_copied: int = 0
     pstate_shared: int = 0
 
+    #: Fields merged by ``max``: peaks, the wall clock of sessions that
+    #: run concurrently, and the group every session of a scope shares.
+    _MERGE_MAX = frozenset({
+        "peak_frontier", "wall_time", "symmetry_group", "pinned_replicas",
+        "state_fp_cache_peak",
+    })
+
     @property
     def dedup_ratio(self) -> float:
         """Fraction of expansions avoided by deduplication."""
         total = self.states_visited + self.states_deduped
         return self.states_deduped / total if total else 0.0
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "configurations": self.configurations,
-            "states_visited": self.states_visited,
-            "states_deduped": self.states_deduped,
-            "branches_pruned": self.branches_pruned,
-            "commute_checks": self.commute_checks,
-            "snapshots": self.snapshots,
-            "deepcopies": self.deepcopies,
-            "peak_frontier": self.peak_frontier,
-            "wall_time": self.wall_time,
-            "capped": self.capped,
-            "dedup_ratio": self.dedup_ratio,
-            "symmetry_group": self.symmetry_group,
-            "pinned_replicas": self.pinned_replicas,
-            "state_fp_cache_peak": self.state_fp_cache_peak,
-            "dpor_races": self.dpor_races,
-            "dpor_redundant_avoided": self.dpor_redundant_avoided,
-            "dpor_full_expansions": self.dpor_full_expansions,
-            "dpor_wakeup_branches": self.dpor_wakeup_branches,
-            "dpor_patch_cuts": self.dpor_patch_cuts,
-        }
+    def merge(self, other: "ExploreStats") -> None:
+        """Fold another session's counters in (cross-worker aggregation):
+        the :attr:`_MERGE_MAX` fields by ``max``, ``capped`` by ``or``
+        and every other field summed, so a new counter reaches pool
+        results without a change to the pool."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if f.name in self._MERGE_MAX:
+                merged = max(mine, theirs)
+            elif f.name == "capped":
+                merged = mine or theirs
+            else:
+                merged = mine + theirs
+            setattr(self, f.name, merged)
 
 
 class _SearchCapped(Exception):

@@ -185,16 +185,6 @@ class FPStoreStats:
         self.evictions += other.evictions
         self.spilled += other.spilled
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "unique": self.unique,
-            "evictions": self.evictions,
-            "spilled": self.spilled,
-            "hit_ratio": self.hit_ratio,
-        }
-
 
 class _DiskTier:
     """A private sqlite file holding the spilled tiers of one store.

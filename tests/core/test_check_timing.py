@@ -6,9 +6,12 @@ that rejected the candidate; :class:`RACheckContext` exposes both through
 ``CheckStats`` when constructed ``timed=True``.
 """
 
+import dataclasses
+import operator
+
 from repro.core.history import History
 from repro.core.label import Label
-from repro.core.ralin import RACheckContext, check_update_order
+from repro.core.ralin import CheckStats, RACheckContext, check_update_order
 from repro.specs import CounterSpec
 
 
@@ -103,11 +106,28 @@ class TestTimedContext:
         assert ctx.stats.frontier_nodes == len(ctx.frontiers)
         assert ctx.stats.frontier_unattached == ctx.frontiers.unattached
 
-    def test_as_dict_includes_new_fields(self):
-        ctx = RACheckContext(CounterSpec(), lin_class="EO", timed=True)
-        history, order = _counter_history(1)
-        ctx.check(history, order)
-        dumped = ctx.stats.as_dict()
-        for key in ("frontier_nodes", "frontier_unattached",
-                    "cond_seconds", "failed_conditions"):
-            assert key in dumped
+
+class TestMerge:
+    def test_merge_rules(self):
+        """``frontier_nodes`` merges by ``max``, the per-condition dicts
+        key by key, and every other counter sums — in either order, with
+        a distinct value in every field, so a field merged by another
+        rule, or not at all, shows up."""
+        dicts = {"cond_seconds", "failed_conditions"}
+        names = [f.name for f in dataclasses.fields(CheckStats)
+                 if f.name not in dicts]
+        small = {name: i + 1 for i, name in enumerate(names)}
+        large = {name: 100 * (i + 1) for i, name in enumerate(names)}
+        for first, second in ((small, large), (large, small)):
+            merged = CheckStats(**first, cond_seconds={"i": 0.5, "ii": 1.0},
+                                failed_conditions={"iii": 2})
+            merged.merge(CheckStats(
+                **second, cond_seconds={"ii": 2.0, "iii": 4.0},
+                failed_conditions={"iii": 3, "cover": 1},
+            ))
+            for name in names:
+                rule = max if name == "frontier_nodes" else operator.add
+                assert getattr(merged, name) == rule(first[name],
+                                                     second[name]), name
+            assert merged.cond_seconds == {"i": 0.5, "ii": 3.0, "iii": 4.0}
+            assert merged.failed_conditions == {"iii": 5, "cover": 1}

@@ -36,12 +36,35 @@ MAX_GOSSIPS = 2
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
+#: The symmetric 3-replica ``inc; read`` programs of a counter entry.
+COUNTER_3R = {r: [("inc", ()), ("read", ())] for r in ("r1", "r2", "r3")}
+
+#: The symmetric 3-replica ``add a; read`` OR-Set programs.
+ORSET_3R = {r: [("add", ("a",)), ("read", ())] for r in ("r1", "r2", "r3")}
+
+#: The skewed 4-replica Counter programs: one reader and three
+#: interchangeable incrementers, so the group has order 3! = 6.
+SKEWED_4R = {
+    "r1": [("inc", ()), ("read", ())],
+    "r2": [("inc", ())],
+    "r3": [("inc", ())],
+    "r4": [("inc", ())],
+}
+
 
 def _three_replica(name):
     """The symmetric 3-replica ``inc; read`` scope of a counter entry."""
     entry = next(e for e in ALL_ENTRIES if e.name == name)
-    programs = {r: [("inc", ()), ("read", ())] for r in ("r1", "r2", "r3")}
-    return entry, programs
+    return entry, COUNTER_3R
+
+
+def _walk(result):
+    """One run's exact walk: states, races, reversals avoided,
+    configurations (orbits under symmetry) and the group order."""
+    stats = result.stats
+    return (stats.states_visited, stats.dpor_races,
+            stats.dpor_redundant_avoided, result.configurations,
+            stats.symmetry_group)
 
 
 def _serial(entry, por, symmetry=None):
@@ -84,13 +107,16 @@ class TestSerialDifferential:
 
 
 class TestReductionPin:
-    """Source-DPOR's walk on the 3-replica ``inc; read`` Counter scope,
-    pinned exactly with symmetry on and off, as :class:`TestStateWalkPin`
-    pins the state-based one: any change to the delivery transitions,
-    their independence, the race analysis or the shared domain
-    bookkeeping that moves the walk shows up here.  The walk returns
-    the sleep oracle's verdict and count, with both the patch cuts and
-    the wakeup guides firing."""
+    """The op-based walks, pinned exactly (see :func:`_walk`): the
+    3-replica ``inc; read`` Counter scope under both flavors with
+    symmetry on and off, the 3-replica ``add a; read`` OR-Set scope and
+    the skewed 4-replica Counter scope, as :class:`TestStateWalkPin`
+    pins the state-based ones.  Any change to the delivery transitions,
+    their independence, the race analysis, the orbit canonicalization
+    or the shared domain bookkeeping that moves a walk shows up here.
+    The source walk returns the sleep oracle's verdict and count, with
+    both the patch cuts and the wakeup guides firing.  The larger walks
+    run under ``-m slow``."""
 
     @pytest.fixture(scope="class")
     def three_replica(self):
@@ -108,54 +134,88 @@ class TestReductionPin:
     def test_walks_fewer_states_than_plain_source(self, three_replica):
         # Plain source sets, before the wakeup guides and patch cuts,
         # walked 16,925 states here (docs/performance.md).
-        result = three_replica["source"]
-        stats = result.stats
-        assert (stats.states_visited, stats.dpor_races,
-                result.configurations) == (14887, 18552, 490)
-        assert stats.dpor_redundant_avoided > 0
+        assert _walk(three_replica["source"]) == (14887, 18552, 6479, 490, 6)
+
+    def test_sleep_walk(self, three_replica):
+        assert _walk(three_replica["sleep"]) == (41661, 0, 0, 490, 6)
 
     def test_walk_without_symmetry(self):
         entry, programs = _three_replica("Counter")
         result = exhaustive_verify(entry, programs, symmetry=False)
         assert result.ok, result.failures
-        stats = result.stats
-        assert (stats.states_visited, stats.dpor_races,
-                result.configurations) == (57010, 34003, 2827)
-        assert stats.dpor_redundant_avoided > 0
+        assert _walk(result) == (57010, 34003, 31133, 2827, 1)
 
     def test_patch_cuts_and_wakeup_guides_fire(self, three_replica):
         stats = three_replica["source"].stats
         assert stats.dpor_patch_cuts > 0
         assert stats.dpor_wakeup_branches > 0
 
+    @pytest.mark.parametrize("name, programs, por, symmetry, walk", [
+        pytest.param("OR-Set", ORSET_3R, "source", None,
+                     (14887, 18552, 6479, 490, 6), id="orset-source-sym"),
+        pytest.param("OR-Set", ORSET_3R, "sleep", None,
+                     (41661, 0, 0, 490, 6), id="orset-sleep-sym",
+                     marks=pytest.mark.slow),
+        pytest.param("OR-Set", ORSET_3R, "source", False,
+                     (57010, 34003, 31133, 2827, 1),
+                     id="orset-source-nosym", marks=pytest.mark.slow),
+        pytest.param("Counter", COUNTER_3R, "sleep", False,
+                     (178900, 0, 0, 2827, 1),
+                     id="counter-sleep-nosym", marks=pytest.mark.slow),
+        pytest.param("Counter", SKEWED_4R, "source", None,
+                     (55206, 105379, 29305, 239, 6),
+                     id="counter-4r-source", marks=pytest.mark.slow),
+        pytest.param("Counter", SKEWED_4R, "sleep", None,
+                     (177365, 0, 0, 239, 6),
+                     id="counter-4r-sleep", marks=pytest.mark.slow),
+    ])
+    def test_walk(self, name, programs, por, symmetry, walk):
+        entry = next(e for e in ALL_ENTRIES if e.name == name)
+        result = exhaustive_verify(entry, programs, symmetry=symmetry,
+                                   por=por)
+        assert result.ok, result.failures
+        assert _walk(result) == walk
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("por", ["sleep", "source"])
+    def test_pool_count(self, por):
+        # Both flavors through the pool's worker processes.
+        entry, programs = _three_replica("Counter")
+        result = exhaustive_verify(entry, programs, jobs=2,
+                                   oversubscribe=True, por=por)
+        assert (result.ok, result.configurations) == (True, 490)
+
 
 class TestStateWalkPin:
-    """The state-based walk, pinned exactly: the symmetric 3-replica
-    G-Counter scope under two gossips, as ``dpor_3r`` in
-    ``BENCH_explore.json`` pins the op-based ones.  Any change to the
-    gossip transitions, their independence or the shared domain
-    bookkeeping that moves the walk shows up here."""
+    """The state-based walks, pinned exactly (see :func:`_walk`): the
+    symmetric 3-replica G-Counter scope under two gossips with both
+    flavors, and under three gossips with source-DPOR (without symmetry
+    under ``-m slow``), as :class:`TestReductionPin` pins the op-based
+    ones.  Any change to the gossip transitions, their independence or
+    the shared domain bookkeeping that moves a walk shows up here."""
 
-    @pytest.mark.parametrize(
-        "por, symmetry, states, races, configurations",
-        [
-            ("source", None, 927, 2639, 122),
-            ("source", False, 4028, 7378, 675),
-            ("sleep", None, 1164, 0, 122),
-            ("sleep", False, 5188, 0, 675),
-        ],
-        ids=["source-sym", "source-nosym", "sleep-sym", "sleep-nosym"],
-    )
-    def test_walk(self, por, symmetry, states, races, configurations):
+    @pytest.mark.parametrize("por, symmetry, gossips, walk", [
+        pytest.param("source", None, MAX_GOSSIPS, (927, 2639, 142, 122, 6),
+                     id="source-sym"),
+        pytest.param("source", False, MAX_GOSSIPS,
+                     (4028, 7378, 482, 675, 1), id="source-nosym"),
+        pytest.param("sleep", None, MAX_GOSSIPS, (1164, 0, 0, 122, 6),
+                     id="sleep-sym"),
+        pytest.param("sleep", False, MAX_GOSSIPS, (5188, 0, 0, 675, 1),
+                     id="sleep-nosym"),
+        pytest.param("source", None, 3, (5611, 14440, 528, 1013, 6),
+                     id="source-sym-3gossips"),
+        pytest.param("source", False, 3, (29561, 62393, 1926, 5944, 1),
+                     id="source-nosym-3gossips", marks=pytest.mark.slow),
+    ])
+    def test_walk(self, por, symmetry, gossips, walk):
         entry, programs = _three_replica("G-Counter")
         result = exhaustive_verify_state(
-            entry, programs, max_gossips=MAX_GOSSIPS, symmetry=symmetry,
+            entry, programs, max_gossips=gossips, symmetry=symmetry,
             por=por,
         )
         assert result.ok, result.failures
-        stats = result.stats
-        assert (stats.states_visited, stats.dpor_races,
-                result.configurations) == (states, races, configurations)
+        assert _walk(result) == walk
 
 
 _HASH_SEED_PROBE = f"""

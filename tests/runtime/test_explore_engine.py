@@ -10,6 +10,8 @@ sets, replica-state fingerprints, program returns).
 """
 
 import copy
+import dataclasses
+import operator
 
 import pytest
 
@@ -328,6 +330,28 @@ def test_stats_populated():
     assert stats.branches_pruned > 0
     assert stats.wall_time > 0
     assert stats.peak_frontier >= 1
-    payload = stats.as_dict()
-    assert payload["configurations"] == stats.configurations
-    assert 0.0 <= payload["dedup_ratio"] <= 1.0
+    assert 0.0 <= stats.dedup_ratio <= 1.0
+
+
+def test_stats_merge_rules():
+    """Peaks, wall clock and the group merge by ``max``, ``capped`` by
+    ``or``, and every other field sums — in either order, with a
+    distinct value in every field, so a field merged by another rule,
+    or not at all, shows up."""
+    peaks = {"peak_frontier", "wall_time", "symmetry_group",
+             "pinned_replicas", "state_fp_cache_peak"}
+    names = [f.name for f in dataclasses.fields(ExploreStats)
+             if f.name != "capped"]
+    small = {name: i + 1 for i, name in enumerate(names)}
+    large = {name: 100 * (i + 1) for i, name in enumerate(names)}
+    for first, second in ((small, large), (large, small)):
+        merged = ExploreStats(**first, capped=first is large)
+        merged.merge(ExploreStats(**second, capped=second is large))
+        for name in names:
+            rule = max if name in peaks else operator.add
+            assert getattr(merged, name) == rule(first[name],
+                                                 second[name]), name
+        assert merged.capped
+    uncapped = ExploreStats()
+    uncapped.merge(ExploreStats())
+    assert not uncapped.capped

@@ -227,7 +227,7 @@ class TestStats:
         a.merge(b)
         assert a.lookups == 15 and a.hits == 5 and a.unique == 10
         assert a.hit_ratio == 5 / 15
-        assert a.as_dict()["spilled"] == 2
+        assert a.spilled == 2
 
 
 class TestEngineEquality:

@@ -1,8 +1,7 @@
 """CLI surface of the exploration observatory.
 
 ``--progress`` / ``--journal`` / ``--heartbeat-log`` on ``exhaustive``
-and ``chaos``, ``stats --phases``, ``table --trace-checks``, and the
-``bench diff`` regression gate.
+and ``chaos``, ``stats --phases`` and ``table --trace-checks``.
 """
 
 import json
@@ -30,12 +29,6 @@ class TestParser:
         assert args.progress == 2.0
         assert args.journal == "j.jsonl"
         assert args.heartbeat_log == "hb.jsonl"
-
-    def test_bench_diff_args(self):
-        args = build_parser().parse_args(
-            ["bench", "diff", "old.json", "new.json", "--tolerance", "0.1"])
-        assert (args.old, args.new, args.tolerance) \
-            == ("old.json", "new.json", 0.1)
 
     def test_stats_phases_flag(self):
         assert build_parser().parse_args(
@@ -119,39 +112,3 @@ class TestTableTraceChecks:
         checks = [event for event in artifact.get("events", [])
                   if event.get("type") == "check"]
         assert checks and all(event["ok"] for event in checks)
-
-
-class TestBenchDiff:
-    def _write(self, path, doc):
-        path.write_text(json.dumps(doc))
-        return str(path)
-
-    def test_self_compare_exits_zero(self, tmp_path, capsys):
-        path = self._write(tmp_path / "bench.json",
-                           {"s": {"configurations": 5, "seconds": 1.0}})
-        assert main(["bench", "diff", path, path]) == 0
-        out = capsys.readouterr().out
-        assert "verdict: ok (0 gating)" in out
-
-    def test_injected_regression_exits_one(self, tmp_path, capsys):
-        old = self._write(tmp_path / "old.json",
-                          {"s": {"distinct_configurations": 100}})
-        new = self._write(tmp_path / "new.json",
-                          {"s": {"distinct_configurations": 999}})
-        assert main(["bench", "diff", old, new]) == 1
-        assert "verdict: REGRESSION (1 gating)" in capsys.readouterr().out
-
-    def test_tolerance_flag_tightens_the_gate(self, tmp_path, capsys):
-        old = self._write(tmp_path / "old.json", {"s": {"seconds": 1.0}})
-        new = self._write(tmp_path / "new.json", {"s": {"seconds": 1.2}})
-        assert main(["bench", "diff", old, new]) == 0
-        capsys.readouterr()
-        assert main(["bench", "diff", old, new, "--tolerance", "0.05"]) == 1
-
-    def test_unreadable_file_exits_two(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["bench", "diff", str(bad), str(bad)]) == 2
-        assert "cannot diff bench artifacts" in capsys.readouterr().err
-        assert main(["bench", "diff", str(tmp_path / "missing.json"),
-                     str(bad)]) == 2
