@@ -27,6 +27,7 @@ deterministic metric totals.
 import argparse
 import re
 import sys
+from typing import Any, Callable
 
 from .core.ralin import (
     check_ra_linearizable,
@@ -372,10 +373,31 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bounded(parse: Callable[[str], Any], valid: Callable[[Any], bool],
+             rule: str) -> Callable[[str], Any]:
+    """An argparse type: ``parse(text)``, which must pass ``valid``;
+    anything else exits 2 with "must be ``rule``"."""
+
+    def number(text: str) -> Any:
+        value = parse(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    return number
+
+
+#: The count flags' types: a value outside them would make the run check
+#: nothing, or run serially when workers were asked for.
+_JOBS = _bounded(int, lambda jobs: jobs >= 0, "at least 0")
+_RUNS = _bounded(int, lambda runs: runs >= 1, "at least 1")
+_SECONDS = _bounded(float, lambda seconds: seconds > 0, "more than 0")
+
+
 def _add_observatory_flags(command: argparse.ArgumentParser) -> None:
     """The live-observability flags shared by the exploration commands."""
     command.add_argument(
-        "--progress", nargs="?", const=2.0, type=float, default=None,
+        "--progress", nargs="?", const=2.0, type=_SECONDS, default=None,
         metavar="SECS",
         help="render a live per-worker heartbeat line on stderr every "
              "SECS seconds (default 2.0); flags stalled workers",
@@ -402,10 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="regenerate the Fig. 12 table")
-    table.add_argument("--executions", type=int, default=5)
+    table.add_argument("--executions", type=_RUNS, default=5)
     table.add_argument("--operations", type=int, default=10)
     table.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_JOBS, default=1,
         help="verify entries in N worker processes (1 = in-process, "
              "0 = all cores)",
     )
@@ -435,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         "exhaustive", help="exhaustive small-scope verification"
     )
     exhaustive.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_JOBS, default=1,
         help="split exploration trees over N worker processes "
              "(1 = in-process, 0 = all cores)",
     )
@@ -511,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=0,
                        help="base seed for the deterministic runs")
     chaos.add_argument(
-        "--soak", type=int, default=1, metavar="N",
+        "--soak", type=_RUNS, default=1, metavar="N",
         help="seeds per (entry, plan) pair (seed, seed+1, ...)",
     )
     chaos.add_argument(

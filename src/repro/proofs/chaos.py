@@ -23,7 +23,9 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Union,
+)
 
 from ..core.convergence import check_convergence
 from ..core.errors import PreconditionViolation
@@ -113,72 +115,28 @@ class ChaosReport:
         return self.ra_ok and self.converged
 
 
-def _run_op_chaos(
+def _drive(
     entry: CRDTEntry,
-    system: OpBasedSystem,
-    plan: FaultPlan,
+    driver: Union[UnreliableCausalBroadcast, LossyGossipDriver],
+    advance: Callable[[], None],
+    move: Callable[[], Any],
     seed: int,
     operations: int,
-    trace: AdversaryTrace,
-) -> UnreliableCausalBroadcast:
-    network = UnreliableCausalBroadcast(
-        system, seed=seed, plan=plan, trace=trace
-    )
+) -> None:
+    """Interleave ``operations`` workload invocations with adversarial
+    message moves, then quiesce, read at every replica and quiesce again.
+
+    ``advance`` starts each step (the op-based network also broadcasts
+    the effectors generated since the last one) and ``move`` transfers
+    one message: an effector delivery or a gossip.
+    """
+    system, plan, trace = driver.system, driver.plan, driver.trace
     rng = random.Random(f"chaos-ops-{seed}")
     workload = entry.make_workload()
     issued = 0
     stalled = 0
     while issued < operations:
-        network.tick()
-        network.broadcast_new()
-        alive = [
-            r for r in system.replicas
-            if not plan.crashed(network.step, r)
-        ]
-        if not alive:
-            stalled += 1
-            if stalled > 10000:
-                raise RuntimeError("every replica is crashed forever")
-            continue
-        if rng.random() < 0.5:
-            network.deliver_one()
-            continue
-        replica = rng.choice(alive)
-        proposal = workload.propose(system.state(replica), rng)
-        if proposal is None:
-            continue
-        method, args = proposal
-        try:
-            system.invoke(replica, method, args)
-        except PreconditionViolation:
-            continue
-        issued += 1
-        trace.record(network.step, "invoke", replica,
-                     len(system.generation_order) - 1)
-    network.run_to_quiescence()
-    for replica in system.replicas:
-        system.invoke(replica, "read", ())
-        trace.record(network.step, "invoke", replica,
-                     len(system.generation_order) - 1)
-    network.run_to_quiescence()
-    return network
-
-
-def _run_state_chaos(
-    entry: CRDTEntry,
-    system: StateBasedSystem,
-    plan: FaultPlan,
-    seed: int,
-    operations: int,
-    trace: AdversaryTrace,
-) -> LossyGossipDriver:
-    driver = LossyGossipDriver(system, seed=seed, plan=plan, trace=trace)
-    rng = random.Random(f"chaos-ops-{seed}")
-    workload = entry.make_workload()
-    issued = 0
-    stalled = 0
-    while issued < operations:
-        driver.tick()
+        advance()
         alive = [
             r for r in system.replicas
             if not plan.crashed(driver.step, r)
@@ -189,7 +147,7 @@ def _run_state_chaos(
                 raise RuntimeError("every replica is crashed forever")
             continue
         if rng.random() < 0.5:
-            driver.gossip_once()
+            move()
             continue
         replica = rng.choice(alive)
         proposal = workload.propose(system.state(replica), rng)
@@ -209,7 +167,6 @@ def _run_state_chaos(
         trace.record(driver.step, "invoke", replica,
                      len(system.generation_order) - 1)
     driver.run_to_quiescence()
-    return driver
 
 
 def run_chaos(
@@ -231,18 +188,26 @@ def run_chaos(
         operations = entry.chaos_operations
     trace = AdversaryTrace(seed=seed, plan=plan)
     with instrumentation.span("chaos.run", entry=entry.name, plan=plan.name):
+        system: Union[OpBasedSystem, StateBasedSystem]
+        driver: Union[UnreliableCausalBroadcast, LossyGossipDriver]
         if entry.kind == "OB":
-            system: Union[OpBasedSystem, StateBasedSystem] = OpBasedSystem(
-                entry.make_crdt(), replicas
+            system = OpBasedSystem(entry.make_crdt(), replicas)
+            network = UnreliableCausalBroadcast(
+                system, seed=seed, plan=plan, trace=trace
             )
-            driver = _run_op_chaos(
-                entry, system, plan, seed, operations, trace
-            )
+
+            def advance() -> None:
+                network.tick()
+                network.broadcast_new()
+
+            driver, move = network, network.deliver_one
         else:
             system = StateBasedSystem(entry.make_crdt(), replicas)
-            driver = _run_state_chaos(
-                entry, system, plan, seed, operations, trace
+            driver = LossyGossipDriver(
+                system, seed=seed, plan=plan, trace=trace
             )
+            advance, move = driver.tick, driver.gossip_once
+        _drive(entry, driver, advance, move, seed, operations)
         context = RACheckContext(
             entry.make_spec(), entry.make_gamma(), entry.lin_class
         )

@@ -31,7 +31,7 @@ against.
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.history import History
 from ..core.ralin import execution_order_check, timestamp_order_check
@@ -239,7 +239,6 @@ def _store_ingredients(store: Store):
 def product_verify_store(
     store: Store,
     programs: Optional[StoreProgram] = None,
-    max_configurations: Optional[int] = None,
     por: str = "source",
     instrumentation: Optional[Instrumentation] = None,
     heartbeat: Optional[HeartbeatEmitter] = None,
@@ -275,8 +274,7 @@ def product_verify_store(
     started = time.perf_counter()
     result.configurations = explore_op_programs(
         lambda: make_store_system(store, replicas), programs, visit,
-        max_configurations=max_configurations, stats=stats, por=por,
-        instrumentation=ins, heartbeat=heartbeat,
+        stats=stats, por=por, instrumentation=ins, heartbeat=heartbeat,
     )
     stats.wall_time = time.perf_counter() - started
     result.stats = stats
@@ -360,10 +358,10 @@ def _witness_merge(
 def check_side_condition(
     store: Store,
     programs: Optional[StoreProgram] = None,
-    limit: int = SIDE_CONDITION_LIMIT,
     instrumentation: Optional[Instrumentation] = None,
 ) -> Tuple[bool, int, int, Optional[CombineCounterexample], List[str]]:
-    """Sweep a bounded sample of product executions for ⊗ts violations.
+    """Sweep the first :data:`SIDE_CONDITION_LIMIT` product
+    configurations for ⊗ts violations.
 
     Returns ``(ok, checks, combine_failures, counterexample, messages)``.
     Each sampled configuration is checked for (1) timestamp dominance over
@@ -403,12 +401,13 @@ def check_side_condition(
                 messages.append(cex.describe())
 
     with ins.span("compose.side_condition", store=store.spec_string(),
-                  limit=limit):
-        # Sleep sets: the sample is the first ``limit`` configurations
-        # in the full sleep-set DFS order.
+                  limit=SIDE_CONDITION_LIMIT):
+        # Sleep sets: the sample is the first configurations in the full
+        # sleep-set DFS order.
         explore_op_programs(
             lambda: make_store_system(store, replicas), programs, visit,
-            max_configurations=limit, instrumentation=ins, por="sleep",
+            max_configurations=SIDE_CONDITION_LIMIT, instrumentation=ins,
+            por="sleep",
         )
     return (not messages, checks, combine_failures, counterexample,
             messages)
@@ -440,6 +439,48 @@ def _object_groups(
     return list(groups.values())
 
 
+def _verify_per_object(
+    store: Store,
+    programs: StoreProgram,
+    ins: Instrumentation = NULL_INSTRUMENTATION,
+    **pool: Any,
+) -> StoreResult:
+    """Phases (a) and (b) of the compositional rule, whatever the clocks;
+    ``pool`` holds phase (a)'s :func:`verify_scopes_steal` options.
+
+    The rule is sound only under ⊗ts, so :func:`verify_store` calls this
+    for ⊗ts stores alone; the ⊗ boundary test calls it directly on a ⊗
+    store to show the side condition flagging the unsoundness.
+    """
+    result = StoreResult(store=store.spec_string(), mode="compositional")
+    # Phase (a): per-object exhaustive verification on projections, one
+    # scope of one batch per object group.
+    groups = _object_groups(store, programs)
+    group_results = verify_scopes_steal(
+        [(entry, projected, None) for entry, projected, _ in groups],
+        instrumentation=ins, **pool,
+    )
+    for (entry, projected, names), obj_result in zip(groups, group_results):
+        for obj in names:
+            result.objects[obj] = obj_result
+        result.configurations += obj_result.configurations
+        if not obj_result.ok:
+            for message in obj_result.failures:
+                result.record(f"object {names[0]} ({entry.name}): {message}")
+
+    # Phase (b): the ⊗ts side condition on a bounded product sample.
+    ok, checks, combine_failures, counterexample, messages = \
+        check_side_condition(store, programs, instrumentation=ins)
+    result.side_condition_ok = ok
+    result.side_condition_checks = checks
+    result.combine_failures = combine_failures
+    result.counterexample = counterexample
+    if not ok:
+        for message in messages:
+            result.record(f"side condition: {message}")
+    return result
+
+
 def verify_store(
     store: Store,
     programs: Optional[StoreProgram] = None,
@@ -448,9 +489,6 @@ def verify_store(
     steal: bool = True,
     spill: Optional[str] = None,
     por: str = "source",
-    side_condition_limit: int = SIDE_CONDITION_LIMIT,
-    product_fallback: bool = True,
-    max_configurations: Optional[int] = None,
     instrumentation: Optional[Instrumentation] = None,
     progress: Optional[float] = None,
     heartbeat_log: Optional[str] = None,
@@ -462,29 +500,30 @@ def verify_store(
     projected programs — one scope per object group of one
     :func:`~repro.proofs.steal.verify_scopes_steal` batch, which reaches
     the work pool when ``jobs > 1`` or ``jobs=0`` (every core) and
-    takes ``max_configurations`` and the heartbeat options at every
-    ``jobs`` value — and a bounded sample of product executions is
-    checked for timestamp dominance and witness mergeability.  Stores with
+    takes the heartbeat options at every ``jobs`` value — and the first
+    :data:`SIDE_CONDITION_LIMIT` product configurations are checked for
+    timestamp dominance and witness mergeability.  Stores with
     independent generators (⊗) opt out of the rule's soundness premise,
     so they take the escape hatch (phase c): serial whole-store product
-    exploration via :func:`product_verify_store`, which takes
-    ``max_configurations``, ``por`` and the heartbeat options (disable
-    with ``product_fallback=False`` to *force* the per-object rule, as
-    the differential tests do when demonstrating unsoundness).
+    exploration via :func:`product_verify_store`, which takes ``por``
+    and the heartbeat options.
     """
     ins = instrumentation if instrumentation is not None \
         else NULL_INSTRUMENTATION
     programs = programs if programs is not None else store_programs(store)
-    result = StoreResult(store=store.spec_string(), mode="compositional")
     started = time.perf_counter()
-
-    if not store.shared_timestamps and product_fallback:
-        result.mode = "product"
+    if store.shared_timestamps:
+        result = _verify_per_object(
+            store, programs, ins, jobs=jobs, symmetry=symmetry, steal=steal,
+            spill=spill, por=por, progress=progress,
+            heartbeat_log=heartbeat_log,
+        )
+    else:
+        result = StoreResult(store=store.spec_string(), mode="product")
         monitor = progress_monitor(progress, heartbeat_log)
         try:
             product = product_verify_store(
-                store, programs, max_configurations=max_configurations,
-                por=por, instrumentation=ins,
+                store, programs, por=por, instrumentation=ins,
                 heartbeat=(monitor.local_emitter()
                            if monitor is not None else None),
             )
@@ -496,43 +535,6 @@ def verify_store(
         if not product.ok:
             for message in product.failures:
                 result.record(message)
-        result.wall_time = time.perf_counter() - started
-        if ins.enabled:
-            ins.record_compose(result)
-        return result
-
-    # Phase (a): per-object exhaustive verification on projections, one
-    # scope of one batch per object group.
-    groups = _object_groups(store, programs)
-    group_results = verify_scopes_steal(
-        [(entry, projected, None) for entry, projected, _ in groups],
-        jobs=jobs, symmetry=symmetry, max_configurations=max_configurations,
-        steal=steal, spill=spill, por=por, instrumentation=ins,
-        progress=progress, heartbeat_log=heartbeat_log,
-    )
-    for (entry, projected, names), obj_result in zip(groups, group_results):
-        for obj in names:
-            result.objects[obj] = obj_result
-        result.configurations += obj_result.configurations
-        if not obj_result.ok:
-            for message in obj_result.failures:
-                result.record(f"object {names[0]} ({entry.name}): {message}")
-
-    # Phase (b): the ⊗ts side condition on a bounded product sample.
-    if side_condition_limit:
-        ok, checks, combine_failures, counterexample, messages = \
-            check_side_condition(
-                store, programs, limit=side_condition_limit,
-                instrumentation=ins,
-            )
-        result.side_condition_ok = ok
-        result.side_condition_checks = checks
-        result.combine_failures = combine_failures
-        result.counterexample = counterexample
-        if not ok:
-            for message in messages:
-                result.record(f"side condition: {message}")
-
     result.wall_time = time.perf_counter() - started
     if ins.enabled:
         ins.record_compose(result)

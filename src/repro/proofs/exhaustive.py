@@ -173,14 +173,12 @@ def _verify_scope(
     entry: CRDTEntry,
     programs: Dict[str, Program],
     max_gossips: Optional[int],
-    max_configurations: Optional[int],
     engine: str,
     symmetry: Optional[bool],
     jobs: int,
     instrumentation: Optional[Instrumentation],
     steal: bool,
     spill: Optional[str],
-    oversubscribe: bool,
     por: str,
     heartbeat: Optional[object],
 ) -> ExhaustiveResult:
@@ -201,8 +199,7 @@ def _verify_scope(
         return exhaustive_verify_steal(
             entry, programs, jobs=jobs, max_gossips=max_gossips,
             symmetry=symmetry, instrumentation=ins, steal=steal, spill=spill,
-            max_configurations=max_configurations,
-            oversubscribe=oversubscribe, por=por,
+            por=por,
         )
     fast = engine == "fast"
     result = ExhaustiveResult(entry.name)
@@ -226,7 +223,6 @@ def _verify_scope(
             result.stats = ExploreStats()
             result.configurations = explore(
                 make_system, programs, visit,
-                max_configurations=max_configurations,
                 symmetry=entry.symmetry if symmetry is None else symmetry,
                 stats=result.stats,
                 instrumentation=ins,
@@ -237,8 +233,7 @@ def _verify_scope(
             )
         else:
             result.configurations = explore_naive(
-                make_system, programs, visit,
-                max_configurations=max_configurations, **options,
+                make_system, programs, visit, **options
             )
     if heartbeat is not None:
         heartbeat.emit()  # final beat: short scopes get at least one
@@ -257,14 +252,12 @@ def _verify_scope(
 def exhaustive_verify(
     entry: CRDTEntry,
     programs: Dict[str, Program],
-    max_configurations: Optional[int] = None,
     engine: str = "fast",
     symmetry: Optional[bool] = None,
     jobs: int = 1,
     instrumentation: Optional[Instrumentation] = None,
     steal: bool = True,
     spill: Optional[str] = None,
-    oversubscribe: bool = False,
     por: str = "source",
     heartbeat: Optional[object] = None,
 ) -> ExhaustiveResult:
@@ -286,9 +279,8 @@ def exhaustive_verify(
     the frontier-split pool
     (:func:`repro.proofs.steal.exhaustive_verify_steal`), and ``jobs=0``
     uses every core; ``steal=False`` splits there at the root branches
-    only.  The pool shares ``max_configurations`` as a cross-worker
-    budget so the parallel cutoff lands on exactly the serial count.  It
-    does not run the naive engine.
+    only.  The pool returns the serial verdict and count.  It does not
+    run the naive engine.
 
     Without ``spill`` the visited/expanded records hold raw canonical
     fingerprints in memory.  ``spill DIR`` interns them as fixed-width
@@ -320,8 +312,8 @@ def exhaustive_verify(
             "op-based entries only"
         )
     return _verify_scope(
-        entry, programs, None, max_configurations, engine, symmetry, jobs,
-        instrumentation, steal, spill, oversubscribe, por, heartbeat,
+        entry, programs, None, engine, symmetry, jobs, instrumentation,
+        steal, spill, por, heartbeat,
     )
 
 
@@ -329,14 +321,12 @@ def exhaustive_verify_state(
     entry: CRDTEntry,
     programs: Dict[str, Program],
     max_gossips: int = 3,
-    max_configurations: Optional[int] = None,
     engine: str = "fast",
     symmetry: Optional[bool] = None,
     jobs: int = 1,
     instrumentation: Optional[Instrumentation] = None,
     steal: bool = True,
     spill: Optional[str] = None,
-    oversubscribe: bool = False,
     por: str = "source",
     heartbeat: Optional[object] = None,
 ) -> ExhaustiveResult:
@@ -351,8 +341,8 @@ def exhaustive_verify_state(
     if entry.kind != "SB":
         raise ValueError(f"{entry.name} is op-based; use exhaustive_verify")
     return _verify_scope(
-        entry, programs, max_gossips, max_configurations, engine, symmetry,
-        jobs, instrumentation, steal, spill, oversubscribe, por, heartbeat,
+        entry, programs, max_gossips, engine, symmetry, jobs,
+        instrumentation, steal, spill, por, heartbeat,
     )
 
 

@@ -63,8 +63,7 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(jobs: int, tasks: Optional[int] = None,
-                  oversubscribe: bool = False) -> int:
+def _worker_count(jobs: int, tasks: Optional[int] = None) -> int:
     """Effective pool size: ``jobs``, capped by physical cores and tasks.
 
     Verification workers are CPU-bound, so running more processes than
@@ -72,15 +71,16 @@ def _worker_count(jobs: int, tasks: Optional[int] = None,
     overhead (measured ~15% on the exhaustive suite).  ``--jobs`` above
     ``os.cpu_count()`` is therefore treated as "use every core", and a
     core count the host cannot report counts as one, as in
-    :func:`default_jobs`.  ``oversubscribe=True`` lifts the core cap
-    (tests and benches that need real multi-process behavior on small
-    machines).  ``tasks``, when known up front (the table's entries),
-    caps the pool too — idle processes would be pure fork overhead; the
-    exhaustive pool passes none, because its frontier deepens until
-    every worker has tasks.  The result is at least 1, so callers can
-    treat it as a pool size unconditionally.
+    :func:`default_jobs`.  ``tasks``, when known up front (the table's
+    entries), caps the pool too — idle processes would be pure fork
+    overhead; the exhaustive pool passes none, because its frontier
+    deepens until every worker has tasks.  The result is at least 1, so
+    callers can treat it as a pool size unconditionally.  A negative
+    ``jobs`` raises :class:`ValueError`.
     """
-    capped = jobs if oversubscribe else min(jobs, default_jobs())
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    capped = min(jobs, default_jobs())
     if tasks is not None:
         capped = min(capped, tasks)
     return max(1, capped)

@@ -4,8 +4,8 @@ The pool carves the search at a **sleep-set frontier**:
 
 * Per scope, the coordinator runs the sleep-set DFS over the top ``d``
   levels only (``_Engine.run(cap=d)``).  Every node above the cap is
-  expanded in full, and its configuration is reported, checked and
-  budget-claimed here.  A node at depth ``d`` passes the usual
+  expanded in full, and its configuration is reported and checked
+  here.  A node at depth ``d`` passes the usual
   canonical-fingerprint / sleep-subsumption check and becomes a
   ``(path, sleep)`` task instead of being expanded.  ``d`` deepens from
   1 until the frontier holds :data:`TASKS_PER_WORKER` tasks per worker,
@@ -31,10 +31,9 @@ Determinism: the merged verdicts, distinct-configuration counts, and
 deterministic metrics are identical to the serial engine's — the split
 only decides *which process* explores a subtree, never *whether* it is
 explored (visited records are per process, so a subtree is at worst
-re-explored, never skipped).  ``max_configurations`` becomes one shared
-cross-process budget per scope (:class:`_SharedBudget`) whose
-three-valued claim protocol guarantees that each scope's merged count
-stops at exactly its serial cap.
+re-explored, never skipped).  The pool runs every scope uncapped: a
+configuration two processes reach is checked by both, and the union
+counts it once.
 
 Termination uses id accounting rather than queue draining: every task
 has an id, every ack names one, and the coordinator sends the stop
@@ -100,53 +99,6 @@ class StealStats:
     timeline: List[Tuple] = field(default_factory=list)
 
 
-class _SharedBudget:
-    """Exact cross-worker ``max_configurations`` cutoff of one scope.
-
-    ``claim(fp)`` is three-valued (the engine's ``_report`` contract):
-
-    * ``1`` — ``fp`` is newly claimed and counts against the cap; the
-      claiming worker records and checks it.
-    * ``0`` — another worker already claimed ``fp``; the caller keeps it
-      in its local visited set (the merged union still counts it once)
-      but does not re-check it.
-    * ``-1`` — the cap was reached before this configuration; it must
-      NOT enter any visited set, or the merged union would exceed the
-      cap.
-
-    The claimed set is the scope's *merged* visited set by
-    construction, so the merged count equals ``min(cap, serial distinct
-    count)`` — exactly where the serial engine stops.
-    """
-
-    def __init__(self, cap: int, manager) -> None:
-        self.cap = cap
-        self._claimed = manager.dict()
-        self._count = mp.Value("i", 0, lock=False)
-        self._flag = mp.Value("b", 0, lock=False)
-        self._lock = mp.Lock()
-
-    def claim(self, fp: Any) -> int:
-        with self._lock:
-            if self._flag.value:
-                return -1 if fp not in self._claimed else 0
-            if fp in self._claimed:
-                return 0
-            if self._count.value >= self.cap:
-                self._flag.value = 1
-                return -1
-            self._claimed[fp] = True
-            self._count.value += 1
-            if self._count.value >= self.cap:
-                self._flag.value = 1
-            return 1
-
-    def exhausted(self) -> bool:
-        # Lock-free flag read: the engine polls this per DFS node, and a
-        # stale False only delays the stop by one claim round-trip.
-        return bool(self._flag.value)
-
-
 def _take(task_q, stop, idle_box: List[float]):
     """Pull the next task; count the blocking wait as idle time.
 
@@ -189,8 +141,8 @@ class _Session:
     frontier through a session of its own.
     """
 
-    def __init__(self, spec: _ScopeSpec, budget,
-                 spill_dir: Optional[str], ins: Instrumentation,
+    def __init__(self, spec: _ScopeSpec, spill_dir: Optional[str],
+                 ins: Instrumentation,
                  heartbeat: Optional[HeartbeatEmitter] = None) -> None:
         name, programs, max_gossips, symmetry, por = spec
         entry = entry_by_name(name)
@@ -209,7 +161,6 @@ class _Session:
             symmetry=entry.symmetry if symmetry is None else symmetry,
             stats=self.stats,
             store=self.store,
-            budget=budget,
             por=por,
             profile=ins.profile,
             journal=ins.journal,
@@ -224,17 +175,12 @@ class _Session:
         ``target`` tasks, or the whole tree walked here (no tasks).
         ``target=1`` stops at depth 1 whenever the root has a child: the
         root-branch split of ``steal=False``.
-
-        A capped walk (shared budget exhausted) yields no tasks: nothing
-        below it could be counted anyway.
         """
         depth = 0
         while True:
             depth += 1
             self.engine.run(cap=depth)
             tasks = self.engine.frontier
-            if self.stats.capped:
-                return depth, []
             if len(tasks) >= target or not tasks:
                 return depth, tasks
 
@@ -250,8 +196,7 @@ class _Session:
 
 
 def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
-                       task_q, ack_q, stop, budgets: List[Any],
-                       obs: Optional[Dict[str, Any]],
+                       task_q, ack_q, stop, obs: Optional[Dict[str, Any]],
                        spill_dir: Optional[str],
                        hb_q=None, hb_interval: Optional[float] = None) -> None:
     """One worker process: pull a frontier task, explore below it, ack.
@@ -261,7 +206,6 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
     the coordinator can fail loudly instead of hanging.  With ``hb_q``
     the worker owns a :class:`HeartbeatEmitter` whose records travel to
     the coordinator's :class:`ProgressMonitor` through that queue.
-    ``budgets`` holds each scope's :class:`_SharedBudget`, or None.
     """
     ins = _worker_instrumentation(obs)
     emitter: Optional[HeartbeatEmitter] = None
@@ -279,11 +223,10 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
             if task is None:
                 break
             task_id, scope_index, path, sleep = task
-            budget = budgets[scope_index]
             session = sessions.get(scope_index)
             if session is None:
-                session = _Session(scope_table[scope_index], budget,
-                                   spill_dir, ins, heartbeat=emitter)
+                session = _Session(scope_table[scope_index], spill_dir, ins,
+                                   heartbeat=emitter)
                 sessions[scope_index] = session
             scope_name = scope_table[scope_index][0]
             label = ":".join(map(str, task_id))
@@ -293,10 +236,8 @@ def _steal_worker_main(worker_id: int, scope_table: List[_ScopeSpec],
             ins.journal_event("steal.claim", worker=worker_id,
                               entry=scope_name, task=label)
             started = time.perf_counter()
-            if budget is None or not budget.exhausted():
-                with ins.span("steal.task", worker=worker_id,
-                              scope=scope_index):
-                    session.run(path, sleep)
+            with ins.span("steal.task", worker=worker_id, scope=scope_index):
+                session.run(path, sleep)
             timeline.append(
                 (task_id, worker_id, scope_index, started,
                  time.perf_counter())
@@ -328,33 +269,6 @@ def _scope_table(
         gossips = max_gossips if entry.kind == "SB" else None
         table.append((entry.name, programs, gossips, symmetry, por))
     return table
-
-
-def _verify_scopes_inline(
-    scopes: Sequence[Tuple[CRDTEntry, Dict[str, Program], Optional[int]]],
-    symmetry: Optional[bool],
-    max_configurations: Optional[int],
-    spill: Optional[str],
-    ins: Instrumentation,
-    por: str = "source",
-    heartbeat: Optional[HeartbeatEmitter] = None,
-) -> List[ExhaustiveResult]:
-    """Serial fallback when the effective pool is one worker.
-
-    Spawning a single worker process would pay fork + pickle + queue
-    costs to run exactly the serial algorithm, so don't: run it here.
-    The serial engine *is* the semantics the pool must reproduce, which
-    makes this fallback trivially exact.
-    """
-    return [
-        _verify_scope(
-            entry, programs, max_gossips or 0, max_configurations,
-            engine="fast", symmetry=symmetry, jobs=1, instrumentation=ins,
-            steal=True, spill=spill, oversubscribe=False, por=por,
-            heartbeat=heartbeat,
-        )
-        for entry, programs, max_gossips in scopes
-    ]
 
 
 def _merge_sessions(
@@ -399,10 +313,8 @@ def verify_scopes_steal(
     scopes: Sequence[Tuple[CRDTEntry, Dict[str, Program], Optional[int]]],
     jobs: Optional[int] = None,
     symmetry: Optional[bool] = None,
-    max_configurations: Optional[int] = None,
     spill: Optional[str] = None,
     instrumentation: Optional[Instrumentation] = None,
-    oversubscribe: bool = False,
     stats_sink: Optional[Dict[str, Any]] = None,
     por: str = "source",
     progress: Optional[float] = None,
@@ -419,16 +331,15 @@ def verify_scopes_steal(
     to serial.  All scopes' tasks share one pool, so late scopes keep
     early workers busy.  Options:
 
-    * ``jobs`` None or 0 means every core, as ``--jobs 0`` does.
+    * ``jobs`` None or 0 means every core, as ``--jobs 0`` does; more
+      than the host's cores means every core (:func:`_worker_count`),
+      and one worker runs every scope serially, in this process.
     * ``steal=False`` splits every scope at its root branches only (a
       depth-1 frontier) instead of deepening until each worker has
       :data:`TASKS_PER_WORKER` tasks.
-    * ``max_configurations`` caps each scope exactly, via one shared
-      budget per scope.
     * ``spill`` puts every session's visited/expanded records behind a
       disk-spilling fingerprint store; without it sessions keep raw
       fingerprints in memory, as serial runs do.
-    * ``oversubscribe`` lifts the physical-core cap on the pool size.
     * ``stats_sink``, when a dict, receives the pool's
       :class:`StealStats` under ``"steal"``.
     * ``progress`` (seconds) turns on live heartbeat rendering: workers
@@ -442,16 +353,23 @@ def verify_scopes_steal(
     ins = instrumentation if instrumentation is not None \
         else NULL_INSTRUMENTATION
     jobs = jobs or default_jobs()
-    workers = _worker_count(jobs, oversubscribe=oversubscribe)
+    workers = _worker_count(jobs)
     scope_table = _scope_table(scopes, symmetry, por)
     monitor = progress_monitor(progress, heartbeat_log, progress_stream)
     if workers <= 1 or not scope_table:
+        # Spawning one worker would pay fork, pickle and queue costs to
+        # run the serial algorithm, which is the semantics the pool must
+        # reproduce: run it here.
+        heartbeat = monitor.local_emitter() if monitor is not None else None
         try:
-            merged = _verify_scopes_inline(
-                scopes, symmetry, max_configurations, spill, ins, por,
-                heartbeat=(monitor.local_emitter()
-                           if monitor is not None else None),
-            )
+            merged = [
+                _verify_scope(
+                    entry, programs, max_gossips or 0, engine="fast",
+                    symmetry=symmetry, jobs=1, instrumentation=ins,
+                    steal=True, spill=spill, por=por, heartbeat=heartbeat,
+                )
+                for entry, programs, max_gossips in scopes
+            ]
         finally:
             if monitor is not None:
                 monitor.close()
@@ -459,14 +377,6 @@ def verify_scopes_steal(
             stats_sink["steal"] = StealStats(workers=1)
         return merged
 
-    # One budget per scope: a configuration another scope already
-    # claimed must still count (and be checked) in this one.
-    manager = mp.Manager() if max_configurations is not None else None
-    budgets = [
-        _SharedBudget(max_configurations, manager)
-        if manager is not None else None
-        for _ in scope_table
-    ]
     task_q: Any = mp.Queue()
     ack_q: Any = mp.Queue()
     stop = mp.Event()
@@ -480,8 +390,8 @@ def verify_scopes_steal(
     procs = [
         mp.Process(
             target=_steal_worker_main,
-            args=(worker_id, scope_table, task_q, ack_q, stop, budgets,
-                  obs, spill, hb_q, progress),
+            args=(worker_id, scope_table, task_q, ack_q, stop, obs,
+                  spill, hb_q, progress),
             daemon=True,
         )
         for worker_id in range(workers)
@@ -500,7 +410,7 @@ def verify_scopes_steal(
     sent_sentinels = False
     try:
         for scope_index, spec in enumerate(scope_table):
-            session = _Session(spec, budgets[scope_index], spill, ins)
+            session = _Session(spec, spill, ins)
             coordinator[scope_index] = session
             with ins.span("steal.frontier", scope=scope_index):
                 depth, tasks = session.frontier(target)
@@ -548,8 +458,6 @@ def verify_scopes_steal(
             hb_q.close()
         task_q.close()
         ack_q.close()
-        if manager is not None:
-            manager.shutdown()
     if errors:
         raise RuntimeError(
             "frontier-split exploration failed: " + "; ".join(errors)
@@ -597,10 +505,8 @@ def exhaustive_verify_steal(
     jobs: Optional[int] = None,
     max_gossips: int = 3,
     symmetry: Optional[bool] = None,
-    max_configurations: Optional[int] = None,
     spill: Optional[str] = None,
     instrumentation: Optional[Instrumentation] = None,
-    oversubscribe: bool = False,
     stats_sink: Optional[Dict[str, Any]] = None,
     por: str = "source",
     progress: Optional[float] = None,
@@ -621,8 +527,7 @@ def exhaustive_verify_steal(
     gossips = max_gossips if entry.kind == "SB" else None
     (result,) = verify_scopes_steal(
         [(entry, programs, gossips)], jobs=jobs, symmetry=symmetry,
-        max_configurations=max_configurations, spill=spill,
-        instrumentation=instrumentation, oversubscribe=oversubscribe,
+        spill=spill, instrumentation=instrumentation,
         stats_sink=stats_sink, por=por,
         progress=progress, progress_stream=progress_stream,
         heartbeat_log=heartbeat_log, steal=steal,

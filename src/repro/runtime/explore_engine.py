@@ -1029,7 +1029,6 @@ class _Engine:
         max_configurations: Optional[int],
         stats: ExploreStats,
         store: Optional[Any] = None,
-        budget: Optional[Any] = None,
         por: str = "source",
         profile: Optional[Any] = None,
         journal: Optional[Any] = None,
@@ -1051,10 +1050,6 @@ class _Engine:
         #: collision-checked digests and spill to its sqlite tier; without
         #: it they hold raw fingerprints in a plain set and dict.
         self.store = store
-        #: Optional cross-worker configuration budget (``claim(fp)`` /
-        #: ``exhausted()``) implementing an exact shared
-        #: ``max_configurations`` cutoff under parallel exploration.
-        self.budget = budget
         #: Transitions from the root to the current node.
         self._path: List[Transition] = []
         #: Frontier walks only (:meth:`run` with ``cap``): nodes at this
@@ -1218,29 +1213,13 @@ class _Engine:
     def _report(self, fingerprint: Any) -> None:
         if fingerprint in self.visited_fps:
             return
-        if self.budget is not None:
-            # claim() is three-valued: 1 = newly claimed (count and check
-            # it here), 0 = another worker already counted it (keep it in
-            # our visited set — the merged union then still counts it
-            # exactly once), -1 = the shared cap was reached before this
-            # configuration (do NOT record it: nobody counted it, so it
-            # must not survive the union).
-            claim = self.budget.claim(fingerprint)
-            if claim < 0:
-                raise _SearchCapped
-            self.visited_fps.add(fingerprint)
-            if claim == 0:
-                return
-        else:
-            self.visited_fps.add(fingerprint)
+        self.visited_fps.add(fingerprint)
         self.stats.configurations += 1
         self.visit(*self.domain.visit_args())
         if (
             self.max_configurations is not None
             and self.stats.configurations >= self.max_configurations
         ):
-            raise _SearchCapped
-        if self.budget is not None and self.budget.exhausted():
             raise _SearchCapped
 
     def _dfs(self, sleep: FrozenSet[Transition], depth: int) -> None:
@@ -1250,8 +1229,6 @@ class _Engine:
             self.heartbeat.tick(depth)
         if depth > stats.peak_frontier:
             stats.peak_frontier = depth
-        if self.budget is not None and self.budget.exhausted():
-            raise _SearchCapped
         transitions = domain.transitions()
         fingerprint = self._fingerprint()
         if domain.should_visit(transitions):
@@ -1336,8 +1313,6 @@ class _Engine:
             self.heartbeat.tick(depth)
         if depth > stats.peak_frontier:
             stats.peak_frontier = depth
-        if self.budget is not None and self.budget.exhausted():
-            raise _SearchCapped
         transitions = domain.transitions()
         fingerprint = self._fingerprint()
         if domain.should_visit(transitions):
@@ -1690,7 +1665,6 @@ def build_engine(
     max_configurations: Optional[int] = None,
     stats: Optional[ExploreStats] = None,
     store: Optional[Any] = None,
-    budget: Optional[Any] = None,
     symmetry: bool = False,
     por: str = "source",
     profile: Optional[Any] = None,
@@ -1718,9 +1692,8 @@ def build_engine(
     else:  # pragma: no cover - caller bug
         raise ValueError(f"unknown exploration kind {kind!r}")
     return _Engine(
-        domain, visit, max_configurations, stats, store=store,
-        budget=budget, por=por, profile=profile, journal=journal,
-        heartbeat=heartbeat,
+        domain, visit, max_configurations, stats, store=store, por=por,
+        profile=profile, journal=journal, heartbeat=heartbeat,
     )
 
 

@@ -41,3 +41,15 @@ def make_label():
 @pytest.fixture
 def make_chain():
     return chain_history
+
+
+@pytest.fixture
+def real_workers(monkeypatch):
+    """Make the pool spawn ``jobs`` real worker processes on any host.
+
+    The pool never runs more workers than ``os.cpu_count()`` reports,
+    so on a host with fewer cores a ``jobs=2`` run would fall back to
+    the serial engine.  This reports 4 cores, more than any ``jobs`` a
+    test passes.
+    """
+    monkeypatch.setattr("repro.proofs.parallel.os.cpu_count", lambda: 4)

@@ -60,7 +60,7 @@ class TestEmitter:
 
     def test_interval_clamp_keeps_explicit_zero_fast(self):
         # interval=0.0 must clamp to the 0.01 floor, NOT fall back to
-        # the 2s default — `--progress 0` means "render every beat".
+        # the 2s default — a caller's 0 means "render every beat".
         assert HeartbeatEmitter(interval=0.0).interval == 0.01
         assert HeartbeatEmitter(interval=None).interval == DEFAULT_INTERVAL
 

@@ -132,17 +132,6 @@ class TestVerifyStore:
         }
         assert parallel.side_condition_checks == serial.side_condition_checks
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_max_configurations_caps_each_object(self, jobs):
-        # The cap reaches the per-object runs and bounds each object
-        # group, as it bounds each scope of a batch.
-        store = parse_store_spec("counter:1,orset:1")
-        result = verify_store(store, max_configurations=5, jobs=jobs)
-        assert {
-            obj: r.configurations for obj, r in result.objects.items()
-        } == {"counter": 5, "or_set": 5}
-        assert result.configurations == 10
-
     def test_product_fallback_for_independent_clocks(self):
         store = parse_store_spec("counter:1", shared_timestamps=False)
         result = verify_store(store)
@@ -151,19 +140,15 @@ class TestVerifyStore:
         assert result.product is not None
         assert result.configurations == result.product.configurations
 
-    def test_side_condition_can_be_disabled(self):
-        store = parse_store_spec("counter:1,orset:1")
-        result = verify_store(store, side_condition_limit=0)
-        assert result.ok and result.side_condition_checks == 0
-
 
 class TestSideCondition:
     def test_ts_store_clean(self):
         store = parse_store_spec("counter:1,lww_register:1")
         ok, checks, failures, cex, messages = check_side_condition(
-            store, tiny_programs(store), limit=10
+            store, tiny_programs(store)
         )
-        assert ok and checks == 10 and failures == 0
+        # The product has 30 configurations: the sweep stops at the cap.
+        assert ok and checks == SIDE_CONDITION_LIMIT and failures == 0
         assert cex is None and messages == []
 
     def test_fig10_independent_clock_dominance_violation(self):

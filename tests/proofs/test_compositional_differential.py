@@ -6,7 +6,8 @@ product exploration against the composed spec — and the verdicts must be
 bit-identical (Thms 5.3/5.5).  The ⊗ (independent clocks) stores are the
 soundness boundary: per-object projections pass while the product check
 fails (the Fig. 9/Fig. 10 anomaly), which is why `verify_store` refuses
-the shortcut there unless `product_fallback=False` forces it.
+the shortcut there; the boundary test runs the per-object rule on a ⊗
+store directly.
 """
 
 import itertools
@@ -15,9 +16,11 @@ import pytest
 
 from repro.proofs.compositional import (
     Store,
+    _verify_per_object,
     check_side_condition,
     parse_store_spec,
     product_verify_store,
+    store_programs,
     verify_store,
 )
 from repro.proofs.exhaustive import standard_programs
@@ -97,7 +100,7 @@ class TestIndependentClockBoundary:
         # silently pass — the side-condition sweep flags the dominance
         # violation that breaks the merge argument.
         store = two_object_store("RGA", "RGA", shared_timestamps=False)
-        result = verify_store(store, product_fallback=False)
+        result = _verify_per_object(store, store_programs(store))
         assert result.mode == "compositional"
         assert all(r.ok for r in result.objects.values())
         assert not result.side_condition_ok

@@ -178,11 +178,10 @@ class TestReductionPin:
 
     @pytest.mark.slow
     @pytest.mark.parametrize("por", ["sleep", "source"])
-    def test_pool_count(self, por):
+    def test_pool_count(self, real_workers, por):
         # Both flavors through the pool's worker processes.
         entry, programs = _three_replica("Counter")
-        result = exhaustive_verify(entry, programs, jobs=2,
-                                   oversubscribe=True, por=por)
+        result = exhaustive_verify(entry, programs, jobs=2, por=por)
         assert (result.ok, result.configurations) == (True, 490)
 
 
@@ -276,11 +275,11 @@ class TestParallelDifferential:
 
     @pytest.mark.parametrize("symmetry", [None, False],
                              ids=["sym-default", "sym-off"])
-    def test_steal_pool_matches_serial_sleep(self, oracle, symmetry):
+    def test_steal_pool_matches_serial_sleep(self, real_workers, oracle,
+                                             symmetry):
         scopes = standard_scopes(max_gossips=MAX_GOSSIPS)
         merged = verify_scopes_steal(
-            scopes, jobs=2, symmetry=symmetry, oversubscribe=True,
-            por="source",
+            scopes, jobs=2, symmetry=symmetry, por="source",
         )
         for (entry, _, _), result in zip(scopes, merged):
             expected = (
@@ -289,12 +288,12 @@ class TestParallelDifferential:
             )
             _assert_equal(result, expected, entry.name)
 
-    def test_static_pool_matches_serial_sleep(self, oracle):
+    def test_static_pool_matches_serial_sleep(self, real_workers, oracle):
         # steal=False: the pool split statically at the root branches.
         scopes = standard_scopes(max_gossips=MAX_GOSSIPS)
         sink = {}
         merged = verify_scopes_steal(
-            scopes, jobs=2, steal=False, oversubscribe=True, por="source",
+            scopes, jobs=2, steal=False, por="source",
             stats_sink=sink,
         )
         assert sink["steal"].frontier_depth == 1

@@ -29,14 +29,6 @@ def test_state_based_entries_rejected():
         exhaustive_verify(entry_by_name("PN-Counter"), {"r1": []})
 
 
-def test_max_configurations_bound():
-    entry = entry_by_name("Counter")
-    result = exhaustive_verify(
-        entry, standard_programs(entry), max_configurations=10
-    )
-    assert result.configurations == 10
-
-
 def test_mutant_caught_exhaustively():
     from dataclasses import replace
 

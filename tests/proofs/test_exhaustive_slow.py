@@ -51,7 +51,7 @@ def test_rga_three_replicas_conflict_heavy():
     assert not result.stats.capped
 
 
-def test_orset_skewed_four_replicas_serial_and_pool():
+def test_orset_skewed_four_replicas_serial_and_pool(real_workers):
     # The skewed 4-replica shape of the benchmark's skew_4r_spill
     # workload; 645 is the sleep-set oracle's count.  The full
     # expansions that residual replay triggers are load-bearing here:
@@ -64,7 +64,7 @@ def test_orset_skewed_four_replicas_serial_and_pool():
         "r4": [("add", ("b",))],
     }
     serial = exhaustive_verify(entry, programs)
-    pooled = exhaustive_verify(entry, programs, jobs=2, oversubscribe=True)
+    pooled = exhaustive_verify(entry, programs, jobs=2)
     assert (serial.ok, serial.configurations) == (True, 645)
     assert (pooled.ok, pooled.configurations) == (True, 645)
 
@@ -114,7 +114,7 @@ DEEP_COUNTS = [2332, 1764, 2332, 1764, 1172, 2332, 1764, 2332]
 
 @pytest.mark.parametrize("pool", [None, dict(), dict(steal=False)],
                          ids=["serial", "jobs2", "jobs2-no-steal"])
-def test_deep_two_replica_scopes_serial_and_pool(pool):
+def test_deep_two_replica_scopes_serial_and_pool(real_workers, pool):
     # Serially, through the pool's deep frontier, and through its
     # depth-1 root split: the same verdicts and the same counts.
     scopes = [(entry_by_name(name), programs, gossips)
@@ -126,7 +126,6 @@ def test_deep_two_replica_scopes_serial_and_pool(pool):
             for entry, programs, gossips in scopes
         ]
     else:
-        results = verify_scopes_steal(scopes, jobs=2, oversubscribe=True,
-                                      **pool)
+        results = verify_scopes_steal(scopes, jobs=2, **pool)
     assert [result.ok for result in results] == [True] * len(DEEP_SCOPES)
     assert [result.configurations for result in results] == DEEP_COUNTS

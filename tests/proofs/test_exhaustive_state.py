@@ -51,14 +51,6 @@ def test_state_mutant_caught_exhaustively():
     assert not result.ok
 
 
-def test_max_configurations_bound():
-    entry = entry_by_name("G-Set")
-    result = exhaustive_verify_state(
-        entry, standard_programs(entry), max_gossips=2, max_configurations=7
-    )
-    assert result.configurations == 7
-
-
 def test_unknown_engine_rejected():
     entry = entry_by_name("G-Set")
     with pytest.raises(ValueError, match="unknown engine"):

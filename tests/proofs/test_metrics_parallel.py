@@ -77,7 +77,7 @@ def test_work_counters_at_least_serial():
             >= serial_instruments[key]["value"]
 
 
-def test_pool_worker_labels_match_serial():
+def test_pool_worker_labels_match_serial(real_workers):
     """Real pool workers (two, whatever the core count) label every
     ``explore.*`` instrument exactly as a serial run does."""
     entry, programs, _ = next(
@@ -87,7 +87,7 @@ def test_pool_worker_labels_match_serial():
     expected = exhaustive_verify(entry, programs, instrumentation=serial)
     pool = Instrumentation.on()
     result = exhaustive_verify_steal(
-        entry, programs, jobs=2, oversubscribe=True, instrumentation=pool,
+        entry, programs, jobs=2, instrumentation=pool,
     )
     assert result.configurations == expected.configurations
 

@@ -55,12 +55,12 @@ def _serial_with_observatory(scopes, log_path):
     return ins
 
 
-def test_serial_vs_steal_pool_with_observatory_on(tmp_path):
+def test_serial_vs_steal_pool_with_observatory_on(real_workers, tmp_path):
     serial = _serial_with_observatory(
         SCOPES, str(tmp_path / "hb-serial.jsonl"))
     pooled = Instrumentation.on()
     verify_scopes_steal(
-        SCOPES, jobs=2, oversubscribe=True, instrumentation=pooled,
+        SCOPES, jobs=2, instrumentation=pooled,
         progress=0.0, progress_stream=io.StringIO(),
         heartbeat_log=str(tmp_path / "hb-pool.jsonl"),
     )

@@ -103,6 +103,8 @@ class TestGuards:
         assert _worker_count(8, 3) <= 3  # never more workers than tasks
         assert _worker_count(4, 0) == 1  # floor of one
         assert _worker_count(64, 64) <= default_jobs()
+        with pytest.raises(ValueError, match="jobs must be >= 0"):
+            _worker_count(-3)
 
     def test_worker_count_clamp_matrix(self, monkeypatch):
         monkeypatch.setattr("repro.proofs.parallel.os.cpu_count", lambda: 4)
@@ -111,15 +113,12 @@ class TestGuards:
         assert default_jobs() == 4
         assert _worker_count(default_jobs(), 2) == 2
         assert _worker_count(8, 100) == 4  # physical-core cap
-        assert _worker_count(8, 100, oversubscribe=True) == 8  # cap lifted
-        assert _worker_count(8, 3, oversubscribe=True) == 3  # task cap stays
         assert _worker_count(2, 1) == 1
         assert _worker_count(0, 10) == 1  # degenerate jobs floor to one
         # The exhaustive pool knows no task count up front.
         assert _worker_count(1) == 1
         assert _worker_count(0) == 1
         assert _worker_count(8) == 4
-        assert _worker_count(8, oversubscribe=True) == 8
         monkeypatch.setattr(
             "repro.proofs.parallel.os.cpu_count", lambda: None
         )
@@ -128,7 +127,6 @@ class TestGuards:
         assert default_jobs() == 1
         assert _worker_count(8, 100) == 1
         assert _worker_count(8) == 1
-        assert _worker_count(8, oversubscribe=True) == 8
 
     def test_single_worker_runs_inline(self, monkeypatch):
         # One effective worker (task count or core cap) must run in the
@@ -198,7 +196,7 @@ class TestSymmetricSharding:
             entry, self.SYM_PROGRAMS, jobs=4
         ).configurations
 
-    def test_symmetric_branches_are_skipped(self):
+    def test_symmetric_branches_are_skipped(self, real_workers):
         # A depth-1 frontier (steal=False) holds one task per root branch
         # the coordinator keeps: both replicas' first inc are in one
         # orbit, so symmetry leaves one task, and two without it.
@@ -208,7 +206,7 @@ class TestSymmetricSharding:
             sink = {}
             result = exhaustive_verify_steal(
                 entry, self.SYM_PROGRAMS, jobs=2, symmetry=symmetry,
-                steal=False, oversubscribe=True, stats_sink=sink,
+                steal=False, stats_sink=sink,
             )
             assert result.configurations == exhaustive_verify(
                 entry, self.SYM_PROGRAMS, symmetry=symmetry

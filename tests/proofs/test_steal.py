@@ -2,11 +2,10 @@
 
 The pool only decides *which process* explores a subtree, never
 *whether* it is explored, so every run — any frontier depth, any task
-order, symmetric scopes, shared budgets, spill tiers — must return the
-serial verdict and the serial distinct-configuration count.  The
-1-core fallback makes jobs>1 degenerate to the serial engine on small
-machines, so these tests force real worker processes with
-``oversubscribe=True``.
+order, symmetric scopes, spill tiers — must return the serial verdict
+and the serial distinct-configuration count.  The pool never runs more
+workers than the host has cores, so the tests that need real worker
+processes take the ``real_workers`` fixture, which reports more.
 """
 
 import functools
@@ -29,9 +28,6 @@ from repro.proofs.steal import (
 )
 from tests.strategies import SplitSchedule, run_split
 
-#: Force real worker processes whatever the host's core count.
-FORCE = dict(oversubscribe=True)
-
 MAX_GOSSIPS = 2
 
 SYM_PROGRAMS = {
@@ -47,15 +43,13 @@ def _serial(entry, programs, max_gossips):
 
 
 class TestStealMatchesSerial:
-    def test_all_scopes_one_pool(self):
+    def test_all_scopes_one_pool(self, real_workers):
         # Every registry entry through one pool returns the serial
         # verdict and the serial distinct-configuration count.
         scopes = standard_scopes()
         assert scopes
         sink = {}
-        merged = verify_scopes_steal(
-            scopes, jobs=3, oversubscribe=True, stats_sink=sink,
-        )
+        merged = verify_scopes_steal(scopes, jobs=3, stats_sink=sink)
         assert [result.entry_name for result in merged] \
             == [entry.name for entry, _, _ in scopes]
         assert sink["steal"].workers == 3
@@ -64,15 +58,9 @@ class TestStealMatchesSerial:
             assert result.ok == serial.ok, entry.name
             assert result.configurations == serial.configurations, entry.name
 
-    @pytest.mark.parametrize(
-        "jobs, max_configurations",
-        [(1, None), (2, None), (1, 8), (2, 8)],
-        ids=["1", "2", "1-cap8", "2-cap8"],
-    )
-    def test_one_result_per_scope(self, jobs, max_configurations):
-        # Two scopes of one entry stay two results, in input order, and
-        # a cap bounds each scope on its own: configurations the first
-        # scope claimed still count and are checked in the second.
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_result_per_scope(self, real_workers, jobs):
+        # Two scopes of one entry stay two results, in input order.
         entry = entry_by_name("Counter")
         scopes = [
             (entry, {"r1": [("inc", ()), ("read", ())],
@@ -83,29 +71,22 @@ class TestStealMatchesSerial:
         serial = [exhaustive_verify(e, programs).configurations
                   for e, programs, _ in scopes]
         assert serial == [11, 10]
-        expected = serial if max_configurations is None else [8, 8]
-        merged = verify_scopes_steal(
-            scopes, jobs=jobs, max_configurations=max_configurations,
-            **FORCE,
-        )
-        assert [result.configurations for result in merged] == expected
+        merged = verify_scopes_steal(scopes, jobs=jobs)
+        assert [result.configurations for result in merged] == serial
         checks = [result.check_stats.checks for result in merged]
-        if max_configurations is None:
-            # Sessions may re-check what another process also reached.
-            assert all(c >= n for c, n in zip(checks, expected))
-        else:
-            # A budget claim is checked exactly once, in its own scope.
-            assert checks == expected
+        # Sessions may re-check what another process also reached.
+        assert all(c >= n for c, n in zip(checks, serial))
 
-    def test_forced_splitting_op_based(self):
+    def test_forced_splitting_op_based(self, real_workers):
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs)
         sink = {}
         pooled = exhaustive_verify_steal(
-            entry, programs, jobs=2, stats_sink=sink, **FORCE
+            entry, programs, jobs=2, stats_sink=sink
         )
         stats = sink["steal"]
+        assert stats.workers == 2
         assert stats.tasks > 1  # the frontier really split
         assert stats.stolen_tasks == 0
         assert stats.frontier_depth >= 1
@@ -113,50 +94,46 @@ class TestStealMatchesSerial:
         assert pooled.ok == serial.ok
         assert pooled.configurations == serial.configurations
 
-    def test_forced_splitting_state_based(self):
+    def test_forced_splitting_state_based(self, real_workers):
         entry = entry_by_name("G-Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify_state(entry, programs, max_gossips=2)
         sink = {}
         pooled = exhaustive_verify_steal(
-            entry, programs, jobs=2, max_gossips=2, stats_sink=sink, **FORCE
+            entry, programs, jobs=2, max_gossips=2, stats_sink=sink
         )
         assert sink["steal"].tasks > 1
         assert pooled.ok == serial.ok
         assert pooled.configurations == serial.configurations
 
-    def test_symmetry_on_and_off(self):
+    def test_symmetry_on_and_off(self, real_workers):
         entry = entry_by_name("Counter")
         on = exhaustive_verify(entry, SYM_PROGRAMS)
         off = exhaustive_verify(entry, SYM_PROGRAMS, symmetry=False)
         assert on.configurations < off.configurations
-        pooled_on = exhaustive_verify_steal(
-            entry, SYM_PROGRAMS, jobs=2, **FORCE
-        )
+        pooled_on = exhaustive_verify_steal(entry, SYM_PROGRAMS, jobs=2)
         pooled_off = exhaustive_verify_steal(
-            entry, SYM_PROGRAMS, jobs=2, symmetry=False, **FORCE
+            entry, SYM_PROGRAMS, jobs=2, symmetry=False
         )
         assert pooled_on.configurations == on.configurations
         assert pooled_off.configurations == off.configurations
 
-    def test_raw_fingerprints_without_store(self):
+    def test_raw_fingerprints_without_store(self, real_workers):
         # Without spill, sessions keep raw-fingerprint sets (the serial
         # path's representation); the merge must be exact.
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs)
-        pooled = exhaustive_verify_steal(
-            entry, programs, jobs=2, **FORCE
-        )
+        pooled = exhaustive_verify_steal(entry, programs, jobs=2)
         assert pooled.configurations == serial.configurations
         assert pooled.fp_store is None
 
-    def test_spill_tier(self, tmp_path):
+    def test_spill_tier(self, real_workers, tmp_path):
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs)
         pooled = exhaustive_verify_steal(
-            entry, programs, jobs=2, spill=str(tmp_path), **FORCE
+            entry, programs, jobs=2, spill=str(tmp_path)
         )
         assert pooled.configurations == serial.configurations
         assert pooled.fp_store is not None
@@ -215,49 +192,6 @@ class TestSplitSchedule:
         assert most_tasks > 1  # the schedule really split the tree
 
 
-class TestSharedBudget:
-    """``max_configurations`` is a cross-process budget: parallel and
-    serial stop at exactly the same count, the coordinator's frontier
-    walk included."""
-
-    @pytest.mark.parametrize("cap", [1, 3, 7, 10**6])
-    def test_exact_cutoff_op_based(self, cap):
-        entry = entry_by_name("Counter")
-        programs = standard_programs(entry)
-        serial = exhaustive_verify(
-            entry, programs, max_configurations=cap
-        )
-        pooled = exhaustive_verify_steal(
-            entry, programs, jobs=2, max_configurations=cap, **FORCE
-        )
-        assert pooled.configurations == serial.configurations
-        assert pooled.stats.capped == serial.stats.capped
-
-    def test_exact_cutoff_state_based(self):
-        entry = entry_by_name("G-Counter")
-        programs = standard_programs(entry)
-        serial = exhaustive_verify_state(
-            entry, programs, max_gossips=2, max_configurations=5
-        )
-        pooled = exhaustive_verify_steal(
-            entry, programs, jobs=2, max_gossips=2, max_configurations=5,
-            **FORCE
-        )
-        assert pooled.configurations == serial.configurations == 5
-        assert pooled.stats.capped
-
-    def test_cutoff_through_parallel_front_door(self):
-        # exhaustive_verify with jobs>1 and a budget: the pool honors it
-        # exactly.
-        entry = entry_by_name("Counter")
-        programs = standard_programs(entry)
-        serial = exhaustive_verify(entry, programs, max_configurations=9)
-        parallel = exhaustive_verify(
-            entry, programs, jobs=2, max_configurations=9, oversubscribe=True
-        )
-        assert parallel.configurations == serial.configurations == 9
-
-
 class TestPoolMechanics:
     def test_single_worker_runs_inline(self, monkeypatch):
         # One effective worker must not pay fork + pickle + queue costs:
@@ -279,7 +213,7 @@ class TestPoolMechanics:
         assert sink["steal"].workers == 1
         assert sink["steal"].stolen_tasks == 0
 
-    def test_worker_error_propagates(self, monkeypatch):
+    def test_worker_error_propagates(self, real_workers, monkeypatch):
         def _crash(worker_id, scope_table, task_q, ack_q, *rest):
             ack_q.put(("err", worker_id, "BoomError: injected", "trace"))
 
@@ -288,11 +222,9 @@ class TestPoolMechanics:
         )
         entry = entry_by_name("Counter")
         with pytest.raises(RuntimeError, match="injected"):
-            exhaustive_verify_steal(
-                entry, standard_programs(entry), jobs=2, oversubscribe=True
-            )
+            exhaustive_verify_steal(entry, standard_programs(entry), jobs=2)
 
-    def test_dead_worker_detected(self, monkeypatch):
+    def test_dead_worker_detected(self, real_workers, monkeypatch):
         def _die(*args, **kwargs):
             os._exit(3)
 
@@ -301,9 +233,7 @@ class TestPoolMechanics:
         )
         entry = entry_by_name("Counter")
         with pytest.raises(RuntimeError, match="died"):
-            exhaustive_verify_steal(
-                entry, standard_programs(entry), jobs=2, oversubscribe=True
-            )
+            exhaustive_verify_steal(entry, standard_programs(entry), jobs=2)
 
 
 class TestDispatch:
@@ -329,11 +259,9 @@ class TestDispatch:
         assert seen["steal"] is True
         assert exhaustive_verify(
             entry, programs, jobs=2, steal=False, spill="/tmp/x",
-            max_configurations=4,
         ) is sentinel
         assert seen["steal"] is False
         assert seen["spill"] == "/tmp/x"
-        assert seen["max_configurations"] == 4
         state = entry_by_name("G-Counter")
         assert exhaustive_verify_state(
             state, standard_programs(state), jobs=2, max_gossips=2,
@@ -364,7 +292,7 @@ class TestDispatch:
         ) is sentinel
         assert seen == [0, 0]
 
-    def test_steal_off_runs_pool_at_depth_one(self):
+    def test_steal_off_runs_pool_at_depth_one(self, real_workers):
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         serial = exhaustive_verify(entry, programs)
@@ -372,8 +300,7 @@ class TestDispatch:
         for steal in (True, False):
             sink = {}
             pooled = exhaustive_verify_steal(
-                entry, programs, jobs=2, steal=steal, stats_sink=sink,
-                **FORCE
+                entry, programs, jobs=2, steal=steal, stats_sink=sink
             )
             assert (pooled.ok, pooled.configurations) \
                 == (serial.ok, serial.configurations)
@@ -384,21 +311,15 @@ class TestDispatch:
         assert depths[False] == (1, 2)
         assert depths[True][0] > 1
 
-    def test_steal_off_honors_budget_and_spill(self, tmp_path):
+    def test_steal_off_honors_budget_and_spill(self, real_workers, tmp_path):
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         sink = {}
-        capped = exhaustive_verify_steal(
-            entry, programs, jobs=2, steal=False, max_configurations=9,
-            stats_sink=sink, **FORCE
-        )
-        assert capped.configurations == 9
-        assert capped.stats.capped
-        assert sink["steal"].frontier_depth == 1
         spilled = exhaustive_verify_steal(
             entry, programs, jobs=2, steal=False, spill=str(tmp_path),
-            **FORCE
+            stats_sink=sink,
         )
+        assert sink["steal"].frontier_depth == 1
         assert spilled.configurations \
             == exhaustive_verify(entry, programs).configurations
         assert spilled.fp_store is not None
@@ -413,13 +334,14 @@ class TestDispatch:
 
 
 class TestInstrumentation:
-    def test_scheduler_and_store_instruments_emitted(self, tmp_path):
+    def test_scheduler_and_store_instruments_emitted(self, real_workers,
+                                                      tmp_path):
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         ins = Instrumentation.on()
         exhaustive_verify_steal(
             entry, programs, jobs=2, spill=str(tmp_path),
-            instrumentation=ins, **FORCE
+            instrumentation=ins,
         )
         instruments = ins.metrics.snapshot()["instruments"]
         bare = {key.split("{", 1)[0] for key in instruments}
@@ -429,14 +351,14 @@ class TestInstrumentation:
         assert "explore.fp_store.lookups" in bare
         assert instruments["explore.steal.workers"]["value"] == 2
 
-    def test_deterministic_totals_match_serial(self):
+    def test_deterministic_totals_match_serial(self, real_workers):
         entry = entry_by_name("Counter")
         programs = standard_programs(entry)
         serial_ins = Instrumentation.on()
         exhaustive_verify(entry, programs, instrumentation=serial_ins)
         steal_ins = Instrumentation.on()
         exhaustive_verify_steal(
-            entry, programs, jobs=2, instrumentation=steal_ins, **FORCE
+            entry, programs, jobs=2, instrumentation=steal_ins
         )
         assert deterministic_totals(steal_ins.metrics.snapshot()) \
             == deterministic_totals(serial_ins.metrics.snapshot())

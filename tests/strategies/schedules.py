@@ -61,7 +61,7 @@ def run_split(entry, programs, schedule: SplitSchedule, por: str = "source",
     spec = _scope_table([(entry, programs, max_gossips)], symmetry, por)[0]
 
     def session():
-        return _Session(spec, None, None, NULL_INSTRUMENTATION)
+        return _Session(spec, None, NULL_INSTRUMENTATION)
 
     coordinator = session()
     coordinator.engine.run(cap=schedule.depth)

@@ -23,6 +23,26 @@ class TestParser:
             build_parser().parse_args(["scenario", "nope"])
 
 
+class TestCountFlags:
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--scope", "counter", "--soak", "0"],
+        ["chaos", "--scope", "counter", "--soak", "-2"],
+        ["table", "--executions", "0"],
+        ["table", "--jobs", "-1", "--executions", "1"],
+        ["exhaustive", "--scope", "counter", "--jobs", "-3"],
+        ["exhaustive", "--scope", "counter", "--progress", "0"],
+        ["chaos", "--scope", "counter", "--progress", "-1"],
+    ], ids=["soak-0", "soak-negative", "executions-0", "table-jobs-negative",
+            "exhaustive-jobs-negative", "progress-0", "progress-negative"])
+    def test_value_that_checks_nothing_exits_2(self, capsys, argv):
+        # A count or interval below its floor exits 2 with a message,
+        # before anything runs.
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        assert "must be" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_figures_succeeds(self, capsys):
         assert main(["figures"]) == 0
@@ -307,7 +327,8 @@ class TestStealCLI:
         assert "fp-store lookups" in out
         assert "fp-store hit ratio" in out
 
-    def test_stats_renders_scheduler_counters(self, capsys, tmp_path):
+    def test_stats_renders_scheduler_counters(self, real_workers, capsys,
+                                              tmp_path):
         # A real pool run, written through the artifact round trip:
         # `repro stats` must surface the scheduler digest.
         from repro.obs import Instrumentation
@@ -318,8 +339,7 @@ class TestStealCLI:
         ins = Instrumentation.on()
         entry = entry_by_name("Counter")
         exhaustive_verify_steal(
-            entry, standard_programs(entry), jobs=2, oversubscribe=True,
-            instrumentation=ins,
+            entry, standard_programs(entry), jobs=2, instrumentation=ins,
         )
         path = str(tmp_path / "steal.json")
         write_artifact(path, ins, "exhaustive", {})

@@ -45,7 +45,7 @@ class TestExhaustiveObservatory:
         hb_log = str(tmp_path / "heartbeat.jsonl")
         metrics = str(tmp_path / "metrics.json")
         assert main(["exhaustive", "--scope", "counter",
-                     "--progress", "0", "--journal", journal,
+                     "--progress", "0.01", "--journal", journal,
                      "--heartbeat-log", hb_log,
                      "--metrics", metrics]) == 0
         captured = capsys.readouterr()
