@@ -34,7 +34,7 @@ from .core.ralin import (
     execution_order_check,
     timestamp_order_check,
 )
-from .core.render import render_history, render_linearization
+from .core.render import render_history
 from .core.strong import check_strong_linearizable
 from .obs import (
     Instrumentation,

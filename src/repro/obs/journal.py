@@ -40,7 +40,7 @@ EVENT_KINDS = (
     "steal.claim",
     "spill.promote",
     "dpor.reversal",
-    "budget.exhausted",
+    "search.capped",
     "chaos.crash",
     "chaos.replay",
 )

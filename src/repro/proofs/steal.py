@@ -7,12 +7,14 @@ The pool carves the search at a **sleep-set frontier**:
   expanded in full, and its configuration is reported and checked
   here.  A node at depth ``d`` passes the usual
   canonical-fingerprint / sleep-subsumption check and becomes a
-  ``(path, sleep)`` task instead of being expanded.  ``d`` deepens from
-  1 until the frontier holds :data:`TASKS_PER_WORKER` tasks per worker,
-  or until no node reaches the cap (the coordinator then walked the
-  whole tree).  ``steal=False`` (``--no-steal``) stops at ``d = 1``:
-  one task per root branch, with the coordinator's canonical dedup
-  keeping one branch per replica-permutation orbit.
+  ``(path, sleep)`` task instead of being expanded: a tuple of the
+  scope's transition indices and a sleep mask (an int), so a task
+  pickles small.  ``d`` deepens from 1 until the frontier holds
+  :data:`TASKS_PER_WORKER` tasks per worker, or until no node reaches
+  the cap (the coordinator then walked the whole tree).
+  ``steal=False`` (``--no-steal``) stops at ``d = 1``: one task per
+  root branch, with the coordinator's canonical dedup keeping one
+  branch per replica-permutation orbit.
 * Workers pull tasks from a shared :class:`multiprocessing.Queue`,
   replay each prefix and run the scope's DFS below it — source-DPOR by
   default.  The prefix runs under ignore frames: the coordinator fully
@@ -167,8 +169,8 @@ class _Session:
             heartbeat=heartbeat,
         )
 
-    def run(self, path: Tuple, sleep: Any) -> None:
-        self.engine.run(path=path, sleep=frozenset(sleep))
+    def run(self, path: Tuple[int, ...], sleep: int) -> None:
+        self.engine.run(path=path, sleep=sleep)
 
     def frontier(self, target: int) -> Tuple[int, List[Tuple]]:
         """``(depth, tasks)``: the shallowest frontier with at least

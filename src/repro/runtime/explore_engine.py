@@ -52,6 +52,12 @@ per-replica part that ``apply`` dirties and ``push``/``pop`` save and
 restore, so the per-node cost is proportional to the step's delta rather
 than the whole configuration.
 
+Each domain compiles its scope once into an integer transition alphabet
+(:class:`_Domain`): transitions are indices, every set the DFS keeps is
+an int bitmask, the static part of the independence relation and each
+replica permutation are per-transition tables, and only the
+state-dependent commutativity probes run per node.
+
 Correctness is guarded by a differential oracle (see
 ``tests/runtime/test_explore_engine.py`` and
 ``tests/runtime/test_explore_symmetry.py``): on every registry entry's
@@ -86,6 +92,7 @@ from .symmetry import (
     SymmetryReducer,
     build_group,
     canon_key,
+    rename_transition,
 )
 from .system import OpBasedSystem
 
@@ -98,18 +105,19 @@ _STATE_FP_CACHE_LIMIT = 1 << 13
 #: ``(method, args, obj)`` when the system hosts several objects.
 Program = List[Tuple[Any, ...]]
 
-#: A transition: ``("inv", replica, program index)``,
-#: ``("del", replica, logical label id)`` or ``("gos", source, target)``.
-Transition = Tuple[Any, ...]
+#: A transition: an index into its domain's compiled
+#: :attr:`_Domain.alphabet`, whose entries are ``("inv", replica, step)``,
+#: ``("del", target, lid)`` or ``("gos", source, target)``.  A set of
+#: transitions (sleep, tried, done, a recorded sleep) is an int bitmask
+#: over these indices.
+Transition = int
 
-#: A logical label id ``(origin replica, per-origin sequence number)`` —
-#: stable across branches, unlike ``Label.uid`` which is freshly drawn on
-#: every re-execution of the same program step.
+#: A logical label id ``(origin replica, program step)`` — stable across
+#: branches, unlike ``Label.uid`` which is freshly drawn on every
+#: re-execution of the same program step.  Domains number the lids of a
+#: scope ``0 .. n-1`` in replica then step order, so a lid doubles as a
+#: bit of a seen-set mask and as the index of the ``inv`` that mints it.
 Lid = Tuple[str, int]
-
-#: Shared empty sleep set — the overwhelmingly common child sleep in the
-#: source-DPOR loop, interned to skip per-step frozenset construction.
-_EMPTY_SLEEP: FrozenSet[Transition] = frozenset()
 
 #: A wakeup (sub)tree: ordered transitions to child subtrees; ``None``
 #: is the empty tree.  A source-DPOR frame's backtrack dict maps each
@@ -227,6 +235,16 @@ def _logical_ids(generation_order: Sequence) -> Dict[int, Lid]:
     return lids
 
 
+def _permute(mask: int, table: Sequence[int]) -> int:
+    """The image of a transition mask under an index table."""
+    image = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        image |= 1 << table[low.bit_length() - 1]
+    return image
+
+
 # ----------------------------------------------------------------------
 # Domains: the op-based and state-based semantics behind a common DFS
 # ----------------------------------------------------------------------
@@ -235,14 +253,24 @@ def _logical_ids(generation_order: Sequence) -> Dict[int, Lid]:
 class _Domain:
     """The bookkeeping both semantics share, over one live system.
 
+    A domain compiles its scope once into an integer **alphabet**: the
+    ``inv`` of every program step, numbered like its lid, then the
+    semantics' propagation transitions.  Everything per transition the
+    DFS asks about — who acts, which transitions it is statically
+    independent of, which pairs still need a commutativity probe, its
+    image under every replica permutation — is a table lookup or a
+    precomputed mask, and every set the DFS keeps is an int bitmask.
+
     A domain mirrors the configuration the DFS stands on: program
-    counters and returns, logical label ids, lid-valued seen-sets and
-    visibility, and the incremental fingerprint parts.  It branches by
-    :meth:`push`/:meth:`pop` tokens.  Subclasses supply the semantics:
-    the propagation transitions (causal delivery in :class:`_OpDomain`,
-    gossip in :class:`_StateDomain`) and their ``apply`` arm, the
-    independence relation with its commutativity probe, the source-DPOR
-    relations, the replica-indexed fingerprint part and the replica-free
+    counters and returns, lid-mask seen-sets, lid-valued label data and
+    visibility, and the incremental fingerprint parts.  Every write
+    replaces a value instead of mutating it (copy-on-write), so a
+    :meth:`push` token holds references only and :meth:`pop` reassigns
+    them.  Subclasses supply the semantics: the propagation transitions
+    (causal delivery in :class:`_OpDomain`, gossip in
+    :class:`_StateDomain`) and their ``apply`` arm, the independence
+    masks with their commutativity probe, the source-DPOR relations,
+    the replica-indexed fingerprint part and the replica-free
     fingerprint component.
     """
 
@@ -251,9 +279,10 @@ class _Domain:
     #: it by reference.
     _TAIL: str
 
-    #: Whether any transition needs forcing (see ``must_schedule``);
-    #: False lets the engine skip the per-node seeding scan entirely.
-    forces_schedule = False
+    #: Transitions every node must schedule (see
+    #: :meth:`_StateDomain.residual_transitions`), as a mask; 0 lets the
+    #: engine skip the per-node seeding scan entirely.
+    forced = 0
 
     def __init__(
         self,
@@ -263,6 +292,8 @@ class _Domain:
         symmetry: bool,
         extra_names: Tuple[str, ...] = (),
     ) -> None:
+        if system.generation_order:
+            raise ValueError("exploration starts from an empty history")
         self.system = system
         self.programs = programs
         self.replicas = list(programs)
@@ -270,17 +301,31 @@ class _Domain:
         self.use_snapshots = system.snapshot_safe
         self.counters: Dict[str, int] = {r: 0 for r in programs}
         self.returns: Dict[str, List[Any]] = {r: [] for r in programs}
-        # Incremental logical-id maps (see _logical_ids): extended on each
-        # invoke, saved/restored with the DFS tokens.  transitions() and
-        # fingerprint() are called several times per DFS node, so the maps
-        # must not be rebuilt from the whole generation order every time.
-        # ``_lid_to_label`` is insertion-ordered: its keys are the lids in
-        # generation order.
-        self._lids: Dict[int, Lid] = {}
-        self._per_origin: Dict[Any, int] = {}
-        self._lid_to_label: Dict[Lid, Any] = {}
-        #: Label content keyed by logical id, maintained with the lid maps
-        #: so fingerprint() does not re-collect the whole order per DFS
+        #: Every lid of the scope, indexed by its number.
+        self._lid_names: List[Lid] = [
+            (r, i) for r in self.replicas for i in range(len(programs[r]))
+        ]
+        #: ``(replica, number of its first lid, program length)``.
+        self._inv_rows: List[Tuple[str, int, int]] = []
+        base = 0
+        for replica in self.replicas:
+            self._inv_rows.append((replica, base, len(programs[replica])))
+            base += len(programs[replica])
+        self._lid_base = {r: base for r, base, _ in self._inv_rows}
+        #: Transitions below this index are invocations (``inv`` of lid t).
+        self._n_inv = len(self._lid_names)
+        position = {r: k for k, r in enumerate(self.replicas)}
+        #: The acting replica's position, per transition (filled by
+        #: :meth:`_compile` past the invocations).
+        self._actor: List[int] = [position[r] for r, _ in self._lid_names]
+        #: Grow-only: the label each lid was last generated as.  Entry
+        #: ``l`` is read only while ``l`` is live on the current path,
+        #: where it holds that path's label: re-generating ``l`` needs a
+        #: branch above its generation, which pops every node that saw
+        #: the older label first.
+        self._labels: List[Any] = [None] * self._n_inv
+        #: Label content keyed by logical id, extended by each invoke so
+        #: fingerprint() does not re-collect the whole order per DFS
         #: node.  A *set*, not a sequence: the generation order of
         #: concurrent operations is not observable in the configuration
         #: (the lid pins each label to its program step, and visibility
@@ -288,78 +333,117 @@ class _Domain:
         #: component is what lets permuted-interleaving orbit members —
         #: and plain interleaving variants — deduplicate.
         self._labels_data: FrozenSet[Tuple] = frozenset()
-        self._sync_lids()
-        # Lid-valued mirrors of the system's seen-sets and visibility,
-        # updated alongside apply() (the system's update discipline is
-        # small: invoke adds vis edges from the origin's seen labels plus
-        # the label itself; propagation only adds to seen).  fingerprint()
-        # then reads them directly instead of re-translating every label
-        # per DFS node.  The naive-vs-engine differential oracle guards
-        # the mirrors: a divergence changes the deduplicated visit set.
-        lids = self._lids
-        self._seen_lids: Dict[str, FrozenSet[Lid]] = {
-            r: frozenset(lids[l.uid] for l in system._seen[r])
-            for r in self.replicas
-        }
-        self._vis_lids: FrozenSet[Tuple[Lid, Lid]] = frozenset(
-            (lids[a.uid], lids[b.uid]) for a, b in system._vis
-        )
+        # Lid-mask mirrors of the system's seen-sets, and lid-valued
+        # visibility, updated alongside apply() (the system's update
+        # discipline is small: invoke adds vis edges from the origin's
+        # seen labels plus the label itself; propagation only adds to
+        # seen).  The naive-vs-engine differential oracle guards the
+        # mirrors: a divergence changes the deduplicated visit set.
+        self._seen: Dict[str, int] = {r: 0 for r in self.replicas}
+        self._vis_lids: FrozenSet[Tuple[Lid, Lid]] = frozenset()
+        #: Seen mask -> the frozenset of lids the fingerprint holds.
+        self._lid_sets: Dict[int, FrozenSet[Lid]] = {}
         # Per-state fingerprint cache: id(state) -> (state, fingerprint).
         # Holding the state reference pins the id against reuse.
         self._state_fps: Dict[int, Tuple[Any, Any]] = {}
         # Incremental fingerprint parts: one entry of replica-indexed
         # components per replica, None = dirty (recomputed lazily by
-        # fingerprint()).  apply() dirties only the touched replica;
-        # push()/pop() save and restore the table, so the per-node
-        # fingerprint cost is O(delta), not O(configuration).  With
-        # symmetry on, entries hold the part's *image vector* (its byte
-        # images under every group element) instead of the raw part; the
-        # replica-free component is imaged lazily by the reducer.
+        # fingerprint()).  apply() dirties only the touched replica in a
+        # copy of the table, so the per-node fingerprint cost is
+        # O(delta), not O(configuration).  With symmetry on, entries hold
+        # the part's *image vector* (its byte images under every group
+        # element) instead of the raw part; the replica-free component is
+        # imaged lazily by the reducer.
         self._parts: Dict[str, Optional[Tuple]] = {
             r: None for r in self.replicas
         }
+        #: The compiled transitions, indexed by :data:`Transition`.
+        self.alphabet: List[Tuple] = [
+            ("inv", r, i) for r, i in self._lid_names
+        ]
+        self._compile(position)
         self.sym: Optional[SymmetryReducer] = None
+        #: Per group element, the index of each transition's image, and
+        #: the same for the inverse element.
+        self.rename_tables: List[List[int]] = []
+        self.unrename_tables: List[List[int]] = []
         if symmetry and len(self.replicas) > 1:
             group = build_group(programs, extra_names=extra_names)
             stats.symmetry_group = group.order
             stats.pinned_replicas = len(group.pinned)
             if group.enabled:
                 self.sym = SymmetryReducer(self.replicas, group)
+                index = {t: i for i, t in enumerate(self.alphabet)}
+                for mapping in group.maps:
+                    inverse = {b: a for a, b in mapping.items()}
+                    self.rename_tables.append([
+                        index[rename_transition(t, mapping)]
+                        for t in self.alphabet
+                    ])
+                    self.unrename_tables.append([
+                        index[rename_transition(t, inverse)]
+                        for t in self.alphabet
+                    ])
 
-    def _sync_lids(self) -> None:
-        """Extend the lid maps with labels generated since the last sync."""
-        order = self.system.generation_order
-        for label in order[len(self._lids):]:
-            seq = self._per_origin.get(label.origin, 0)
-            self._per_origin[label.origin] = seq + 1
-            lid = (label.origin, seq)
-            self._lids[label.uid] = lid
-            self._lid_to_label[lid] = label
-            self._labels_data |= {
-                (lid, label.obj, label.method, label.args,
-                 label.ret, label.ts),
-            }
+    def _compile(self, position: Dict[str, int]) -> None:
+        """Append the propagation transitions to :attr:`alphabet` and
+        build their tables and the independence masks."""
+        raise NotImplementedError
 
-    def _invoke(self, replica: str, index: int) -> Any:
-        """The ``inv`` arm of ``apply``: run step ``index`` of
-        ``replica``'s program and extend the lid maps and mirrors.
+    def _lid_set(self, mask: int) -> FrozenSet[Lid]:
+        """The lids of a seen mask, as the fingerprint stores them."""
+        found = self._lid_sets.get(mask)
+        if found is None:
+            found = frozenset([
+                name for lid, name in enumerate(self._lid_names)
+                if (mask >> lid) & 1
+            ])
+            if len(self._lid_sets) >= _STATE_FP_CACHE_LIMIT:
+                self._lid_sets.clear()
+            self._lid_sets[mask] = found
+        return found
+
+    def _invoke(self, lid: int) -> Any:
+        """The ``inv`` arm of ``apply``: run the program step of ``lid``
+        and extend the mirrors.
 
         Returns the new label, or None when the step's precondition
         fails in this configuration.
         """
+        replica, index = self._lid_names[lid]
         try:
             label = self.system.invoke(replica, *self.programs[replica][index])
         except PreconditionViolation:
             return None  # this interleaving cannot run the op yet
-        self.counters[replica] += 1
-        self.returns[replica].append(label.ret)
-        self._sync_lids()
-        lid = self._lids[label.uid]
-        seen = self._seen_lids[replica]
-        self._vis_lids |= {(prior, lid) for prior in seen}
-        self._seen_lids[replica] = seen | {lid}
-        self._parts[replica] = None
+        self._labels[lid] = label
+        counters = dict(self.counters)
+        counters[replica] = index + 1
+        self.counters = counters
+        returns = dict(self.returns)
+        returns[replica] = returns[replica] + [label.ret]
+        self.returns = returns
+        name = self._lid_names[lid]
+        self._labels_data = self._labels_data | {
+            (name, label.obj, label.method, label.args, label.ret,
+             label.ts),
+        }
+        seen = self._seen[replica]
+        if seen:
+            self._vis_lids = self._vis_lids | {
+                (prior, name) for prior in self._lid_set(seen)
+            }
+        self._write(replica, seen | (1 << lid))
         return label
+
+    def _write(self, replica: str, seen: int) -> None:
+        """Set ``replica``'s seen mask and dirty its fingerprint part,
+        both in fresh tables (the old ones may sit in a token)."""
+        seen_table = dict(self._seen)
+        seen_table[replica] = seen
+        self._seen = seen_table
+        parts = dict(self._parts)
+        parts[replica] = None
+        self._parts = parts
 
     # -- branching ------------------------------------------------------
 
@@ -372,43 +456,30 @@ class _Domain:
             system_token = copy.deepcopy(self.system)
         return (
             system_token,
-            dict(self.counters),
-            {r: list(v) for r, v in self.returns.items()},
-            dict(self._lids),
-            dict(self._per_origin),
-            dict(self._lid_to_label),
+            self.counters,
+            self.returns,
+            self._seen,
+            self._parts,
             self._labels_data,
-            dict(self._seen_lids),
             self._vis_lids,
-            dict(self._parts),
             getattr(self, self._TAIL),
         )
 
     def pop(self, token: Tuple) -> None:
-        (system_token, counters, returns, lids, per_origin, lid_to_label,
-         labels_data, seen_lids, vis_lids, parts, tail) = token
+        (system_token, self.counters, self.returns, self._seen,
+         self._parts, self._labels_data, self._vis_lids, tail) = token
         if self.use_snapshots:
             self.system.restore(system_token)
-            self._lid_to_label = dict(lid_to_label)
         else:
             # The deepcopy fallback replaces every label object, so the
-            # lids are resolved against the fresh copy (uids survive it).
+            # live lids are pointed at the fresh copy's labels.
             self.stats.deepcopies += 1
             self.system = copy.deepcopy(system_token)
-            self._lid_to_label = {
-                lids[label.uid]: label
-                for label in self.system.generation_order
-            }
-        self._lids = dict(lids)
-        self._per_origin = dict(per_origin)
-        self._labels_data = labels_data
-        self._seen_lids = dict(seen_lids)
-        self._vis_lids = vis_lids
-        # Part entries are immutable values: restoring the shallow copy
-        # re-marks exactly the replicas that were dirty at push time.
-        self._parts = dict(parts)
-        self.counters = dict(counters)
-        self.returns = {r: list(v) for r, v in returns.items()}
+            steps: Dict[str, int] = {}
+            for label in self.system.generation_order:
+                step = steps.get(label.origin, 0)
+                steps[label.origin] = step + 1
+                self._labels[self._lid_base[label.origin] + step] = label
         setattr(self, self._TAIL, tail)
 
     # -- fingerprinting -------------------------------------------------
@@ -427,6 +498,10 @@ class _Domain:
         return fp
 
     def fingerprint(self) -> Any:
+        # Filling a dirty entry in place is the one write that skips
+        # copy-on-write: a token sharing this table belongs to the same
+        # configuration (apply copies the table before changing it), so
+        # the filled value is right for it too.
         parts = self._parts
         sym = self.sym
         if sym is None:
@@ -441,7 +516,7 @@ class _Domain:
                 )
         return sym.canonical(parts, self._glob())
 
-    def canon_sleep(self, sleep: FrozenSet[Transition]) -> Any:
+    def canon_sleep(self, sleep: int) -> int:
         """Translate a sleep set into the frame of the latest fingerprint.
 
         With symmetry on, the fingerprint is the image of the
@@ -451,18 +526,16 @@ class _Domain:
         whichever orbit member happened to arrive.
         """
         sym = self.sym
-        if sym is None or not sleep:
+        if sym is None or not sleep or not sym.last_index:
             return sleep
-        return sym.rename_transitions(sleep)
+        return _permute(sleep, self.rename_tables[sym.last_index])
 
-    def uncanon_transitions(
-        self, transitions: FrozenSet[Transition]
-    ) -> FrozenSet[Transition]:
+    def uncanon_transitions(self, transitions: int) -> int:
         """Inverse of :meth:`canon_sleep` under the latest fingerprint."""
         sym = self.sym
-        if sym is None or not transitions:
+        if sym is None or not transitions or not sym.last_index:
             return transitions
-        return sym.unrename_transitions(transitions)
+        return _permute(transitions, self.unrename_tables[sym.last_index])
 
     def visit_args(self) -> Tuple[Any, Dict[str, List[Any]]]:
         return self.system, self.returns
@@ -471,7 +544,9 @@ class _Domain:
 class _OpDomain(_Domain):
     """Op-based semantics: invoke / causal-delivery transitions."""
 
-    _TAIL = "_causal_lids"
+    #: The lids generated on the current path, in generation order (the
+    #: order ``transitions`` lists deliveries in).
+    _TAIL = "_generated"
 
     def __init__(
         self,
@@ -480,81 +555,150 @@ class _OpDomain(_Domain):
         stats: ExploreStats,
         symmetry: bool = False,
     ) -> None:
+        self._generated: Tuple[int, ...] = ()
         super().__init__(system, programs, stats, symmetry,
                          extra_names=tuple(system.objects))
-        lids = self._lids
-        #: Each label's causal predecessors, as lids.  Replaced, never
-        #: mutated, by apply(), so push/pop tokens share it.
-        self._causal_lids: Dict[Lid, FrozenSet[Lid]] = {
-            lids[label.uid]: frozenset(lids[p.uid] for p in preds)
-            for label, preds in system._causal_preds.items()
-        }
+        #: Grow-only, like ``_labels``: each lid's causal predecessors as
+        #: a lid mask (what its origin had seen of its object).
+        self._causal: List[int] = [0] * self._n_inv
         # The object and generator tables never change shape mid-search.
         self._obj_names = sorted(system.objects)
         self._gen_names = sorted(system._generators)
 
+    def _compile(self, position: Dict[str, int]) -> None:
+        """``del(t, (o, i))`` for every target ``t`` and lid ``(o, i)``
+        with ``o ≠ t``, by target, origin and step; then the masks.
+
+        Distinct replicas touch disjoint replica-local data — states,
+        seen-sets and logical clocks are per replica, and the
+        visibility and effector tables only ever grow commutatively — so
+        transitions at distinct replicas are independent.  So are two
+        deliveries at one replica of labels of different objects
+        (disjoint state components).  Two deliveries of the same object
+        at one replica are independent iff their effectors commute on
+        the replica's current state: those pairs are the probe masks.
+        An invocation reads and writes its replica's state, seen-set and
+        clock, so it depends on everything else at its replica.
+        """
+        objects = list(self.system.objects)
+        sole = objects[0] if len(objects) == 1 else None
+        obj_of = []
+        for replica, step in self._lid_names:
+            spec = self.programs[replica][step]
+            obj_of.append(
+                spec[2] if len(spec) > 2 and spec[2] is not None else sole
+            )
+        #: Per lid, the lids of its object: causal predecessors are the
+        #: origin's seen labels of the same object.
+        self._same_object = [
+            sum(1 << other for other, o in enumerate(obj_of) if o == obj)
+            for obj in obj_of
+        ]
+        alphabet, actor = self.alphabet, self._actor
+        #: Per delivery, the lid it delivers (-1 for invocations).
+        self._del_lid: List[int] = [-1] * self._n_inv
+        #: ``(target, lid -> delivery index)``; own lids map to -1.
+        self._del_rows: List[Tuple[str, List[int]]] = []
+        #: ``(target, ((lid, delivery index), ...))`` over foreign lids.
+        self._foreign: List[Tuple[str, Tuple[Tuple[int, int], ...]]] = []
+        for target in self.replicas:
+            row = [-1] * self._n_inv
+            pairs = []
+            for lid, name in enumerate(self._lid_names):
+                if name[0] == target:
+                    continue  # origins see their own labels immediately
+                row[lid] = len(alphabet)
+                pairs.append((lid, len(alphabet)))
+                alphabet.append(("del", target, name))
+                actor.append(position[target])
+                self._del_lid.append(lid)
+            self._del_rows.append((target, row))
+            self._foreign.append((target, tuple(pairs)))
+        self._indep: List[int] = []
+        self._probe: List[int] = []
+        for a in range(len(alphabet)):
+            indep = probe = 0
+            for b in range(len(alphabet)):
+                if actor[a] != actor[b]:
+                    indep |= 1 << b
+                elif a >= self._n_inv and b >= self._n_inv:
+                    if obj_of[self._del_lid[a]] != obj_of[self._del_lid[b]]:
+                        indep |= 1 << b
+                    else:
+                        probe |= 1 << b
+            self._indep.append(indep)
+            self._probe.append(probe)
+
     # -- transitions ----------------------------------------------------
 
     def transitions(self) -> List[Transition]:
-        trans: List[Transition] = []
-        for replica in self.replicas:
-            if self.counters[replica] < len(self.programs[replica]):
-                trans.append(("inv", replica, self.counters[replica]))
-        # Causal delivery over the lid mirrors (same condition as
+        counters = self.counters
+        trans = [
+            base + counters[replica]
+            for replica, base, length in self._inv_rows
+            if counters[replica] < length
+        ]
+        # Causal delivery over the lid masks (same condition as
         # ``system.deliverable``; apply() passes ``prechecked=True`` so
         # the system does not re-derive it — the naive differential
         # oracle pins the mirrors against mis-scheduling).
-        causal = self._causal_lids
-        for replica in self.replicas:
-            seen = self._seen_lids[replica]
-            for lid in self._lid_to_label:
-                if lid not in seen and causal[lid] <= seen:
-                    trans.append(("del", replica, lid))
+        generated = self._generated
+        if generated:
+            causal, seen_table = self._causal, self._seen
+            for replica, row in self._del_rows:
+                seen = seen_table[replica]
+                for lid in generated:
+                    if not (seen >> lid) & 1 and not causal[lid] & ~seen:
+                        trans.append(row[lid])
         return trans
 
     def should_visit(self, transitions: List[Transition]) -> bool:
         return not transitions  # quiescent: programs run out, all delivered
 
     def apply(self, transition: Transition) -> bool:
-        kind, replica, payload = transition
-        if kind == "inv":
-            label = self._invoke(replica, payload)
-            if label is None:
+        if transition < self._n_inv:
+            seen = self._seen[self._lid_names[transition][0]]
+            if self._invoke(transition) is None:
                 return False
-            lids = self._lids
-            causal = dict(self._causal_lids)
-            causal[lids[label.uid]] = frozenset(
-                lids[p.uid] for p in self.system._causal_preds[label]
-            )
-            self._causal_lids = causal
+            self._causal[transition] = seen & self._same_object[transition]
+            self._generated += (transition,)
             return True
-        label = self._lid_to_label[payload]
+        lid = self._del_lid[transition]
+        replica = self.replicas[self._actor[transition]]
         # prechecked: transitions() established deliverability from the
-        # lid mirrors at this exact configuration.
-        self.system.deliver(replica, label, prechecked=True)
-        self._seen_lids[replica] = self._seen_lids[replica] | {payload}
-        self._parts[replica] = None
+        # lid masks at this exact configuration.
+        self.system.deliver(replica, self._labels[lid], prechecked=True)
+        self._write(replica, self._seen[replica] | (1 << lid))
         return True
 
     # -- independence (the DPOR relation) -------------------------------
 
-    def independent(self, a: Transition, b: Transition) -> bool:
-        if a[1] != b[1]:
-            # Distinct replicas touch disjoint replica-local data: their
-            # states, seen-sets, and logical clocks are per-replica, and
-            # visibility/effector tables only ever grow commutatively.
-            return True
-        if a[0] == "del" and b[0] == "del":
-            first = self._lid_to_label.get(a[2])
-            second = self._lid_to_label.get(b[2])
-            if first is None or second is None:
-                return False
-            if first.obj != second.obj:
-                return True  # different objects: disjoint state components
-            return self._effectors_commute(a[1], first, second)
-        # Invoke vs. anything at the same replica reads/writes that
-        # replica's state, seen-set, and clock: dependent.
-        return False
+    def sleep_after(self, sleep: int, transition: Transition) -> int:
+        """The members of ``sleep`` independent of ``transition`` here:
+        the static mask, plus each probed pair whose effectors commute
+        on the replica's current state."""
+        child = sleep & self._indep[transition]
+        pending = sleep & self._probe[transition]
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            if self._delivered_commute(low.bit_length() - 1, transition):
+                child |= low
+        return child
+
+    def _live(self, lid: int) -> bool:
+        """Whether ``lid``'s label was generated on the current path."""
+        origin, step = self._lid_names[lid]
+        return self.counters[origin] > step
+
+    def _delivered_commute(self, a: Transition, b: Transition) -> bool:
+        first, second = self._del_lid[a], self._del_lid[b]
+        if not (self._live(first) and self._live(second)):
+            return False
+        return self._effectors_commute(
+            self.replicas[self._actor[a]],
+            self._labels[first], self._labels[second],
+        )
 
     def _effectors_commute(self, replica: str, first, second) -> bool:
         """Probe Commutativity (Fig. 11) on the replica's current state.
@@ -587,31 +731,18 @@ class _OpDomain(_Domain):
         successor) are *enforced* orders — the reversed execution does not
         exist, so no backtrack point is needed.
         """
-        if a[0] == "inv":
-            if b[0] == "inv":
-                return False  # program order at one replica
-            if b[2] == (a[1], a[2]):
-                return False  # creation: b delivers a's label
-            return True
-        if b[0] == "del" and a[0] == "del" and a[1] == b[1]:
+        n = self._n_inv
+        if a < n:
+            # Program order, or creation: b delivers a's label (an inv's
+            # index is the lid it mints).
+            return b >= n and self._del_lid[b] != a
+        if b >= n and self._actor[a] == self._actor[b]:
             # Same-replica deliveries: irreversible when a's label is a
             # causal predecessor of b's (b was not deliverable before a).
-            preds = self._causal_lids.get(b[2])
-            if preds is not None and a[2] in preds:
+            lid = self._del_lid[b]
+            if self._live(lid) and (self._causal[lid] >> self._del_lid[a]) & 1:
                 return False
         return True
-
-    def must_schedule(self, transition: Transition) -> bool:
-        """Whether a node must schedule ``transition`` unconditionally.
-
-        Race reversals only ever request events that *occur* in explored
-        executions, which covers a transition iff every maximal execution
-        eventually takes it.  Op-based transitions all qualify —
-        invocations run their programs out and deliveries stay enabled
-        until taken, so leaves are exactly the quiescent configurations —
-        hence nothing needs forced scheduling.
-        """
-        return False
 
     def residual_transitions(self) -> List[Transition]:
         """Every event that can still occur from this configuration.
@@ -623,49 +754,42 @@ class _OpDomain(_Domain):
         residual alphabet *is* the subtree footprint — no recording, no
         canonical-frame renaming, O(remaining work) to enumerate.
         """
+        counters = self.counters
         res: List[Transition] = []
-        for replica in self.replicas:
-            for i in range(
-                self.counters[replica], len(self.programs[replica])
-            ):
-                res.append(("inv", replica, i))
-        for target in self.replicas:
-            seen = self._seen_lids[target]
-            for replica in self.replicas:
-                if replica == target:
-                    continue  # origins see their own labels immediately
-                done = self.counters[replica]
-                for i in range(len(self.programs[replica])):
-                    if i >= done or (replica, i) not in seen:
-                        res.append(("del", target, (replica, i)))
+        for replica, base, length in self._inv_rows:
+            res.extend(range(base + counters[replica], base + length))
+        seen_table = self._seen
+        for target, pairs in self._foreign:
+            seen = seen_table[target]
+            res.extend([d for lid, d in pairs if not (seen >> lid) & 1])
         return res
 
     # Incremental happens-before masks: the engine notes each path event
     # once, and ``hb_dep_mask`` answers "which path indices is this event
-    # hb-dependent on" as a bitmask in O(1) dict lookups instead of an
-    # O(path) relation loop per event.
+    # hb-dependent on" as a bitmask in O(1) lookups instead of an O(path)
+    # relation loop per event.
 
     def hb_reset(self) -> None:
-        self._hb_replica_masks: Dict[str, int] = {}
-        self._hb_mk_bit: Dict[Lid, int] = {}
+        self._hb_replica_masks = [0] * len(self.replicas)
+        #: Per lid, the path bit of the inv that minted it (0 if none).
+        self._hb_mk_bit = [0] * self._n_inv
 
     def hb_note(self, transition: Transition, index: int) -> None:
         bit = 1 << index
-        masks = self._hb_replica_masks
-        masks[transition[1]] = masks.get(transition[1], 0) | bit
-        if transition[0] == "inv":
-            self._hb_mk_bit[(transition[1], transition[2])] = bit
+        self._hb_replica_masks[self._actor[transition]] |= bit
+        if transition < self._n_inv:
+            self._hb_mk_bit[transition] = bit
 
     def hb_unnote(self, transition: Transition, index: int) -> None:
-        self._hb_replica_masks[transition[1]] &= ~(1 << index)
-        if transition[0] == "inv":
-            self._hb_mk_bit.pop((transition[1], transition[2]), None)
+        self._hb_replica_masks[self._actor[transition]] &= ~(1 << index)
+        if transition < self._n_inv:
+            self._hb_mk_bit[transition] = 0
 
     def hb_dep_mask(self, transition: Transition, length: int) -> int:
         """Path indices (of the first ``length``) ``transition`` depends on.
 
         This is the *coarse* structural dependence source-DPOR computes
-        races over; it may be coarser than :meth:`independent` (which
+        races over; it may be coarser than :meth:`sleep_after` (which
         additionally probes dynamic effector commutation) — a coarser
         happens-before merges fewer executions into one trace class,
         which only means more races are considered, never fewer, so
@@ -674,14 +798,12 @@ class _OpDomain(_Domain):
         Op-based events touch replica-local data (state, seen-set,
         clock), so two events are dependent iff they share a replica —
         plus the creation edge: a delivery depends on the invocation that
-        generated its label (the k-th invocation at replica ``r`` has
-        logical id ``(r, k)``, which is exactly ``("inv", r, k)``'s
-        payload).
+        generated its label (the inv of lid ``l`` is transition ``l``).
         """
-        mask = self._hb_replica_masks.get(transition[1], 0)
-        if transition[0] == "del":
+        mask = self._hb_replica_masks[self._actor[transition]]
+        if transition >= self._n_inv:
             # The creation edge: the inv that generated this label.
-            mask |= self._hb_mk_bit.get(transition[2], 0)
+            mask |= self._hb_mk_bit[self._del_lid[transition]]
         return mask
 
     # -- fingerprinting -------------------------------------------------
@@ -696,7 +818,7 @@ class _OpDomain(_Domain):
         return (
             self.counters[replica],
             tuple(self.returns[replica]),
-            self._seen_lids[replica],
+            self._lid_set(self._seen[replica]),
             tuple(
                 generators[name].clock(replica) for name in self._gen_names
             ),
@@ -727,18 +849,68 @@ class _StateDomain(_Domain):
         super().__init__(system, programs, stats, symmetry)
         self.budget = max_gossips
 
+    def _compile(self, position: Dict[str, int]) -> None:
+        """``gos(s, t)`` for every ordered pair ``s ≠ t``; then the masks.
+
+        Writers are the targets; sources are only read.  An invocation
+        is independent of another replica's invocation and of every
+        gossip that neither reads nor writes its replica.  Two gossips
+        are independent only while two budget units remain (taking one
+        may disable the other): with disjoint writes that neither reads
+        (:attr:`_gos_indep`), or, into one target, iff the two source
+        snapshots merge commutatively into the target's current state
+        (lattice joins do; mutants may not) — those pairs are the probe
+        masks.
+        """
+        alphabet, actor = self.alphabet, self._actor
+        #: Per gossip, its ``(source, target)`` (None for invocations).
+        self._ends: List[Optional[Tuple[str, str]]] = [None] * self._n_inv
+        gossips = []
+        for source in self.replicas:
+            for target in self.replicas:
+                if source != target:
+                    gossips.append(len(alphabet))
+                    alphabet.append(("gos", source, target))
+                    actor.append(position[target])
+                    self._ends.append((source, target))
+        self._gossips: Tuple[int, ...] = tuple(gossips)
+        # Gossips are alternatives, not mandatory events: they drain a
+        # shared budget (see residual_transitions).
+        self.forced = sum(1 << g for g in gossips)
+        self._indep: List[int] = []
+        self._gos_indep: List[int] = []
+        self._probe: List[int] = []
+        for a, ends_a in enumerate(self._ends):
+            indep = gos_indep = probe = 0
+            for b, ends_b in enumerate(self._ends):
+                if ends_a is None and ends_b is None:
+                    independent = actor[a] != actor[b]
+                elif ends_a is None or ends_b is None:
+                    inv, ends = (a, ends_b) if ends_a is None else (b, ends_a)
+                    independent = self._lid_names[inv][0] not in ends
+                else:
+                    if ends_a[1] == ends_b[1]:
+                        probe |= 1 << b
+                    elif ends_a[1] not in ends_b and ends_b[1] not in ends_a:
+                        gos_indep |= 1 << b
+                    continue
+                if independent:
+                    indep |= 1 << b
+            self._indep.append(indep)
+            self._gos_indep.append(gos_indep)
+            self._probe.append(probe)
+
     # -- transitions ----------------------------------------------------
 
     def transitions(self) -> List[Transition]:
-        trans: List[Transition] = []
-        for replica in self.replicas:
-            if self.counters[replica] < len(self.programs[replica]):
-                trans.append(("inv", replica, self.counters[replica]))
+        counters = self.counters
+        trans = [
+            base + counters[replica]
+            for replica, base, length in self._inv_rows
+            if counters[replica] < length
+        ]
         if self.budget > 0:
-            for source in self.replicas:
-                for target in self.replicas:
-                    if source != target:
-                        trans.append(("gos", source, target))
+            trans.extend(self._gossips)
         return trans
 
     def should_visit(self, transitions: List[Transition]) -> bool:
@@ -747,38 +919,32 @@ class _StateDomain(_Domain):
         )
 
     def apply(self, transition: Transition) -> bool:
-        kind, first, second = transition
-        if kind == "inv":
-            return self._invoke(first, second) is not None
-        self.system.gossip(first, second)
-        self._seen_lids[second] = self._seen_lids[second] | self._seen_lids[first]
-        self.budget -= 1
+        if transition < self._n_inv:
+            return self._invoke(transition) is not None
+        source, target = self._ends[transition]
+        self.system.gossip(source, target)
         # Gossip mutates only the target replica (the source is read) —
         # plus the global budget, which lives in the glob component.
-        self._parts[second] = None
+        self._write(target, self._seen[target] | self._seen[source])
+        self.budget -= 1
         return True
 
     # -- independence ---------------------------------------------------
 
-    def independent(self, a: Transition, b: Transition) -> bool:
-        if a[0] == "gos" and b[0] == "gos":
-            if self.budget < 2:
-                return False  # taking one disables the other
-            # Writers are the targets; sources are only read.
-            if a[2] == b[2]:
-                # Same merge target: sound iff the two source snapshots
-                # merge commutatively into the target's current state
-                # (lattice joins do; mutants may not — probe dynamically).
-                if b[1] == a[2] or a[1] == b[2]:
-                    return False
-                return self._merges_commute(a[1], b[1], a[2])
-            if a[2] in (b[1], b[2]) or b[2] in (a[1], a[2]):
-                return False  # one's write is the other's read/write
-            return True
-        if a[0] == "inv" and b[0] == "inv":
-            return a[1] != b[1]
-        inv, gos = (a, b) if a[0] == "inv" else (b, a)
-        return inv[1] not in (gos[1], gos[2])
+    def sleep_after(self, sleep: int, transition: Transition) -> int:
+        """See :meth:`_OpDomain.sleep_after`."""
+        child = sleep & self._indep[transition]
+        if self.budget < 2:
+            return child  # taking one gossip may disable the other
+        child |= sleep & self._gos_indep[transition]
+        pending = sleep & self._probe[transition]
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            source = self._ends[low.bit_length() - 1][0]
+            if self._merges_commute(source, *self._ends[transition]):
+                child |= low
+        return child
 
     def _merges_commute(self, source1: str, source2: str, target: str) -> bool:
         crdt = self.system.crdt
@@ -799,21 +965,8 @@ class _StateDomain(_Domain):
         budget remains (it is never smaller earlier in the execution), so
         every non-program-order race has an executable reversal.
         """
-        return not (a[0] == "inv" and b[0] == "inv" and a[1] == b[1])
-
-    def must_schedule(self, transition: Transition) -> bool:
-        """Gossips are *alternatives*, not mandatory events: they drain a
-        shared budget, so a maximal execution that spends it on one
-        gossip never contains the others — no explored execution need
-        mention ``gos(2→1)``, and the race mechanism (which only reverses
-        events that occur) would silently drop its configurations.  Every
-        enabled gossip is therefore force-seeded into each node's source
-        set; the reduction prunes invocation interleavings only.
-        """
-        return transition[0] == "gos"
-
-    #: Gossips need forcing — the engine runs the per-node seeding scan.
-    forces_schedule = True
+        n = self._n_inv
+        return not (a < n and b < n and self._actor[a] == self._actor[b])
 
     def residual_transitions(self) -> List[Transition]:
         """See :meth:`_OpDomain.residual_transitions`.
@@ -821,49 +974,50 @@ class _StateDomain(_Domain):
         Remaining invocations occur in every maximal execution below
         this node; gossips are alternatives (budget-bounded), so the
         residual alphabet over-approximates any one subtree's footprint
-        — extra replayed races cost work, never soundness, and gossip
-        reversals are almost always already covered (every open frame
-        force-seeds its enabled gossips via :meth:`must_schedule`).
+        — extra replayed races cost work, never soundness.
+
+        Gossips are why :attr:`forced` is set: they drain a shared
+        budget, so a maximal execution that spends it on one gossip
+        never contains the others — no explored execution need mention
+        ``gos(2→1)``, and the race mechanism (which only reverses events
+        that occur) would silently drop its configurations.  Every
+        enabled gossip is therefore force-seeded into each node's source
+        set; the reduction prunes invocation interleavings only, and
+        gossip reversals replayed here are almost always already covered.
         """
+        counters = self.counters
         res: List[Transition] = []
-        for replica in self.replicas:
-            for i in range(
-                self.counters[replica], len(self.programs[replica])
-            ):
-                res.append(("inv", replica, i))
+        for replica, base, length in self._inv_rows:
+            res.extend(range(base + counters[replica], base + length))
         if self.budget > 0:
-            for source in self.replicas:
-                for target in self.replicas:
-                    if source != target:
-                        res.append(("gos", source, target))
+            res.extend(self._gossips)
         return res
 
     # Incremental happens-before masks — see :class:`_OpDomain`.
 
     def hb_reset(self) -> None:
-        self._hb_replica_masks: Dict[str, int] = {}
+        self._hb_replica_masks = [0] * len(self.replicas)
         self._hb_gos_mask = 0
 
     def hb_note(self, transition: Transition, index: int) -> None:
         bit = 1 << index
-        if transition[0] == "gos":
+        if transition >= self._n_inv:
             self._hb_gos_mask |= bit
         else:
-            masks = self._hb_replica_masks
-            masks[transition[1]] = masks.get(transition[1], 0) | bit
+            self._hb_replica_masks[self._actor[transition]] |= bit
 
     def hb_unnote(self, transition: Transition, index: int) -> None:
-        if transition[0] == "gos":
+        if transition >= self._n_inv:
             self._hb_gos_mask &= ~(1 << index)
         else:
-            self._hb_replica_masks[transition[1]] &= ~(1 << index)
+            self._hb_replica_masks[self._actor[transition]] &= ~(1 << index)
 
     def hb_dep_mask(self, transition: Transition, length: int) -> int:
         """Structural dependence for the state-based semantics.
 
         Two invocations depend iff they share a replica; gossips are
         declared dependent on *everything* — deliberately coarser than
-        :meth:`independent`.  The state-based visit hook fires on
+        :meth:`sleep_after`.  The state-based visit hook fires on
         interior configurations too (program-complete nodes with
         leftover gossip budget), and source-DPOR only preserves maximal
         executions per trace class; making every gossip an ordering
@@ -874,10 +1028,10 @@ class _StateDomain(_Domain):
         the sleep-set engine's.  The reduction then prunes invocation
         interleavings between gossips.
         """
-        if transition[0] == "gos":
+        if transition >= self._n_inv:
             return (1 << length) - 1  # the global ordering barrier
         return (
-            self._hb_replica_masks.get(transition[1], 0)
+            self._hb_replica_masks[self._actor[transition]]
             | self._hb_gos_mask
         )
 
@@ -889,7 +1043,7 @@ class _StateDomain(_Domain):
         return (
             self.counters[replica],
             tuple(self.returns[replica]),
-            self._seen_lids[replica],
+            self._lid_set(self._seen[replica]),
             system._generator.clock(replica),
             self._state_fp(system.crdt, system._states[replica]),
         )
@@ -921,10 +1075,13 @@ class _Frame:
       transition there is either explored (as a sibling task) or
       slept, so any reversal is already covered.  :data:`_IGNORE_FRAME`
       is the one shared instance.
+
+    ``sleep``, ``tried``, ``done`` and ``race_added`` are transition
+    masks.
     """
 
     __slots__ = (
-        "mode", "enabled", "enabled_set", "sleep", "backtrack", "tried",
+        "mode", "enabled", "enabled_mask", "sleep", "backtrack", "tried",
         "done", "race_added", "progressed",
     )
 
@@ -932,37 +1089,34 @@ class _Frame:
         self,
         mode: str,
         enabled: List[Transition],
-        sleep: FrozenSet[Transition],
+        sleep: int,
     ) -> None:
         self.mode = mode
         self.enabled = enabled
-        #: Lazily materialized by :meth:`is_enabled` — most frames never
-        #: receive a race reversal, so the set would be wasted work.
-        self.enabled_set = None
+        #: Lazily built by :meth:`is_enabled` — most frames never
+        #: receive a race reversal, so the mask would be wasted work.
+        self.enabled_mask = -1
         self.sleep = sleep
         #: Insertion-ordered candidate set (dict keys): the source set.
-        self.backtrack: Dict[Transition, None] = {}
-        self.tried: set = set()
-        self.done: List[Transition] = []
-        self.race_added: set = set()
+        self.backtrack: Dict[Transition, WakeupTree] = {}
+        self.tried = 0
+        self.done = 0
+        self.race_added = 0
         self.progressed = False
 
-    def next_candidate(self) -> Optional[Transition]:
-        for transition in self.backtrack:
-            if transition not in self.tried:
-                return transition
-        return None
-
     def is_enabled(self, transition: Transition) -> bool:
-        enabled_set = self.enabled_set
-        if enabled_set is None:
-            enabled_set = self.enabled_set = set(self.enabled)
-        return transition in enabled_set
+        mask = self.enabled_mask
+        if mask < 0:
+            mask = 0
+            for enabled in self.enabled:
+                mask |= 1 << enabled
+            self.enabled_mask = mask
+        return (mask >> transition) & 1 == 1
 
 
 #: Ignore frames are never consulted beyond their mode, so one instance
 #: serves every fully expanded prefix node.
-_IGNORE_FRAME = _Frame("ignore", [], _EMPTY_SLEEP)
+_IGNORE_FRAME = _Frame("ignore", [], 0)
 
 
 class _ProfiledDomain:
@@ -986,7 +1140,7 @@ class _ProfiledDomain:
         "push": "snapshot",
         "pop": "restore",
         "apply": "apply",
-        "independent": "commute",
+        "sleep_after": "commute",
         "race_reversible": "commute",
         "fingerprint": "fingerprint",
         "canon_sleep": "fingerprint",
@@ -1056,19 +1210,19 @@ class _Engine:
         #: path length become tasks in :attr:`frontier` instead of being
         #: expanded.
         self._cap: Optional[int] = None
-        #: The ``(path, sleep)`` tasks of the last frontier walk.
-        self.frontier: List[Tuple[Tuple[Transition, ...],
-                                  FrozenSet[Transition]]] = []
+        #: The ``(path, sleep)`` tasks of the last frontier walk: a tuple
+        #: of transitions and a transition mask.
+        self.frontier: List[Tuple[Tuple[Transition, ...], int]] = []
         #: Fingerprints of configurations already reported to ``visit``;
         #: the pool's merge unions the per-session sets to count distinct
         #: configurations globally.
         self.visited_fps: Any = (
             store.visited_set() if store is not None else set()
         )
-        #: fingerprint -> sleep sets the subtree was explored under.  A new
-        #: arrival is subsumed if some recorded sleep set is contained in
-        #: the current one (then every schedule allowed now was allowed —
-        #: and explored — before).
+        #: fingerprint -> sleep masks the subtree was explored under.  A
+        #: new arrival is subsumed if some recorded sleep set is contained
+        #: in the current one (then every schedule allowed now was
+        #: allowed — and explored — before).
         self._expanded: Any = (
             store.expanded_map() if store is not None else {}
         )
@@ -1097,18 +1251,18 @@ class _Engine:
     def run(
         self,
         path: Optional[Sequence[Transition]] = None,
-        sleep: FrozenSet[Transition] = frozenset(),
+        sleep: int = 0,
         cap: Optional[int] = None,
     ) -> ExploreStats:
         """Explore the whole tree, a frontier task, or the frontier
         itself.
 
         ``path`` replays a transition sequence from the root and runs the
-        DFS below it under ``sleep`` — the pool's task unit.  ``cap``
-        instead runs the sleep-set walk over the top ``cap`` levels only
-        (see :meth:`_run_frontier`) and leaves the nodes at that depth in
-        :attr:`frontier`.  Wall time *accumulates* so an engine reused
-        across tasks reports its total exploration time.
+        DFS below it under the ``sleep`` mask — the pool's task unit.
+        ``cap`` instead runs the sleep-set walk over the top ``cap``
+        levels only (see :meth:`_run_frontier`) and leaves the nodes at
+        that depth in :attr:`frontier`.  Wall time *accumulates* so an
+        engine reused across tasks reports its total exploration time.
         """
         started = time.perf_counter()
         try:
@@ -1119,13 +1273,14 @@ class _Engine:
             elif self.por != "sleep":
                 self._run_source_root()
             else:
-                self._dfs(frozenset(), 1)
+                self._dfs(0, 1)
         except _SearchCapped:
             self.stats.capped = True
             if self.journal is not None:
                 self.journal.record(
-                    "budget.exhausted",
+                    "search.capped",
                     configurations=self.stats.configurations,
+                    limit=self.max_configurations,
                 )
         self.stats.wall_time += time.perf_counter() - started
         return self.stats
@@ -1140,7 +1295,7 @@ class _Engine:
 
     def _run_source_root(self) -> None:
         try:
-            self._dfs_source(frozenset(), 1)
+            self._dfs_source(0, 1)
         finally:
             self._reset_stacks()
 
@@ -1165,16 +1320,12 @@ class _Engine:
         self.frontier = []
         self._expanded = {}
         try:
-            self._dfs(frozenset(), 1)
+            self._dfs(0, 1)
         finally:
             self._cap = None
             self._path = []
 
-    def _run_path(
-        self,
-        path: Sequence[Transition],
-        sleep: FrozenSet[Transition],
-    ) -> None:
+    def _run_path(self, path: Sequence[Transition], sleep: int) -> None:
         """Replay ``path`` from the root, then DFS under ``sleep``.
 
         The path was produced by a walk that successfully applied every
@@ -1192,7 +1343,8 @@ class _Engine:
             for transition in path:
                 if not domain.apply(transition):
                     raise RuntimeError(
-                        f"frontier task failed to replay at {transition!r}"
+                        "frontier task failed to replay at "
+                        f"{domain.alphabet[transition]!r}"
                     )
                 if source:
                     _, hb_mask = self._analyze_event(transition)
@@ -1201,9 +1353,9 @@ class _Engine:
                     self._hb.append(hb_mask)
                 self._path.append(transition)
             if source:
-                self._dfs_source(frozenset(sleep), len(path) + 1)
+                self._dfs_source(sleep, len(path) + 1)
             else:
-                self._dfs(frozenset(sleep), len(path) + 1)
+                self._dfs(sleep, len(path) + 1)
         finally:
             # Restore the root even when capped mid-subtree, so a worker
             # session stays reusable for its next task.
@@ -1222,7 +1374,7 @@ class _Engine:
         ):
             raise _SearchCapped
 
-    def _dfs(self, sleep: FrozenSet[Transition], depth: int) -> None:
+    def _dfs(self, sleep: int, depth: int) -> None:
         domain, stats = self.domain, self.stats
         stats.states_visited += 1
         if self.heartbeat is not None:
@@ -1244,7 +1396,7 @@ class _Engine:
         # tuple; a get-then-setdefault pair would hash it twice.
         recorded_sets = self._expanded.setdefault(fingerprint, [])
         for recorded in recorded_sets:
-            if recorded <= sleep_key:
+            if not recorded & ~sleep_key:
                 stats.states_deduped += 1
                 return
         recorded_sets.append(sleep_key)
@@ -1253,31 +1405,28 @@ class _Engine:
             self.frontier.append((tuple(self._path), sleep))
             return
         token = domain.push()
-        done: List[Transition] = []
+        done = 0
         for transition in transitions:
-            if transition in sleep:
+            if (sleep >> transition) & 1:
                 stats.branches_pruned += 1
                 continue
             # Sleep-set inheritance is decided *before* the step runs, on
             # the state the independence probe sees.
-            child_sleep = frozenset(
-                other
-                for other in sleep.union(done)
-                if domain.independent(other, transition)
-            )
+            base = sleep | done
+            child_sleep = domain.sleep_after(base, transition) if base else 0
             if not domain.apply(transition):
                 continue
             self._path.append(transition)
             self._dfs(child_sleep, depth + 1)
             self._path.pop()
             domain.pop(token)
-            done.append(transition)
+            done |= 1 << transition
 
     # -- source-DPOR ----------------------------------------------------
 
     def _dfs_source(
         self,
-        sleep: FrozenSet[Transition],
+        sleep: int,
         depth: int,
         guide: WakeupTree = None,
     ) -> None:
@@ -1319,13 +1468,15 @@ class _Engine:
             self._report(fingerprint)
         if not transitions:
             return
-        patch: Optional[FrozenSet[Transition]] = None
+        patch: Optional[int] = None
         sleep_key = domain.canon_sleep(sleep)
         recorded_sets = self._expanded.setdefault(fingerprint, [])
-        patch_base = None
-        patch_missing = None
+        patch_base = 0
+        patch_size = _PATCH_LIMIT + 1
+        patch_missing = 0
         for recorded in recorded_sets:
-            if recorded <= sleep_key:
+            missing = recorded & ~sleep_key
+            if not missing:
                 stats.states_deduped += 1
                 # The subtree below an equivalent node is not run again —
                 # but its events can still race with *this* path's
@@ -1333,10 +1484,10 @@ class _Engine:
                 # open frames.
                 self._replay_residual()
                 return
-            missing = recorded - sleep_key
-            if patch_missing is None or len(missing) < len(patch_missing):
-                patch_base, patch_missing = recorded, missing
-        if patch_missing is not None and len(patch_missing) <= _PATCH_LIMIT:
+            size = missing.bit_count()
+            if size < patch_size:
+                patch_base, patch_missing, patch_size = recorded, missing, size
+        if patch_missing:
             # Partial cut at a re-converged state: a prior visit with
             # recorded sleep R covered every execution from here not
             # starting in R; this arrival (sleep S, R ⊄ S) only owes the
@@ -1356,6 +1507,7 @@ class _Engine:
         else:
             recorded_sets.append(sleep_key)
         frame = _Frame("real", transitions, sleep)
+        backtrack = frame.backtrack
         self._frames.append(frame)
         token = domain.push()
         try:
@@ -1366,71 +1518,59 @@ class _Engine:
                 # patch (explored here) or not in the prior record's
                 # sleep (covered by the recorded visit, whose races the
                 # residual replay just re-demanded).  Scheduled in
-                # ``transitions`` order: iterating the frozenset would
-                # make the walk depend on string hashing.
+                # ``transitions`` order, like every other seeding.
                 for candidate in transitions:
-                    if candidate in patch:
-                        frame.backtrack[candidate] = None
+                    if (patch >> candidate) & 1:
+                        backtrack[candidate] = None
             else:
                 seeded = False
                 if guide:
                     for candidate, subtree in guide.items():
-                        if candidate in sleep or not frame.is_enabled(
+                        if (sleep >> candidate) & 1 or not frame.is_enabled(
                             candidate
                         ):
                             continue
-                        frame.backtrack[candidate] = subtree
+                        backtrack[candidate] = subtree
                         seeded = True
                 if not seeded:
                     for transition in transitions:
-                        if transition not in sleep:
-                            frame.backtrack[transition] = None
+                        if not (sleep >> transition) & 1:
+                            backtrack[transition] = None
                             break
-            if patch is None and domain.forces_schedule:
-                for transition in transitions:
-                    if (
-                        transition not in sleep
-                        and domain.must_schedule(transition)
-                    ):
-                        # setdefault: a guided candidate keeps its
-                        # pending continuation.
-                        frame.backtrack.setdefault(transition, None)
+                forced = domain.forced & ~sleep
+                if forced:
+                    for transition in transitions:
+                        if (forced >> transition) & 1:
+                            # setdefault: a guided candidate keeps its
+                            # pending continuation.
+                            backtrack.setdefault(transition, None)
             while True:
-                transition = frame.next_candidate()
-                if transition is None:
+                tried = frame.tried
+                for transition in backtrack:
+                    if not (tried >> transition) & 1:
+                        break
+                else:
                     if not frame.progressed and patch is None:
                         # Every candidate failed its precondition; seed
                         # the next untried enabled transition, exactly as
                         # the serial loop skips a failed apply().
-                        seeded = False
+                        blocked = sleep | tried
                         for candidate in transitions:
-                            if (
-                                candidate not in sleep
-                                and candidate not in frame.tried
-                            ):
-                                frame.backtrack[candidate] = None
-                                seeded = True
+                            if not (blocked >> candidate) & 1:
+                                backtrack[candidate] = None
                                 break
-                        if seeded:
-                            continue
+                        else:
+                            break
+                        continue
                     break
-                frame.tried.add(transition)
-                if frame.done:
-                    base = frame.sleep.union(frame.done)
-                elif frame.sleep:
-                    base = frame.sleep
-                else:
-                    base = None
-                if base:
-                    child_sleep = frozenset(
-                        other
-                        for other in base
-                        if domain.independent(other, transition)
-                    )
-                else:
-                    child_sleep = _EMPTY_SLEEP
+                bit = 1 << transition
+                frame.tried = tried | bit
+                base = sleep | frame.done
+                child_sleep = (
+                    domain.sleep_after(base, transition) if base else 0
+                )
                 if not domain.apply(transition):
-                    if transition in frame.race_added:
+                    if frame.race_added & bit:
                         # A race demanded this reversal but the
                         # transition is disabled here after all; cover
                         # the reversal by scheduling everything.
@@ -1438,20 +1578,21 @@ class _Engine:
                     continue
                 self._record_event(transition)
                 self._dfs_source(
-                    child_sleep, depth + 1, frame.backtrack.get(transition)
+                    child_sleep, depth + 1, backtrack.get(transition)
                 )
                 self._path.pop()
                 self._hb.pop()
                 domain.hb_unnote(transition, len(self._path))
                 domain.pop(token)
-                frame.done.append(transition)
+                frame.done |= bit
                 frame.progressed = True
         finally:
             self._frames.pop()
+        tried = frame.tried
         for transition in transitions:
-            if transition in sleep:
+            if (sleep >> transition) & 1:
                 stats.branches_pruned += 1
-            elif transition not in frame.tried:
+            elif not (tried >> transition) & 1:
                 stats.dpor_redundant_avoided += 1
 
     def _analyze_event(self, transition: Transition) -> Tuple[int, int]:
@@ -1507,8 +1648,10 @@ class _Engine:
         start = time.perf_counter() if profile is not None else 0.0
         frame = self._frames[j]
         path, hb = self._path, self._hb
-        sleep = frame.sleep
-        backtrack, tried = frame.backtrack, frame.tried
+        # A slept initial is covered by the branch that slept it, a
+        # scheduled or run one by this node itself.
+        blocked = frame.sleep | frame.tried
+        backtrack = frame.backtrack
         first: Optional[Transition] = None
         covered = False
         v_mask = 0
@@ -1523,10 +1666,8 @@ class _Engine:
                 continue
             w = path[m]
             if not (hbm & v_mask):
-                # The source-set condition for an initial: a slept one is
-                # covered by the branch that slept it, a scheduled or run
-                # one by this node itself.
-                if w in sleep or w in backtrack or w in tried:
+                # The source-set condition for an initial.
+                if (blocked >> w) & 1 or w in backtrack:
                     covered = True
                     break
                 if first is None:
@@ -1534,11 +1675,7 @@ class _Engine:
             v_mask |= 1 << m
             chain.append(w)
         if not covered and not (hb_mask & v_mask):
-            if (
-                transition in sleep
-                or transition in backtrack
-                or transition in tried
-            ):
+            if (blocked >> transition) & 1 or transition in backtrack:
                 covered = True
             elif first is None:
                 first = transition
@@ -1597,7 +1734,7 @@ class _Engine:
         if cont is not None:
             self.stats.dpor_wakeup_branches += 1
         frame.backtrack[first] = cont
-        frame.race_added.add(first)
+        frame.race_added |= 1 << first
 
     def _full_expand(self, frame: _Frame) -> None:
         """Degrade a frame to the sleep-set schedule (every non-slept
@@ -1606,15 +1743,13 @@ class _Engine:
         *precondition* at apply time, or a disabled initial demanded by
         residual replay."""
         self.stats.dpor_full_expansions += 1
+        blocked = frame.sleep | frame.tried
+        backtrack = frame.backtrack
         for transition in frame.enabled:
-            if (
-                transition not in frame.sleep
-                and transition not in frame.tried
-                and transition not in frame.backtrack
-            ):
+            if not (blocked >> transition) & 1 and transition not in backtrack:
                 # Deliberately not race_added: if a fallback candidate
                 # fails to apply it is skipped, as in the sleep engine.
-                frame.backtrack[transition] = None
+                backtrack[transition] = None
 
     def _replay_residual(self) -> None:
         """Re-run race detection for a dedup-cut subtree.

@@ -422,11 +422,11 @@ class SymmetryReducer:
     pointers per configuration, and equal keys compare item by item on
     identity.
 
-    :attr:`last_map` is the minimizing element of the latest
-    :meth:`canonical` call (the first in ``maps`` order, as a strict
-    ``<`` scan over candidates would pick); the engine uses it to
-    translate sleep sets into the same canonical frame before recording
-    or comparing them.
+    :attr:`last_index` is the position in ``maps`` of the minimizing
+    element of the latest :meth:`canonical` call (the first in ``maps``
+    order, as a strict ``<`` scan over candidates would pick); the
+    engine permutes sleep masks through that element's transition index
+    table, so they are recorded and compared in the same canonical frame.
     """
 
     def __init__(self, replicas: Sequence[str], group: SymmetryGroup) -> None:
@@ -458,7 +458,12 @@ class SymmetryReducer:
         self._memo: Dict[Any, Tuple[Any, bool]] = {}
         #: Glob value -> its image under each element, None until needed.
         self._glob_images: Dict[Any, List[Any]] = {}
-        self.last_map: Dict[str, str] = {}
+        self.last_index = 0
+
+    @property
+    def last_map(self) -> Dict[str, str]:
+        """The minimizing element of the latest :meth:`canonical` call."""
+        return self.maps[self.last_index]
 
     def part_fragments(self, part: Tuple) -> Tuple:
         """``part``'s byte images, one per group element."""
@@ -468,7 +473,7 @@ class SymmetryReducer:
     def canonical(
         self, part_frags: Mapping[str, Tuple], glob: Tuple
     ) -> Tuple[bytes, ...]:
-        """The least image over the group; sets :attr:`last_map`."""
+        """The least image over the group; sets :attr:`last_index`."""
         flat = sum(self._vectors(part_frags), ())
         rows = list(zip(*[get(flat) for get in self._slot_getters]))
         best = min(rows)
@@ -485,7 +490,7 @@ class SymmetryReducer:
                 [g for g in range(index, len(rows)) if rows[g] == best],
                 key=lambda g: self._glob_image(glob, images, g),
             )
-        self.last_map = self.maps[index]
+        self.last_index = index
         return best + (self._glob_image(glob, images, index),)
 
     def _glob_image(self, glob: Tuple, images: List[Any], index: int) -> bytes:
@@ -516,27 +521,3 @@ class SymmetryReducer:
                     parts.append(sub if pure else sub[index])
             image = images[index] = b"t" + b"".join(parts) + _END
         return image
-
-    def rename_transitions(self, transitions) -> Any:
-        """Translate a sleep set by the latest minimizing permutation."""
-        mapping = self.last_map
-        if not mapping:
-            return transitions
-        return frozenset(
-            rename_transition(t, mapping) for t in transitions
-        )
-
-    def unrename_transitions(self, transitions) -> Any:
-        """Pull canonical-frame transitions back to the live frame.
-
-        The inverse of :meth:`rename_transitions` under the *same*
-        ``last_map`` — callers must use it before the next
-        :meth:`canonical` call replaces the minimizing permutation.
-        """
-        mapping = self.last_map
-        if not mapping:
-            return transitions
-        inverse = {b: a for a, b in mapping.items()}
-        return frozenset(
-            rename_transition(t, inverse) for t in transitions
-        )

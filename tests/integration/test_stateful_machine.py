@@ -18,6 +18,13 @@ one token is restored any number of times) and pop it.  Every restore
 is checked against a deepcopy of what the system showed when the token
 was taken — states, ``seen()``, the ``history()`` edges, the generation
 order, the action logs and the clocks.
+
+The last two machines run the same stack discipline one layer up, on
+the exploration engine's domains, whose push token holds references
+only (every domain write is copy-on-write): after each restore the
+enabled transitions, the residual transitions and the fingerprint must
+equal what the domain answered when the token was pushed, and after
+every step the domain must agree with a fresh one replaying its path.
 """
 
 import copy
@@ -34,8 +41,9 @@ from hypothesis import strategies as st
 
 from repro.core.convergence import check_convergence
 from repro.core.sessions import check_session_guarantees
-from repro.crdts import OpLWWRegister, OpORSet, SBLWWElementSet
+from repro.crdts import OpLWWRegister, OpORSet, SBGCounter, SBLWWElementSet
 from repro.runtime import OpBasedSystem, StateBasedSystem
+from repro.runtime.explore_engine import build_engine
 
 REPLICAS = ("r1", "r2")
 VALUES = ("a", "b")
@@ -237,3 +245,113 @@ OpSnapshotMachine.TestCase.settings = SNAPSHOT_SETTINGS
 StateSnapshotMachine.TestCase.settings = SNAPSHOT_SETTINGS
 TestOpSnapshotMachine = OpSnapshotMachine.TestCase
 TestStateSnapshotMachine = StateSnapshotMachine.TestCase
+
+
+# ----------------------------------------------------------------------
+# The exploration domains' push tokens
+# ----------------------------------------------------------------------
+
+#: Identical ``⊗`` product programs, so the domain canonicalizes under a
+#: group of order 2 and probes same-object delivery pairs.
+DOMAIN_PRODUCT_PROGRAMS = {
+    r: [("add", ("a",), "set"), ("write", ("x",), "reg"),
+        ("remove", ("a",), "set"), ("read", (), "reg")]
+    for r in REPLICAS
+}
+
+#: Three G-Counter replicas, one with a longer program.
+DOMAIN_GOSSIP_PROGRAMS = {
+    "r1": [("inc", ()), ("inc", ()), ("read", ())],
+    "r2": [("inc", ()), ("read", ())],
+    "r3": [("inc", ()), ("read", ())],
+}
+
+
+class _DomainTokenStack(RuleBasedStateMachine):
+    """Push / apply / restore / pop on ``build_engine(...).domain``;
+    subclasses build the engine.
+
+    Besides the restore check, an invariant replays the applied path on
+    a fresh domain: a restored table that a later write changed in place
+    may stay hidden at restore time (the restored part table still holds
+    the pushed parts) and show only after the next write to that
+    replica."""
+
+    def engine(self):
+        raise NotImplementedError
+
+    @initialize()
+    def setup(self):
+        self.domain = self.engine().domain
+        self.path = []
+        self.tokens = []
+
+    @staticmethod
+    def observe(domain):
+        return (domain.transitions(), domain.residual_transitions(),
+                domain.fingerprint())
+
+    @rule()
+    def push(self):
+        self.tokens.append(
+            (self.domain.push(), len(self.path), self.observe(self.domain))
+        )
+
+    @rule(pick=st.integers(0, 10 ** 6))
+    def apply(self, pick):
+        enabled = self.domain.transitions()
+        if enabled:
+            transition = enabled[pick % len(enabled)]
+            if self.domain.apply(transition):
+                self.path.append(transition)
+
+    @precondition(lambda self: self.tokens)
+    @rule()
+    def restore(self):
+        token, length, expected = self.tokens[-1]
+        self.domain.pop(token)
+        del self.path[length:]
+        assert self.observe(self.domain) == expected
+
+    @precondition(lambda self: self.tokens)
+    @rule()
+    def pop(self):
+        self.tokens.pop()
+
+    @invariant()
+    def agrees_with_a_fresh_replay(self):
+        if not hasattr(self, "domain"):
+            return
+        fresh = self.engine().domain
+        for transition in self.path:
+            assert fresh.apply(transition)
+        assert self.observe(self.domain) == self.observe(fresh)
+
+
+class OpDomainTokenMachine(_DomainTokenStack):
+    def engine(self):
+        return build_engine(
+            "op",
+            lambda: OpBasedSystem(
+                {"set": OpORSet(), "reg": OpLWWRegister()},
+                replicas=REPLICAS, shared_timestamps=False,
+            ),
+            DOMAIN_PRODUCT_PROGRAMS, lambda *_: None, symmetry=True,
+        )
+
+
+class StateDomainTokenMachine(_DomainTokenStack):
+    def engine(self):
+        return build_engine(
+            "state",
+            lambda: StateBasedSystem(SBGCounter(), replicas=tuple(
+                DOMAIN_GOSSIP_PROGRAMS
+            )),
+            DOMAIN_GOSSIP_PROGRAMS, lambda *_: None, max_gossips=3,
+        )
+
+
+OpDomainTokenMachine.TestCase.settings = SNAPSHOT_SETTINGS
+StateDomainTokenMachine.TestCase.settings = SNAPSHOT_SETTINGS
+TestOpDomainTokenMachine = OpDomainTokenMachine.TestCase
+TestStateDomainTokenMachine = StateDomainTokenMachine.TestCase

@@ -4,7 +4,6 @@ import pytest
 
 from repro.proofs.compositional import (
     SIDE_CONDITION_LIMIT,
-    Store,
     check_side_condition,
     composed_table_entry,
     make_store_system,
@@ -16,7 +15,6 @@ from repro.proofs.compositional import (
     verify_store,
 )
 from repro.proofs.exhaustive import standard_programs
-from repro.proofs.registry import entry_by_name
 from repro.scenarios import fig10_two_rgas
 
 

@@ -18,7 +18,6 @@ from repro.proofs.compositional import (
     Store,
     _verify_per_object,
     check_side_condition,
-    parse_store_spec,
     product_verify_store,
     store_programs,
     verify_store,

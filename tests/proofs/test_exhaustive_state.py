@@ -3,7 +3,6 @@
 import pytest
 
 from repro.proofs.exhaustive import (
-    exhaustive_verify,
     exhaustive_verify_state,
     standard_programs,
 )

@@ -6,11 +6,10 @@ and ``chaos``, ``stats --phases`` and ``table --trace-checks``.
 
 import json
 
-import pytest
-
 from repro.__main__ import build_parser, main
 from repro.obs.heartbeat import HEARTBEAT_SCHEMA
 from repro.obs.journal import read_journal
+from repro.proofs.compositional import SIDE_CONDITION_LIMIT
 
 
 class TestParser:
@@ -58,6 +57,20 @@ class TestExhaustiveObservatory:
             lines = [json.loads(line) for line in handle]
         assert lines[0] == {"schema": HEARTBEAT_SCHEMA}
         assert len(lines) > 1 and lines[1]["worker"] == "w0"
+
+    def test_store_journal_names_the_capped_sample(self, tmp_path, capsys):
+        # Only the ⊗ts side-condition sample stops early, at its
+        # configuration limit; the per-object proofs run their scopes
+        # out, so nothing in the journal may read as an exhausted budget.
+        journal = str(tmp_path / "journal.jsonl")
+        assert main(["exhaustive", "--store", "counter:1,orset:1",
+                     "--journal", journal]) == 0
+        capsys.readouterr()
+        events = read_journal(journal)["events"]
+        assert not [e for e in events if e["kind"] == "budget.exhausted"]
+        capped = [e for e in events if e["kind"] == "search.capped"]
+        assert [e["limit"] for e in capped] == [SIDE_CONDITION_LIMIT]
+        assert capped[0]["configurations"] == SIDE_CONDITION_LIMIT
 
     def test_heartbeat_log_without_progress_stays_silent(self, tmp_path,
                                                          capsys):
