@@ -7,9 +7,10 @@ Commands:
 * ``scenario X`` — render one figure's execution (fig2, fig5a, fig8, fig9,
   fig10, fig10ts, fig14) as replica lanes + visibility.
 * ``mutants``    — run mutation testing and print what caught each mutant.
-* ``exhaustive`` — exhaustively verify all op-based CRDTs on the standard
-  small-scope programs (``--scope`` selects one, ``--metrics`` writes the
-  observability artifact).
+* ``exhaustive`` — exhaustively verify every registry CRDT on the
+  standard small-scope programs, state-based ones under two gossips
+  (``--scope`` selects one, ``--metrics`` writes the observability
+  artifact).
 * ``chaos``      — fault-injection soak: every registry entry under
   deterministic adversarial delivery (drop/duplicate/delay/stale,
   partitions, crash+recovery), with replayable failing-trace dumps.
@@ -57,7 +58,7 @@ from .proofs import (
     format_store,
     format_table,
     mutant_catalogue,
-    standard_programs,
+    standard_scopes,
     verify_entries_parallel,
     verify_entry,
     verify_mutant,
@@ -238,26 +239,21 @@ def _normalize_scope(name: str) -> str:
 def cmd_exhaustive(args: argparse.Namespace) -> int:
     if args.store:
         return _cmd_exhaustive_store(args)
-    entries = [entry for entry in ALL_ENTRIES if entry.kind == "OB"]
+    scopes = standard_scopes()
     if args.scope:
         wanted = _normalize_scope(args.scope)
-        entries = [
-            entry for entry in entries
-            if _normalize_scope(entry.name) == wanted
+        names = [_normalize_scope(entry.name) for entry, _, _ in scopes]
+        scopes = [
+            scope for scope, name in zip(scopes, names) if name == wanted
         ]
-        if not entries:
-            available = ", ".join(
-                _normalize_scope(entry.name)
-                for entry in ALL_ENTRIES if entry.kind == "OB"
-            )
-            print(f"unknown scope {args.scope!r}; available: {available}",
-                  file=sys.stderr)
+        if not scopes:
+            print(f"unknown scope {args.scope!r}; available: "
+                  f"{', '.join(names)}", file=sys.stderr)
             return 2
     ins = _instrumentation(args)
     if args.jobs == 0:
         args.jobs = default_jobs()
     symmetry = False if args.no_symmetry else None
-    scopes = [(entry, standard_programs(entry), None) for entry in entries]
     results = verify_scopes_steal(scopes, jobs=args.jobs, symmetry=symmetry,
                                   steal=args.steal, spill=args.spill,
                                   instrumentation=ins, por=args.por,
@@ -474,10 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exhaustive.add_argument(
         "--por", choices=("source", "sleep"), default="source",
-        help="partial-order-reduction flavor: 'source' (source-DPOR with "
-             "wakeup-tree continuations and patch cuts, the default) or "
-             "'sleep' (classic sleep sets, the differential oracle); both "
-             "give identical verdicts and distinct-configuration counts",
+        help="partial-order-reduction flavor of op-based scopes: "
+             "'source' (source-DPOR with wakeup-tree continuations and "
+             "patch cuts, the default) or 'sleep' (classic sleep sets, "
+             "the differential oracle); both give identical verdicts and "
+             "distinct-configuration counts.  State-based scopes run "
+             "sleep sets under either value",
     )
     exhaustive.add_argument(
         "--spill", metavar="DIR", default=None,

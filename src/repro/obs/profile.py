@@ -30,7 +30,7 @@ PHASES: Tuple[str, ...] = (
     "snapshot",    # copy-on-write push of the configuration
     "restore",     # pop back to the parent configuration
     "apply",       # executing one transition against the domain
-    "hb",          # happens-before vector maintenance (source-DPOR)
+    "hb",          # happens-before vector maintenance (op-based source-DPOR)
     "race",        # race reversal planning + wakeup-tree maintenance
     "commute",     # commutativity/independence probes (sleep sets)
     "fingerprint", # configuration fingerprint + orbit canonicalization

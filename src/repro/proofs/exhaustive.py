@@ -299,7 +299,8 @@ def exhaustive_verify(
     sets with wakeup-tree continuations and patch cuts) or ``"sleep"``
     (classic sleep sets, the differential oracle).  Both visit the same
     configuration set; source explores fewer interleavings to get
-    there.
+    there.  State-based scopes run sleep sets under either value (see
+    :func:`exhaustive_verify_state`).
 
     ``heartbeat`` threads a
     :class:`~repro.obs.heartbeat.HeartbeatEmitter` into the engine for
@@ -335,8 +336,13 @@ def exhaustive_verify_state(
     Explores every interleaving of the programs with up to ``max_gossips``
     gossip steps (see :mod:`repro.runtime.state_explore`) and checks the
     EO/TO candidate linearization plus convergence on each.  ``engine``,
-    ``symmetry``, ``jobs``, ``steal``, ``spill``, ``por`` and
-    ``instrumentation`` behave as in :func:`exhaustive_verify`.
+    ``symmetry``, ``jobs``, ``steal``, ``spill`` and ``instrumentation``
+    behave as in :func:`exhaustive_verify`.  ``por`` is accepted for the
+    same signature, but the walk is the sleep-set search under either
+    value: a gossip joins a whole replica state, so source-DPOR could
+    prune only invocation orders between gossips, and that cost more
+    per state than it saved
+    (:func:`~repro.runtime.explore_engine.build_engine`).
     """
     if entry.kind != "SB":
         raise ValueError(f"{entry.name} is op-based; use exhaustive_verify")

@@ -17,9 +17,11 @@ The pool carves the search at a **sleep-set frontier**:
   branch per replica-permutation orbit.
 * Workers pull tasks from a shared :class:`multiprocessing.Queue`,
   replay each prefix and run the scope's DFS below it — source-DPOR by
-  default.  The prefix runs under ignore frames: the coordinator fully
-  expanded every prefix node, so a race reversal landing there is
-  already explored or slept.
+  default on op-based scopes, sleep sets on state-based ones
+  (:func:`~repro.runtime.explore_engine.build_engine`).  The prefix
+  runs under ignore frames: the coordinator fully expanded every
+  prefix node, so a race reversal landing there is already explored
+  or slept.
 * Each worker keeps one engine *session* per scope (domain, visited and
   expanded records, verdict caches) across all its tasks, so dedup warms
   up like a serial run's.  Sessions keep raw canonical fingerprints, as

@@ -269,20 +269,15 @@ class _Domain:
     them.  Subclasses supply the semantics: the propagation transitions
     (causal delivery in :class:`_OpDomain`, gossip in
     :class:`_StateDomain`) and their ``apply`` arm, the independence
-    masks with their commutativity probe, the source-DPOR relations,
-    the replica-indexed fingerprint part and the replica-free
-    fingerprint component.
+    masks with their commutativity probe, the replica-indexed
+    fingerprint part and the replica-free fingerprint component;
+    :class:`_OpDomain` adds the source-DPOR relations.
     """
 
     #: Name of the one semantics-specific field the push/pop token
     #: carries; its value is never mutated in place, so the token holds
     #: it by reference.
     _TAIL: str
-
-    #: Transitions every node must schedule (see
-    #: :meth:`_StateDomain.residual_transitions`), as a mask; 0 lets the
-    #: engine skip the per-node seeding scan entirely.
-    forced = 0
 
     def __init__(
         self,
@@ -874,9 +869,6 @@ class _StateDomain(_Domain):
                     actor.append(position[target])
                     self._ends.append((source, target))
         self._gossips: Tuple[int, ...] = tuple(gossips)
-        # Gossips are alternatives, not mandatory events: they drain a
-        # shared budget (see residual_transitions).
-        self.forced = sum(1 << g for g in gossips)
         self._indep: List[int] = []
         self._gos_indep: List[int] = []
         self._probe: List[int] = []
@@ -954,85 +946,6 @@ class _StateDomain(_Domain):
         self.stats.commute_checks += 1
         return crdt.merge(crdt.merge(base, one), two) == crdt.merge(
             crdt.merge(base, two), one
-        )
-
-    # -- happens-before / races (the source-DPOR relations) -------------
-
-    def race_reversible(self, a: Transition, b: Transition) -> bool:
-        """See :meth:`_OpDomain.race_reversible`.
-
-        Only program order is enforced here: gossips are enabled whenever
-        budget remains (it is never smaller earlier in the execution), so
-        every non-program-order race has an executable reversal.
-        """
-        n = self._n_inv
-        return not (a < n and b < n and self._actor[a] == self._actor[b])
-
-    def residual_transitions(self) -> List[Transition]:
-        """See :meth:`_OpDomain.residual_transitions`.
-
-        Remaining invocations occur in every maximal execution below
-        this node; gossips are alternatives (budget-bounded), so the
-        residual alphabet over-approximates any one subtree's footprint
-        — extra replayed races cost work, never soundness.
-
-        Gossips are why :attr:`forced` is set: they drain a shared
-        budget, so a maximal execution that spends it on one gossip
-        never contains the others — no explored execution need mention
-        ``gos(2→1)``, and the race mechanism (which only reverses events
-        that occur) would silently drop its configurations.  Every
-        enabled gossip is therefore force-seeded into each node's source
-        set; the reduction prunes invocation interleavings only, and
-        gossip reversals replayed here are almost always already covered.
-        """
-        counters = self.counters
-        res: List[Transition] = []
-        for replica, base, length in self._inv_rows:
-            res.extend(range(base + counters[replica], base + length))
-        if self.budget > 0:
-            res.extend(self._gossips)
-        return res
-
-    # Incremental happens-before masks — see :class:`_OpDomain`.
-
-    def hb_reset(self) -> None:
-        self._hb_replica_masks = [0] * len(self.replicas)
-        self._hb_gos_mask = 0
-
-    def hb_note(self, transition: Transition, index: int) -> None:
-        bit = 1 << index
-        if transition >= self._n_inv:
-            self._hb_gos_mask |= bit
-        else:
-            self._hb_replica_masks[self._actor[transition]] |= bit
-
-    def hb_unnote(self, transition: Transition, index: int) -> None:
-        if transition >= self._n_inv:
-            self._hb_gos_mask &= ~(1 << index)
-        else:
-            self._hb_replica_masks[self._actor[transition]] &= ~(1 << index)
-
-    def hb_dep_mask(self, transition: Transition, length: int) -> int:
-        """Structural dependence for the state-based semantics.
-
-        Two invocations depend iff they share a replica; gossips are
-        declared dependent on *everything* — deliberately coarser than
-        :meth:`sleep_after`.  The state-based visit hook fires on
-        interior configurations too (program-complete nodes with
-        leftover gossip budget), and source-DPOR only preserves maximal
-        executions per trace class; making every gossip an ordering
-        barrier forces each explored linearization to pass through
-        every visitable interior configuration of its class
-        (invocation-only commutations never change a program-complete
-        prefix's configuration set), so the visited set stays exactly
-        the sleep-set engine's.  The reduction then prunes invocation
-        interleavings between gossips.
-        """
-        if transition >= self._n_inv:
-            return (1 << length) - 1  # the global ordering barrier
-        return (
-            self._hb_replica_masks[self._actor[transition]]
-            | self._hb_gos_mask
         )
 
     # -- fingerprinting -------------------------------------------------
@@ -1130,9 +1043,10 @@ class _ProfiledDomain:
     proxy times the domain calls that dominate engine wall — snapshot
     push/pop, transition application, independence (commutativity)
     probes, happens-before maintenance, fingerprint/canonicalization —
-    and forwards everything else untouched.  Per-call ``perf_counter``
-    pairs are real overhead; that cost is the price of attribution and
-    is only ever paid on profiled runs.
+    and forwards everything else untouched.  It wraps only the calls the
+    domain has: the source-DPOR relations exist on :class:`_OpDomain`
+    alone.  Per-call ``perf_counter`` pairs are real overhead; that cost
+    is the price of attribution and is only ever paid on profiled runs.
     """
 
     #: The timed domain calls and the phase each one is charged to.
@@ -1154,7 +1068,9 @@ class _ProfiledDomain:
     def __init__(self, domain, profile) -> None:
         self._domain = domain
         for name, phase in self.PHASES.items():
-            setattr(self, name, _timed(getattr(domain, name), profile, phase))
+            method = getattr(domain, name, None)
+            if method is not None:
+                setattr(self, name, _timed(method, profile, phase))
 
     def __getattr__(self, name):
         return getattr(self._domain, name)
@@ -1173,8 +1089,8 @@ def _timed(method: Callable, profile, phase: str) -> Callable:
 
 
 class _Engine:
-    """Depth-first search with sleep sets (or source-DPOR) and
-    fingerprint deduplication."""
+    """Depth-first search with sleep sets (or, over an op-based domain,
+    source-DPOR) and fingerprint deduplication."""
 
     def __init__(
         self,
@@ -1226,11 +1142,10 @@ class _Engine:
         self._expanded: Any = (
             store.expanded_map() if store is not None else {}
         )
-        if por not in ("sleep", "source"):
-            raise ValueError(f"unknown por mode {por!r}")
         #: Partial-order reduction flavor: source-DPOR (sleep sets +
         #: race-driven source sets with wakeup-tree continuations and
-        #: patch cuts) or classic sleep sets, the differential oracle.
+        #: patch cuts) or classic sleep sets, the differential oracle;
+        #: :func:`build_engine` picks it.
         self.por = por
         #: Source-DPOR frame stack, aligned with ``_path`` (frame i is
         #: the node reached by ``_path[:i]``).
@@ -1537,13 +1452,6 @@ class _Engine:
                         if not (sleep >> transition) & 1:
                             backtrack[transition] = None
                             break
-                forced = domain.forced & ~sleep
-                if forced:
-                    for transition in transitions:
-                        if (forced >> transition) & 1:
-                            # setdefault: a guided candidate keeps its
-                            # pending continuation.
-                            backtrack.setdefault(transition, None)
             while True:
                 tried = frame.tried
                 for transition in backtrack:
@@ -1814,7 +1722,20 @@ def build_engine(
     :meth:`_Engine.run` calls — the pool's workers run many frontier
     tasks of the same scope through one session, so dedup and
     verdict caches warm up exactly like a serial run's.
+
+    ``por`` picks the partial-order reduction of an op-based scope:
+    ``"source"`` (source-DPOR) or ``"sleep"`` (sleep sets, the
+    differential oracle).  A state-based scope runs the sleep-set search
+    under either value.  A gossip joins a whole replica state into
+    another, so source-DPOR there must make every gossip a
+    happens-before barrier and can prune only invocation orders between
+    gossips; that saved at most a fifth of the states and cost more per
+    state than it saved (``docs/performance.md``).  Every serial run,
+    pool session and frontier task is built here, so all of them follow
+    this choice.
     """
+    if por not in ("sleep", "source"):
+        raise ValueError(f"unknown por mode {por!r}")
     stats = stats if stats is not None else ExploreStats()
     if kind == "op":
         domain: _Domain = _OpDomain(
@@ -1824,6 +1745,7 @@ def build_engine(
         domain = _StateDomain(
             make_system(), programs, max_gossips, stats, symmetry=symmetry,
         )
+        por = "sleep"
     else:  # pragma: no cover - caller bug
         raise ValueError(f"unknown exploration kind {kind!r}")
     return _Engine(
@@ -1857,7 +1779,7 @@ def _explore(
         profile=ins.profile, journal=ins.journal, **options,
     )
     with ins.span(f"explore.{kind}", replicas=len(programs),
-                  **span_fields) as span:
+                  por=engine.por, **span_fields) as span:
         engine.run()
         span.set(configurations=stats.configurations,
                  states_visited=stats.states_visited)
@@ -1898,7 +1820,7 @@ def explore_op_programs(
     """
     return _explore(
         "op", make_system, programs, visit, stats, instrumentation,
-        dict(symmetry=symmetry, por=por),
+        dict(symmetry=symmetry),
         max_configurations=max_configurations,
         symmetry=symmetry, store=store, por=por, heartbeat=heartbeat,
     )
@@ -1920,13 +1842,14 @@ def explore_state_programs(
     """Run ``programs`` under every bounded state-based interleaving.
 
     Same knobs (``symmetry`` included) and instrumentation hook as
-    :func:`explore_op_programs`; ``visit`` fires on every configuration
-    whose programs have finished, including ones with leftover gossip
-    budget (partial propagation).
+    :func:`explore_op_programs`, except ``por``: the walk is the
+    sleep-set search under either value (see :func:`build_engine`).
+    ``visit`` fires on every configuration whose programs have finished,
+    including ones with leftover gossip budget (partial propagation).
     """
     return _explore(
         "state", make_system, programs, visit, stats, instrumentation,
-        dict(max_gossips=max_gossips, symmetry=symmetry, por=por),
+        dict(max_gossips=max_gossips, symmetry=symmetry),
         max_gossips=max_gossips, max_configurations=max_configurations,
         symmetry=symmetry, store=store, por=por, heartbeat=heartbeat,
     )

@@ -341,6 +341,10 @@ class OpDomainTokenMachine(_DomainTokenStack):
 
 
 class StateDomainTokenMachine(_DomainTokenStack):
+    @staticmethod
+    def observe(domain):
+        return domain.transitions(), domain.fingerprint()
+
     def engine(self):
         return build_engine(
             "state",

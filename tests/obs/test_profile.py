@@ -7,6 +7,8 @@ from repro.obs.profile import (
     maybe_profiler,
     phase_totals,
 )
+from repro.proofs.exhaustive import exhaustive_verify_state, standard_programs
+from repro.proofs.registry import entry_by_name
 
 
 class TestAccumulation:
@@ -84,3 +86,25 @@ class TestMaybeProfiler:
     def test_enabled_handle_exposes_its_profiler(self):
         ins = Instrumentation.on()
         assert maybe_profiler(ins) is ins.profile
+
+
+class TestProfiledStateRun:
+    def test_state_domain_is_profiled(self):
+        # The profiling proxy wraps only the calls a state domain has,
+        # and timing them leaves the walk as it was.
+        entry = entry_by_name("G-Counter")
+        programs = standard_programs(entry)
+        plain = exhaustive_verify_state(entry, programs, max_gossips=2)
+        ins = Instrumentation.on()
+        profiled = exhaustive_verify_state(
+            entry, programs, max_gossips=2, instrumentation=ins,
+        )
+        assert (profiled.ok, profiled.configurations) \
+            == (plain.ok, plain.configurations)
+        assert plain.ok and plain.configurations > 0
+        assert ins.profile.seconds["apply"] > 0
+        assert ins.profile.seconds["fingerprint"] > 0
+        # The default asks for source-DPOR; the span records the search
+        # that ran.
+        [span] = ins.tracer.spans("explore.state")
+        assert span["attrs"]["por"] == "sleep"

@@ -513,7 +513,7 @@ def test_canonical_keys_match_brute_force_state(monkeypatch):
         max_gossips=2, symmetry=True, stats=stats,
     ))
     assert stats.symmetry_group == 6
-    assert calls == stats.states_visited == 927
+    assert calls == stats.states_visited == 1164
 
 
 def test_rename_transition_covers_all_kinds():

@@ -83,6 +83,15 @@ class TestObservability:
         out = capsys.readouterr().out
         assert "Counter" in out and "OR-Set" not in out
 
+    def test_exhaustive_reaches_state_based_scopes(self, capsys):
+        # State-based entries run under the standard gossip bound.
+        assert main(["exhaustive", "--scope", "g_set"]) == 0
+        row = next(
+            l for l in capsys.readouterr().out.splitlines()
+            if l.startswith("G-Set")
+        )
+        assert row.split()[1] == "59"
+
     def test_exhaustive_unknown_scope(self, capsys):
         assert main(["exhaustive", "--scope", "nope"]) == 2
         err = capsys.readouterr().err
